@@ -8,25 +8,15 @@ set-valued cells through the le1/le2 relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .poset import FinitePoset, PosetError, bits
+from .poset import FinitePoset
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
                     is_orthomodular, is_weakly_boolean)
-from .implication import (NotALattice, NotOrthogonal, SetValuedTable,
+from .implication import (NotALattice, SetValuedTable,
                           TheoremReport, impl_I, sasaki_impl, sasaki_proj,
                           _require_orthogonal)
-
-
-class NoLeastElement(PosetError):
-    def __init__(self, x, y):
-        super().__init__(f"residuation candidates for ({x}, {y}) have no least element")
-        self.pair = (x, y)
-
-
-class PreconditionUnmet(PosetError):
-    pass
 
 
 @dataclass
@@ -162,13 +152,12 @@ class ResiduationResult:
     adjoint: bool = False
 
 
-def residuate(o: OrthoPoset, imp: SetValuedTable,
-              strict: bool = False) -> ResiduationResult:
+def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
     """Try to build the product adjoint to ``imp``.
 
     For each (x, y) the candidate set is every z with x le1 imp(y, z);
-    the product cell is its least element. With ``strict`` a missing
-    least element raises instead of being reported.
+    the product cell is its least element, and a pair without one is
+    reported as the ``failure``.
     """
     p = o.poset
     cells = []
@@ -181,8 +170,6 @@ def residuate(o: OrthoPoset, imp: SetValuedTable,
                     cand |= 1 << z
             least = p.min_of(cand)
             if least == 0 or least & (least - 1):
-                if strict:
-                    raise NoLeastElement(p.labels[x], p.labels[y])
                 return ResiduationResult(None, failure=(x, y))
             row.append(least)
         cells.append(tuple(row))

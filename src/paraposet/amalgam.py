@@ -214,9 +214,6 @@ class AtomicAmalgam:
     carrier: OrthoPoset
     origin: Tuple[FrozenSet[int], ...]
 
-    def block_mask(self, i: int) -> int:
-        return mask_of(c for c, o in enumerate(self.origin) if i in o)
-
 
 def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
     """Glue the blocks: union order, blockwise involution, re-validated."""
@@ -291,11 +288,10 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
         return {fam.class_of[i][e] for e in range(fam.blocks[i].n)}
 
     loops = []
-    seen = set()
     for combo in combinations(range(nb), order):
         base = combo[0]
         for rest in permutations(combo[1:]):
-            if order > 2 and rest[0] > rest[-1]:
+            if rest[0] > rest[-1]:
                 continue  # reflection representative
             seq = (base,) + rest
             ok = True
@@ -330,7 +326,6 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
                 atoms.append(atom)
             assert len(set(atoms)) == order, "linking atoms must be distinct"
             loops.append(AtomicLoop(seq, tuple(atoms)))
-            seen.add(seq)
     return loops
 
 

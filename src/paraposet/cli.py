@@ -14,7 +14,7 @@ from . import amalgam as am
 from . import fileformat, harness, implication, relative, render
 from .ortho import (OrthoPoset, PREDICATES, orthogonality_witness,
                     orthomodular_witness, paraortho_witness)
-from .poset import FinitePoset, PosetError
+from .poset import PosetError, bits
 from .relative import SectionedPoset
 
 
@@ -76,28 +76,19 @@ def cmd_check(args) -> int:
 def cmd_table(args) -> int:
     obj = _load(args.file)
     op = args.op
-    if op in ("i3", "i4"):
-        if isinstance(obj, SectionedPoset):
-            s = obj
+    try:
+        if op in ("i3", "i4"):
+            s = obj if isinstance(obj, SectionedPoset) else \
+                relative.sections_from_involution(_as_ortho(obj, args.file))
+            table = relative.impl_I3(s) if op == "i3" else relative.impl_I4(s)
         else:
-            o = _as_ortho(obj, args.file)
-            try:
-                s = relative.sections_from_involution(o)
-            except PosetError as exc:
-                print(f"error: {args.file}: {exc}", file=sys.stderr)
-                return 2
-        table = relative.impl_I3(s) if op == "i3" else relative.impl_I4(s)
-    else:
-        o = _as_ortho(obj, args.file)
-        fn = {"i1": implication.impl_I, "i2": implication.impl_I2,
-              "sasaki-impl": implication.sasaki_impl,
-              "sasaki-prod": implication.sasaki_proj}[op]
-        try:
-            table = fn(o)
-        except (implication.NotOrthogonal, implication.NotALattice,
-                implication.JoinMissing) as exc:
-            print(f"error: {args.file}: {exc}", file=sys.stderr)
-            return 2
+            fn = {"i1": implication.impl_I, "i2": implication.impl_I2,
+                  "sasaki-impl": implication.sasaki_impl,
+                  "sasaki-prod": implication.sasaki_proj}[op]
+            table = fn(_as_ortho(obj, args.file))
+    except PosetError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(render.render_table(table))
     return 0
 
@@ -116,7 +107,11 @@ def cmd_amalgam(args) -> int:
         sys.stdout.write(render.export_dot(built))
         return 0
     if args.loops is not None:
-        loops = am.find_loops(obj, args.loops)
+        try:
+            loops = am.find_loops(obj, args.loops)
+        except ValueError as exc:
+            print(f"error: --loops {args.loops}: {exc}", file=sys.stderr)
+            return 2
         p = built.carrier.poset
         for loop in loops:
             blocks = " ".join(obj.names[i] for i in loop.blocks)
@@ -137,7 +132,7 @@ def cmd_amalgam(args) -> int:
         print(f"missing join: {p.labels[a]} v {p.labels[b]}")
     print(f"two-block pastings are lattices: {rep.two_block_lattices}")
     for cx, cy, blk, between in cov.exceptions:
-        mids = ", ".join(p.labels[i] for i in _bits(between))
+        mids = ", ".join(p.labels[i] for i in bits(between))
         print(f"cover exception: {p.labels[cx]} < {p.labels[cy]} "
               f"(block {obj.names[blk]}) interlopers [{mids}]")
     if not args.classify:
@@ -149,11 +144,6 @@ def cmd_amalgam(args) -> int:
     return 3
 
 
-def _bits(mask: int):
-    from .poset import bits
-    return bits(mask)
-
-
 def cmd_verify(args) -> int:
     if args.theorems in (None, "all"):
         ids = None
@@ -163,7 +153,7 @@ def cmd_verify(args) -> int:
             if tid not in harness.THEOREMS:
                 print(f"error: unknown theorem id {tid!r}", file=sys.stderr)
                 return 2
-    results = harness.run_harness(max_n=args.max_n, ids=ids, jobs=args.jobs)
+    results = harness.run_harness(max_n=args.max_n, ids=ids)
     bad = 0
     for res in results:
         status = "ok" if res.ok else f"FAIL ({len(res.violations)} violations)"
@@ -235,7 +225,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorems", default="all",
                    help="comma-separated theorem ids, or 'all'")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="hunt for a counterexample to A implies B")

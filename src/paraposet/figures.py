@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from .poset import FinitePoset, bits, mask_of
+from .poset import FinitePoset, bits
 from .ortho import OrthoPoset, validate_involution
 from .relative import SectionedPoset, validate_sections
 from .amalgam import PastedFamily, validate_family

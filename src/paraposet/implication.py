@@ -8,10 +8,11 @@ witnesses (expected: none, on inputs meeting the hypotheses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .poset import FinitePoset, PosetError, bits, mask_of
-from .ortho import OrthoPoset, is_complementation, is_orthogonal_poset, is_paraorthomodular, orthogonality_witness
+from .poset import FinitePoset, PosetError, bits
+from .ortho import (OrthoPoset, is_complementation, is_paraorthomodular,
+                    orthogonality_witness)
 
 
 class NotOrthogonal(PosetError):
@@ -57,10 +58,6 @@ class SetValuedTable:
         return c.bit_length() - 1
 
 
-def lift_table(table: SetValuedTable, a: int, b: int) -> int:
-    return table.lift(a, b)
-
-
 def _require_orthogonal(o: OrthoPoset) -> None:
     w = orthogonality_witness(o)
     if w is not None:
@@ -72,10 +69,6 @@ def _join(p: FinitePoset, x: int, y: int) -> int:
     if j is None:
         raise JoinMissing(f"join of {p.labels[x]} and {p.labels[y]} missing")
     return j
-
-
-def _meet(p: FinitePoset, x: int, y: int) -> Optional[int]:
-    return p.meet(x, y)
 
 
 def impl_I(o: OrthoPoset) -> SetValuedTable:
@@ -125,7 +118,7 @@ def sasaki_proj(o: OrthoPoset) -> SetValuedTable:
             minu = p.min_of(p.up[x] & p.up[o.inv[y]])
             cell = 0
             for w in bits(minu):
-                m = _meet(p, y, w)
+                m = p.meet(y, w)
                 if m is None:
                     raise JoinMissing(
                         f"meet of {p.labels[y]} and {p.labels[w]} missing")

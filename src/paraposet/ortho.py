@@ -8,10 +8,9 @@ forms are thin wrappers. Witnesses are element indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .poset import FinitePoset, PosetError, bits, mask_of
+from .poset import FinitePoset, PosetError, bits
 
 
 class InvolutionError(PosetError):
@@ -88,11 +87,7 @@ def is_antitone_involution(poset: FinitePoset, inv: Sequence[int]) -> bool:
 
 def orthogonal(o: OrthoPoset, x: int, y: int) -> bool:
     """x is below the involute of y (equivalently, y below that of x)."""
-    return o.poset.leq(x, inv_of(o, y))
-
-
-def inv_of(o: OrthoPoset, x: int) -> int:
-    return o.inv[x]
+    return o.poset.leq(x, o.inv[y])
 
 
 def orthogonality_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:

@@ -132,9 +132,6 @@ class FinitePoset:
         except KeyError:
             raise BadIndex(f"no element labelled {label!r}") from None
 
-    def label_set(self, mask: int) -> set:
-        return {self.labels[i] for i in bits(mask)}
-
     def subset(self, labels: Iterable[str]) -> int:
         return mask_of(self.index(str(x)) for x in labels)
 

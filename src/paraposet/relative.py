@@ -9,9 +9,9 @@ or -1 for y outside the filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .poset import FinitePoset, PosetError, bits, mask_of
+from .poset import FinitePoset, PosetError, bits
 from .implication import JoinMissing, SetValuedTable, TheoremReport
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 from .poset import FinitePoset, bits
 from .ortho import OrthoPoset
 from .relative import SectionedPoset

@@ -10,10 +10,10 @@ identical specs always produce identical streams.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .poset import FinitePoset, bits, mask_of
-from .ortho import OrthoPoset, validate_involution, is_antitone_involution
+from .poset import FinitePoset, bits
+from .ortho import OrthoPoset
 
 
 class BudgetExceeded(RuntimeError):

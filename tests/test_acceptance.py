@@ -90,10 +90,12 @@ def test_amalgam_theorems(report):
 
 
 def test_exhaustive_harness(report):
+    # seconds per result leave out the shared enumeration: time the whole run
+    t0 = time.perf_counter()
     results = harness.run_harness(max_n=6)
     ok = (len(results) == len(harness.THEOREMS)
           and all(r.ok for r in results)
-          and sum(r.seconds for r in results) < 600)
+          and time.perf_counter() - t0 < 600)
     report(4, "theorem harness n<=6", ok)
 
 

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from paraposet import cli, figures, fileformat as ff, render
 from paraposet.poset import PosetError
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def all_fixture_files():
@@ -112,6 +114,14 @@ def test_cli_table_needs_valid_op_domain(capsys):
     capsys.readouterr()
 
 
+def test_cli_table_i4_needs_join_semilattice(capsys):
+    path = str(FIXTURES / "fig1a.poset")
+    assert cli.main(["table", path, "--op", "i4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+
+
 def test_cli_amalgam_classify(capsys):
     code = cli.main(["amalgam", str(FIXTURES / "triangle" / "family.poset"),
                      "--classify"])
@@ -129,14 +139,31 @@ def test_cli_amalgam_loops(capsys):
     assert "1 loop(s) of order 4" in out
 
 
+def test_cli_amalgam_loops_below_three(capsys):
+    code = cli.main(["amalgam", str(FIXTURES / "square" / "family.poset"),
+                     "--loops", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "loops start at order 3" in captured.err
+
+
 def test_cli_verify_deterministic(capsys):
     argv = ["verify", "--theorems", "th1,duality,omui", "--max-n", "4"]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
-    assert cli.main(argv + ["--jobs", "2"]) == 0
+    assert cli.main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
     assert "0 violations" in first
+
+
+def test_cli_verify_matches_golden_report(capsys):
+    # the stored report pins every theorem's instance count at n <= 5
+    [golden] = json.loads((ROOT / "perfbench" / "golden" / "verify-n5.json").read_text())
+    assert golden["argv"] == ["verify", "--max-n", "5"]
+    assert cli.main(golden["argv"]) == golden["exit"]
+    assert capsys.readouterr().out == golden["stdout"]
 
 
 def test_cli_search(capsys):

@@ -77,6 +77,15 @@ def test_no_orthomodular_without_paraortho():
                                        max_n=7) is None
 
 
+def test_counterexample_search_propagates_crashes(monkeypatch):
+    def broken(o):
+        raise RuntimeError("predicate crashed")
+
+    monkeypatch.setitem(O.PREDICATES, "orthomodular", broken)
+    with pytest.raises(RuntimeError, match="predicate crashed"):
+        harness.find_counterexample("orthomodular", "paraorthomodular", max_n=3)
+
+
 def test_harness_small_sweep_clean():
     results = harness.run_harness(max_n=5)
     assert len(results) == len(harness.THEOREMS)
@@ -85,10 +94,34 @@ def test_harness_small_sweep_clean():
         assert res.instances >= 0
 
 
-def test_harness_deterministic_and_parallel():
+def test_harness_deterministic():
     a = harness.run_harness(max_n=4, ids=["th1", "omui", "sasom"])
-    b = harness.run_harness(max_n=4, ids=["th1", "omui", "sasom"], jobs=3)
+    b = harness.run_harness(max_n=4, ids=["th1", "omui", "sasom"])
     assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
+
+
+def test_harness_enumerates_each_stream_once(monkeypatch):
+    calls = []
+    stream = harness._stream
+
+    def counted(kind, n):
+        calls.append((kind, n))
+        return stream(kind, n)
+
+    monkeypatch.setattr(harness, "_stream", counted)
+    results = harness.run_harness(max_n=5)
+    assert sorted(calls) == [(k, n) for k in ("lattice-inv", "ortho", "sectioned")
+                             for n in range(2, 6)]
+    assert [r.theorem for r in results] == sorted(harness.THEOREMS)
+
+
+def test_harness_results_follow_requested_order():
+    ids = ["sasom", "omidentity", "th2", "th1"]
+    results = harness.run_harness(max_n=4, ids=ids)
+    assert [r.theorem for r in results] == ids
+    for r in results:
+        [alone] = harness.run_harness(max_n=4, ids=[r.theorem])
+        assert alone.as_dict() == r.as_dict()
 
 
 def test_unknown_theorem_rejected():
