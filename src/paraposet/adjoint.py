@@ -79,10 +79,9 @@ def _sasaki_lattice(p: FinitePoset, inv: Sequence[int]):
     """Direct lattice formulas for the Sasaki product and implication."""
     if not p.is_lattice:
         raise NotALattice("Sasaki lattice operators need a lattice")
-    prod = [[p.meet(y, p.join(x, inv[y])) for y in range(p.n)]
-            for x in range(p.n)]
-    imp = [[p.join(inv[x], p.meet(x, y)) for y in range(p.n)]
-           for x in range(p.n)]
+    meets, joins, r = p.meets, p.joins, range(p.n)
+    prod = [[meets[y][joins[x][inv[y]]] for y in r] for x in r]
+    imp = [[joins[inv[x]][meets[x][y]] for y in r] for x in r]
     return prod, imp
 
 
@@ -93,16 +92,18 @@ def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bo
     to satisfy inv[inv[x]] == x.
     """
     inv = tuple(inv)
-    assert all(inv[inv[x]] == x for x in range(p.n))
+    if not all(inv[inv[x]] == x for x in range(p.n)):
+        raise AssertionError(f"not an involution: {inv}")
     prod, imp = _sasaki_lattice(p, inv)
+    meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
     oi = all(
-        p.join(x, p.meet(p.join(x, y), inv[x])) == p.join(x, y)
-        and p.meet(x, p.join(p.meet(x, y), inv[x])) == p.meet(x, y)
-        for x in range(p.n) for y in range(p.n)
+        joins[x][meets[joins[x][y]][inv[x]]] == joins[x][y]
+        and meets[x][joins[meets[x][y]][inv[x]]] == meets[x][y]
+        for x in r for y in r
     )
     adj = all(
-        p.leq(prod[x][y], z) == p.leq(x, imp[y][z])
-        for x in range(p.n) for y in range(p.n) for z in range(p.n)
+        (up[prod[x][y]] >> z & 1) == (up[x] >> imp[y][z] & 1)
+        for x in r for y in r for z in r
     )
     return oi, adj, oi == adj
 
@@ -222,8 +223,11 @@ def adjebp_equiv(o: OrthoPoset) -> Tuple[bool, bool, bool]:
     exists = res.product is not None and res.adjoint
     if exists:
         rep = adji_consequences(o, res.product)
-        assert rep.ok, f"adjoint product consequences fail: {rep.violations}"
+        if not rep.ok:
+            raise AssertionError(
+                f"adjoint product consequences fail: {rep.violations}")
     is_ba = is_boolean_algebra(o)
-    if is_boolean_poset(o):
-        assert adjibp_check(o) in (None, True)
+    if is_boolean_poset(o) and adjibp_check(o) not in (None, True):
+        raise AssertionError("orthogonal Boolean poset with maximality "
+                             "is not a Boolean algebra")
     return exists, is_ba, exists == is_ba

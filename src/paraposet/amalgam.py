@@ -105,8 +105,9 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         # in a Kleene lattice a zero meet forces orthogonality
         for x in range(p.n):
             for y in range(p.n):
-                if p.meet(x, y) == p.bottom:
-                    assert p.leq(x, blk.inv[y])
+                if p.meet(x, y) == p.bottom and not p.leq(x, blk.inv[y]):
+                    raise AssertionError(
+                        f"block {names[i]}: zero meet without orthogonality")
 
     # union-find over (block, element)
     stride = max(b.n for b in blocks)
@@ -256,7 +257,8 @@ def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
     origin = tuple(frozenset(i for i, _ in fam.members[c]) for c in range(nc))
     amal = AtomicAmalgam(fam, carrier, origin)
     # every amalgam of Kleene blocks is paraorthomodular
-    assert is_paraorthomodular(carrier)
+    if not is_paraorthomodular(carrier):
+        raise AssertionError("amalgam of Kleene blocks is not paraorthomodular")
     return amal
 
 
@@ -324,7 +326,8 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
                 atom = mids[0] if fam.blocks[a].poset.covers_pair(
                     fam.blocks[a].poset.bottom, e) else mids[1]
                 atoms.append(atom)
-            assert len(set(atoms)) == order, "linking atoms must be distinct"
+            if len(set(atoms)) != order:
+                raise AssertionError("linking atoms must be distinct")
             loops.append(AtomicLoop(seq, tuple(atoms)))
     return loops
 

@@ -71,7 +71,8 @@ def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
                 raise AntitoneViolation(poset.labels[x], poset.labels[y])
     o = OrthoPoset(poset, inv)
     # forced for any antitone involution on a bounded poset
-    assert inv[poset.bottom] == poset.top
+    if inv[poset.bottom] != poset.top:
+        raise AssertionError("antitone involution must swap bottom and top")
     return o
 
 
@@ -143,12 +144,14 @@ def find_benzene(o: OrthoPoset) -> Optional[Tuple[int, int]]:
     p = o.poset
     xi, yi = o.inv[x], o.inv[y]
     six = {p.bottom, x, y, xi, yi, p.top}
-    assert len(six) == 6
+    if len(six) != 6:
+        raise AssertionError("paraorthomodularity witness has fewer than six elements")
     # the only comparabilities among the four middles are x<y and y'<x'
     middles = (x, y, xi, yi)
     expected = {(x, y), (yi, xi)}
     got = {(a, b) for a in middles for b in middles if a != b and p.leq(a, b)}
-    assert got == expected, "paraorthomodularity witness does not span a hexagon"
+    if got != expected:
+        raise AssertionError("paraorthomodularity witness does not span a hexagon")
     return w
 
 
@@ -251,8 +254,8 @@ def is_orthomodular(o: OrthoPoset) -> bool:
     and all three verdicts must agree.
     """
     direct, via_u, via_ue = orthomodular_verdicts(o)
-    if is_orthogonal_poset(o):
-        assert direct == via_u == via_ue, "orthomodularity verdicts disagree"
+    if is_orthogonal_poset(o) and not direct == via_u == via_ue:
+        raise AssertionError("orthomodularity verdicts disagree")
     return direct
 
 

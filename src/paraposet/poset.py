@@ -3,7 +3,9 @@
 Elements are integers ``0..n-1``; subsets of a poset are plain int
 bitmasks. The order relation is stored as one bitmask row per element
 (``up[i]`` = everything above ``i``, ``down[i]`` = everything below),
-built from cover pairs by transitive closure. At the sizes this library
+built from cover pairs by transitive closure. Meets and joins are n x n
+tables (``meets``, ``joins``), built from the cones once per poset, on
+first use, so ``meet``/``join`` are lookups. At the sizes this library
 targets (a few hundred elements at most) the O(n^3) closure and the
 all-pairs scans below are cheap.
 
@@ -190,27 +192,38 @@ class FinitePoset:
 
     # -- meets and joins ----------------------------------------------
 
+    def _bound_table(self, cones: Sequence[int], extremal) -> tuple:
+        """Unique extremal element of each pairwise cone intersection, or None."""
+        n = self.n
+        rows = [[None] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x, n):
+                m = extremal(cones[x] & cones[y])
+                if m and m & (m - 1) == 0:
+                    rows[x][y] = rows[y][x] = m.bit_length() - 1
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def meets(self) -> tuple:
+        """``meets[x][y]``: infimum of x and y, or None when none exists."""
+        return self._bound_table(self.down, self.max_of)
+
+    @cached_property
+    def joins(self) -> tuple:
+        """``joins[x][y]``: supremum of x and y, or None when none exists."""
+        return self._bound_table(self.up, self.min_of)
+
     def meet(self, x: int, y: int) -> Optional[int]:
         """Infimum of x and y, or None when no greatest lower bound exists."""
-        lo = self.down[x] & self.down[y]
-        m = self.max_of(lo)
-        if m and m & (m - 1) == 0:
-            return m.bit_length() - 1
-        return None
+        return self.meets[x][y]
 
     def join(self, x: int, y: int) -> Optional[int]:
-        hi = self.up[x] & self.up[y]
-        m = self.min_of(hi)
-        if m and m & (m - 1) == 0:
-            return m.bit_length() - 1
-        return None
+        return self.joins[x][y]
 
     @cached_property
     def is_lattice(self) -> bool:
-        return all(
-            self.meet(x, y) is not None and self.join(x, y) is not None
-            for x in range(self.n) for y in range(x + 1, self.n)
-        )
+        return all(None not in row for table in (self.meets, self.joins)
+                   for row in table)
 
     # -- structural predicates ----------------------------------------
 

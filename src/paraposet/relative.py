@@ -76,8 +76,9 @@ def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
         rows.append(tuple(row))
     s = SectionedPoset(poset, tuple(rows))
     # forced for antitone involutions on bounded filters
-    assert all(rows[x][x] == poset.top and rows[x][poset.top] == x
-               for x in range(poset.n))
+    if not all(rows[x][x] == poset.top and rows[x][poset.top] == x
+               for x in range(poset.n)):
+        raise AssertionError("a section must swap the bottom and top of its filter")
     return s
 
 

@@ -3,13 +3,16 @@
 Bounded posets on n elements are generated through the order on the
 n-2 middle elements: every antisymmetric assignment of <, > or
 incomparable to the middle pairs is kept when transitive. Isomorphism
-reduction minimises the relation matrix over middle permutations, so
-identical specs always produce identical streams.
+reduction minimises the relation matrix over the degree-preserving
+relabellings of the middle: points are blocked by (up-degree,
+down-degree) and only permuted within their block. The first labelled
+order of each class is kept, so identical specs always produce
+identical streams.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, groupby, permutations, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .poset import FinitePoset, bits
@@ -48,15 +51,32 @@ def _middle_orders(m: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _canon_middle(up: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Least relabelled matrix over the relabellings that keep degree order.
+
+    Points are put in blocks by (up-degree, down-degree); block k takes
+    the k-th run of new labels, and only orders within a block are tried.
+    Isomorphic orders reach the same set of matrices, so the minimum is
+    a canonical form.
+    """
     m = len(up)
+    down = [0] * m
+    for i in range(m):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+    degree = [(bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(m)]
+    order = sorted(range(m), key=degree.__getitem__)
+    blocks = [tuple(g) for _, g in groupby(order, key=degree.__getitem__)]
     best = None
-    for perm in permutations(range(m)):
+    for choice in product(*(permutations(b) for b in blocks)):
+        new = [0] * m
+        for k, i in enumerate(chain.from_iterable(choice)):
+            new[i] = k
         relabeled = [0] * m
         for i in range(m):
             row = 0
             for j in bits(up[i]):
-                row |= 1 << perm[j]
-            relabeled[perm[i]] = row
+                row |= 1 << new[j]
+            relabeled[new[i]] = row
         key = tuple(relabeled)
         if best is None or key < best:
             best = key

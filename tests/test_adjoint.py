@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 from paraposet import figures
 from paraposet import adjoint as A
 from paraposet import implication as I
@@ -73,3 +78,20 @@ def test_boolean_poset_bridge():
     verdict = A.adjibp_check(figures.boolean_cube())
     assert verdict in (None, True)
     assert A.adjibp_check(figures.fig2a()) in (None, True)
+
+
+def test_involution_check_survives_optimisation():
+    # under python -O a bare assert would vanish and the call return verdicts
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("if __debug__: raise SystemExit('not optimised')\n"
+            "from paraposet.adjoint import omidentity_equiv\n"
+            "from paraposet.poset import FinitePoset\n"
+            "p = FinitePoset.from_covers('0ab1', ['0a', '0b', 'a1', 'b1'])\n"
+            "omidentity_equiv(p, (1, 2, 3, 0))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    assert "AssertionError: not an involution" in res.stderr

@@ -92,3 +92,34 @@ def test_cube_meet_join_bitwise(x, y):
     names = {i: frozenset(a for a in atoms if p.leq(a, i)) for i in range(p.n)}
     assert names[p.meet(x, y)] == names[x] & names[y]
     assert names[p.join(x, y)] == names[x] | names[y]
+
+
+@st.composite
+def random_bounded_posets(draw):
+    # a random order on the middle, closed under transitivity by from_covers
+    n = draw(st.integers(min_value=8, max_value=14))
+    m = n - 2
+    labels = ["0"] + [f"e{i}" for i in range(m)] + ["1"]
+    covers = [("0", f"e{i}") for i in range(m)] + [(f"e{i}", "1") for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if draw(st.booleans()):
+                covers.append((f"e{i}", f"e{j}"))
+    return FinitePoset.from_covers(labels, covers)
+
+
+def _singleton(m):
+    return m.bit_length() - 1 if m and m & (m - 1) == 0 else None
+
+
+@given(random_bounded_posets())
+def test_meet_join_tables_match_cones(p):
+    for x in range(p.n):
+        for y in range(p.n):
+            assert p.meets[x][y] == _singleton(p.max_of(p.down[x] & p.down[y]))
+            assert p.joins[x][y] == _singleton(p.min_of(p.up[x] & p.up[y]))
+            assert p.meet(x, y) == p.meets[x][y] and p.join(x, y) == p.joins[x][y]
+    assert p.is_lattice == all(
+        _singleton(p.max_of(p.down[x] & p.down[y])) is not None
+        and _singleton(p.min_of(p.up[x] & p.up[y])) is not None
+        for x in range(p.n) for y in range(x + 1, p.n))

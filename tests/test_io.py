@@ -166,6 +166,14 @@ def test_cli_verify_matches_golden_report(capsys):
     assert capsys.readouterr().out == golden["stdout"]
 
 
+def test_cli_verify_omidentity_matches_golden_report(capsys):
+    # every lattice/involution pair at n <= 7
+    [golden] = json.loads((ROOT / "perfbench" / "golden" / "omid-n7.json").read_text())
+    assert golden["argv"] == ["verify", "--max-n", "7", "--theorems", "omidentity"]
+    assert cli.main(golden["argv"]) == golden["exit"]
+    assert capsys.readouterr().out == golden["stdout"]
+
+
 def test_cli_search(capsys):
     code = cli.main(["search", "--implies", "orthomodular,paraorthomodular",
                      "--max-n", "5"])

@@ -1,9 +1,13 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from paraposet import figures
 from paraposet import harness
 from paraposet import universe as U
 from paraposet import ortho as O
+from paraposet.poset import bits
 
 
 def test_bounded_poset_counts():
@@ -11,6 +15,41 @@ def test_bounded_poset_counts():
     expected = {2: 1, 3: 1, 4: 2, 5: 5, 6: 16, 7: 63}
     for n, count in expected.items():
         assert sum(1 for _ in U.bounded_posets(n)) == count
+
+
+def _relabel(up, new):
+    out = [0] * len(up)
+    for i, row in enumerate(up):
+        out[new[i]] = sum(1 << new[j] for j in bits(row))
+    return tuple(out)
+
+
+def _brute_canon(up):
+    # the least relabelled matrix over all m! relabellings
+    return min(_relabel(up, perm) for perm in permutations(range(len(up))))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_canonical_form_matches_brute_force(m):
+    # both keys split the labelled middle orders into the same classes
+    pairs = {(U._canon_middle(up), _brute_canon(up)) for up in U._middle_orders(m)}
+    assert len({k for k, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+def test_canonical_form_invariant_under_relabelling():
+    rng = random.Random(6)
+    for _ in range(40):
+        up = [0] * 6
+        for i in reversed(range(6)):
+            for j in range(i + 1, 6):
+                if rng.random() < 0.4:
+                    up[i] |= 1 << j | up[j]
+        key = U._canon_middle(tuple(up))
+        assert U._canon_middle(key) == key
+        for _ in range(10):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            assert U._canon_middle(_relabel(up, perm)) == key
 
 
 def test_smallest_ortho_universe():
