@@ -3,7 +3,10 @@
 The element-level conditions (A)/(B) only make sense where both cells
 are singletons; non-singleton cells are counted as not applicable
 instead of being coerced. The subscripted variants work on arbitrary
-set-valued cells through the le1/le2 relations.
+set-valued cells through the le1/le2 relations. The two condition
+reports the statements share (the Sasaki pair, and the Sasaki product
+with the cone implication) and the residuation of the cone implication
+are built once per structure, through :func:`implication.cached`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .poset import FinitePoset
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
                     is_orthomodular, is_weakly_boolean)
 from .implication import (NotALattice, SetValuedTable,
-                          TheoremReport, impl_I, sasaki_impl, sasaki_proj,
+                          TheoremReport, cached, impl_I, sasaki_impl, sasaki_proj,
                           _require_orthogonal)
 
 
@@ -67,9 +70,19 @@ def check_conditions(o: OrthoPoset, prod: SetValuedTable,
     return rep
 
 
+def _sasaki_conditions(o: OrthoPoset) -> AdjointnessReport:
+    """The conditions for the Sasaki product and Sasaki implication."""
+    return check_conditions(o, cached(o, sasaki_proj), cached(o, sasaki_impl))
+
+
+def _mixed_conditions(o: OrthoPoset) -> AdjointnessReport:
+    """The conditions for the Sasaki product and the cone implication."""
+    return check_conditions(o, cached(o, sasaki_proj), cached(o, impl_I))
+
+
 def lemma_AB_equiv(o: OrthoPoset) -> bool:
     """(A) matches (B) and the subscripted pair matches, for the Sasaki pair."""
-    rep = check_conditions(o, sasaki_proj(o), sasaki_impl(o))
+    rep = cached(o, _sasaki_conditions)
     return rep.holds_A == rep.holds_B and rep.holds_A21 == rep.holds_B12
 
 
@@ -111,7 +124,7 @@ def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bo
 def sasom_equiv(o: OrthoPoset) -> Tuple[bool, bool, bool]:
     """Orthomodularity against the le2/le1 Sasaki adjointness on posets."""
     _require_orthogonal(o)
-    rep = check_conditions(o, sasaki_proj(o), sasaki_impl(o))
+    rep = cached(o, _sasaki_conditions)
     adj21 = rep.holds_A21 and rep.holds_B12
     om = is_orthomodular(o)
     return om, adj21, om == adj21
@@ -133,14 +146,14 @@ def th3_check(o: OrthoPoset) -> ConditionReport:
     """(A) for the Sasaki product with the cone implication, on lattices;
     the le2/le1 variant on non-lattice orthogonal posets. Either one
     holding forces orthomodularity."""
-    rep = check_conditions(o, sasaki_proj(o), impl_I(o))
+    rep = cached(o, _mixed_conditions)
     cond = rep.holds_A if o.poset.is_lattice else rep.holds_A21
     return ConditionReport(cond, is_orthomodular(o))
 
 
 def posth3_check(o: OrthoPoset) -> ConditionReport:
     """The le2/le1 condition variant on any orthogonal poset."""
-    rep = check_conditions(o, sasaki_proj(o), impl_I(o))
+    rep = cached(o, _mixed_conditions)
     return ConditionReport(rep.holds_A21, is_orthomodular(o))
 
 
@@ -182,6 +195,12 @@ def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
     return ResiduationResult(prod, adjoint=adjoint)
 
 
+def cone_adjoint(o: OrthoPoset) -> Optional[SetValuedTable]:
+    """The product adjoint to the cone implication, or None if there is none."""
+    res = residuate(o, cached(o, impl_I))
+    return res.product if res.adjoint else None
+
+
 def adji_consequences(o: OrthoPoset, prod: SetValuedTable) -> TheoremReport:
     """Consequences of having a product adjoint to the cone implication."""
     p = o.poset
@@ -219,10 +238,10 @@ def adjibp_check(o: OrthoPoset) -> Optional[bool]:
 
 def adjebp_equiv(o: OrthoPoset) -> Tuple[bool, bool, bool]:
     """Adjoint-to-cone-implication existence against Booleanness."""
-    res = residuate(o, impl_I(o))
-    exists = res.product is not None and res.adjoint
+    prod = cached(o, cone_adjoint)
+    exists = prod is not None
     if exists:
-        rep = adji_consequences(o, res.product)
+        rep = adji_consequences(o, prod)
         if not rep.ok:
             raise AssertionError(
                 f"adjoint product consequences fail: {rep.violations}")

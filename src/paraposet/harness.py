@@ -1,7 +1,11 @@
 """Re-verification of every statement on exhaustively enumerated structures.
 
-Each registered check walks a stream of small structures and returns
-violation strings (expected: none). Streams and results are fully
+Each registered check is offered the items of one stream of small
+structures and returns violation strings (expected: none). A run walks
+the bounded posets once per size n and expands each poset into the
+items of every requested stream: its antitone involutions (``ortho``),
+its section families (``sectioned``) and, on lattices, all its
+involutions (``lattice-inv``). Streams and results are fully
 deterministic, so repeated runs with equal settings produce identical
 reports.
 """
@@ -19,7 +23,8 @@ from .ortho import (OrthoPoset, PREDICATES, find_benzene, is_boolean_algebra,
                     is_paraorthomodular, is_sharply_paraorthomodular,
                     is_weakly_boolean, orthomodular_verdicts, paraortho_witness)
 from .poset import PosetError, distributive_nary
-from .universe import bounded_posets, involutions, ortho_posets, sectioned_posets
+from .universe import (bounded_posets, involutions, ortho_posets,
+                       ortho_structures, sectioned_structures)
 
 
 @dataclass
@@ -109,10 +114,10 @@ def _posth3(o):
 
 
 def _adji(o):
-    res = adjoint.residuate(o, implication.impl_I(o))
-    if res.product is None or not res.adjoint:
+    prod = implication.cached(o, adjoint.cone_adjoint)
+    if prod is None:
         return []
-    rep = adjoint.adji_consequences(o, res.product)
+    rep = adjoint.adji_consequences(o, prod)
     return [f"{_tag(o)} clause {v}" for v in rep.violations]
 
 
@@ -162,26 +167,16 @@ def _duality(o):
 
 
 def _dist_variants(o):
+    # the four identities stand or fall together: on a distributive poset
+    # none may fail, on any other poset one must
     p = o.poset
-    first = p.is_distributive
-    out = []
-    for x in range(p.n):
-        for y in range(p.n):
-            for z in range(p.n):
-                agrees = [lhs == rhs for lhs, rhs in p.distributive_variants(x, y, z)]
-                if first and not all(agrees):
-                    out.append(f"{_tag(o)} variant split at ({x},{y},{z})")
-                    return out
-    if not first:
-        # some variant must also fail somewhere
-        all_hold = all(
-            lhs == rhs
-            for x in range(p.n) for y in range(p.n) for z in range(p.n)
-            for lhs, rhs in p.distributive_variants(x, y, z)
-        )
-        if all_hold:
-            out.append(f"{_tag(o)} predicate false yet every variant holds")
-    return out
+    fails = p.distributive_variant_failure
+    if p.is_distributive and fails is not None:
+        x, y, z = fails
+        return [f"{_tag(o)} variant split at ({x},{y},{z})"]
+    if not p.is_distributive and fails is None:
+        return [f"{_tag(o)} predicate false yet every variant holds"]
+    return []
 
 
 def _nary_dist(o):
@@ -204,10 +199,8 @@ def _mub_small(o):
     return []
 
 
-def _omid_stream(n):
-    for p in bounded_posets(n):
-        if not p.is_lattice:
-            continue
+def _lattice_involutions(p):
+    if p.is_lattice:
         for inv in involutions(p.n):
             yield (p, inv)
 
@@ -245,7 +238,8 @@ _register("i2-antitone", "ortho",
           _lattice, "lattice implication antitone in the first slot")
 _register("i1-matches-i2", "ortho", lambda o: [
     f"{_tag(o)} cells differ at ({x},{y})"
-    for t1, t2 in [(implication.impl_I(o), implication.impl_I2(o))]
+    for t1, t2 in [(implication.cached(o, implication.impl_I),
+                    implication.cached(o, implication.impl_I2))]
     for x in range(o.n) for y in range(o.n) if t1.cell(x, y) != t2.cell(x, y)
 ], _lattice, "set and lattice implications agree on lattices")
 _register("duality", "ortho", _duality, _orthogonal,
@@ -296,13 +290,14 @@ _register("completeness-finite", "ortho", _mub_small, None,
           "finite posets satisfy the bound-completeness predicates")
 
 
-def _stream(kind: str, n: int):
+def _items(kind: str, p):
+    """The items of stream ``kind`` that the bounded poset ``p`` expands into."""
     if kind == "ortho":
-        return ortho_posets(n)
+        return ortho_structures(p)
     if kind == "sectioned":
-        return sectioned_posets(n)
+        return sectioned_structures(p)
     if kind == "lattice-inv":
-        return _omid_stream(n)
+        return _lattice_involutions(p)
     raise ValueError(f"unknown stream {kind!r}")
 
 
@@ -310,8 +305,10 @@ def run_harness(max_n: int = 6,
                 ids: Optional[Sequence[str]] = None) -> List[HarnessResult]:
     """Check the theorems ``ids`` (default: all) on every structure up to ``max_n``.
 
-    Each (stream, n) is enumerated once and every item is offered to each
-    requested theorem of that stream, so ``seconds`` is a theorem's own
+    The bounded posets of each size are enumerated once; each poset is
+    expanded into the items of every stream a requested theorem reads,
+    and each item is offered to every theorem of its stream. A theorem
+    sees its items in (n, poset, item) order, and ``seconds`` is its own
     ``applies`` and ``check`` time, not the shared enumeration.
     """
     wanted = sorted(THEOREMS) if ids is None else list(ids)
@@ -322,15 +319,16 @@ def run_harness(max_n: int = 6,
     by_stream: Dict[str, List[tuple]] = {}
     for tid, res in results.items():
         by_stream.setdefault(THEOREMS[tid].stream, []).append((THEOREMS[tid], res))
-    for kind, pairs in by_stream.items():
-        for n in range(2, max_n + 1):
-            for item in _stream(kind, n):
-                for th, res in pairs:
-                    t0 = time.perf_counter()
-                    if th.applies is None or th.applies(item):
-                        res.instances += 1
-                        res.violations.extend(th.check(item))
-                    res.seconds += time.perf_counter() - t0
+    for n in range(2, max_n + 1):
+        for p in bounded_posets(n):
+            for kind, pairs in by_stream.items():
+                for item in _items(kind, p):
+                    for th, res in pairs:
+                        t0 = time.perf_counter()
+                        if th.applies is None or th.applies(item):
+                            res.instances += 1
+                            res.violations.extend(th.check(item))
+                        res.seconds += time.perf_counter() - t0
     return [results[tid] for tid in wanted]
 
 

@@ -2,17 +2,32 @@
 
 The operators are materialized as full n x n tables of subset bitmasks;
 theorem-check helpers walk the tables and report violating clauses with
-witnesses (expected: none, on inputs meeting the hypotheses).
+witnesses (expected: none, on inputs meeting the hypotheses). The checks
+read their tables through :func:`cached`, so each table is built once per
+structure however many statements are checked on it; the public
+builders themselves always build afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .poset import FinitePoset, PosetError, bits
 from .ortho import (OrthoPoset, is_complementation, is_paraorthomodular,
                     orthogonality_witness)
+
+
+def cached(s, build: Callable):
+    """``build(s)``, built at most once per structure ``s``.
+
+    The result is kept on ``s`` under ``build``; a build that raises is
+    not kept, so the next call builds, and raises, again.
+    """
+    memo = s._memo
+    if build not in memo:
+        memo[build] = build(s)
+    return memo[build]
 
 
 class NotOrthogonal(PosetError):
@@ -148,8 +163,8 @@ def sasaki_impl(o: OrthoPoset) -> SetValuedTable:
 
 def duality_check(o: OrthoPoset) -> bool:
     """impl_I(x, y) equals sasaki_impl(y', x') cell-for-cell."""
-    ti = impl_I(o)
-    ts = sasaki_impl(o)
+    ti = cached(o, impl_I)
+    ts = cached(o, sasaki_impl)
     return all(
         ti.cell(x, y) == ts.cell(o.inv[y], o.inv[x])
         for x in range(o.n) for y in range(o.n)
@@ -178,7 +193,7 @@ class TheoremReport:
 
 def check_th1(o: OrthoPoset) -> TheoremReport:
     """Elementary properties of the (I1) implication on orthogonal posets."""
-    t = impl_I(o)
+    t = cached(o, impl_I)
     p = o.poset
     rep = TheoremReport("th1")
     n = p.n
@@ -250,7 +265,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
 
 def check_lemma_sharply(o: OrthoPoset) -> TheoremReport:
     """The sharply-paraorthomodular lemma for the (I1) implication."""
-    t = impl_I(o)
+    t = cached(o, impl_I)
     p = o.poset
     zero = 1 << p.bottom
     rep = TheoremReport("lemma-sharply")
@@ -270,7 +285,7 @@ def check_lemma_sharply(o: OrthoPoset) -> TheoremReport:
 
 def paraortho_iff_impl(o: OrthoPoset) -> Tuple[bool, bool, bool]:
     """Paraorthomodularity against the 'x -> y = {1} forces x <= y' law."""
-    t = impl_I(o)
+    t = cached(o, impl_I)
     p = o.poset
     one = 1 << p.top
     law = all(
@@ -284,7 +299,7 @@ def paraortho_iff_impl(o: OrthoPoset) -> Tuple[bool, bool, bool]:
 
 def antitone_first_arg_I2(o: OrthoPoset) -> bool:
     """On lattices, x <= y forces (y -> z) <= (x -> z) for (I2)."""
-    t = impl_I2(o)
+    t = cached(o, impl_I2)
     p = o.poset
     for x in range(p.n):
         for y in bits(p.up[x]):

@@ -7,7 +7,7 @@ forms are thin wrappers. Witnesses are element indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .poset import FinitePoset, PosetError, bits
@@ -42,11 +42,13 @@ class OrthoPoset:
     """A bounded poset together with an antitone involution.
 
     Use :func:`validate_involution` to construct; the raw constructor
-    does not re-validate.
+    does not re-validate. ``_memo`` holds the tables and reports built
+    from the structure (see :func:`paraposet.implication.cached`).
     """
 
     poset: FinitePoset
     inv: Tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

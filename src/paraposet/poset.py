@@ -241,6 +241,17 @@ class FinitePoset:
         )
 
     @cached_property
+    def distributive_variant_failure(self) -> Optional[tuple]:
+        """First (x, y, z) where one of the ``distributive_variants`` fails, or None."""
+        r = range(self.n)
+        for x in r:
+            for y in r:
+                for z in r:
+                    if any(lhs != rhs for lhs, rhs in self.distributive_variants(x, y, z)):
+                        return (x, y, z)
+        return None
+
+    @cached_property
     def is_distributive(self) -> bool:
         """First binary LU-identity, checked over all triples."""
         L, U = self.lower_cone, self.upper_cone

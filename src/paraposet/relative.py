@@ -8,11 +8,11 @@ or -1 for y outside the filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .poset import FinitePoset, PosetError, bits
-from .implication import JoinMissing, SetValuedTable, TheoremReport
+from .implication import JoinMissing, SetValuedTable, TheoremReport, cached
 
 
 class SectionViolation(PosetError):
@@ -31,10 +31,15 @@ class CompatibilityFailed(PosetError):
 
 @dataclass(frozen=True)
 class SectionedPoset:
-    """A bounded poset with an antitone involution on every [x,1]."""
+    """A bounded poset with an antitone involution on every [x,1].
+
+    ``_memo`` holds the tables built from the structure (see
+    :func:`paraposet.implication.cached`).
+    """
 
     poset: FinitePoset
     sections: Tuple[Tuple[int, ...], ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sec(self, x: int, y: int) -> int:
         """The image y^x; y must lie in [x,1]."""
@@ -151,7 +156,7 @@ def impl_I4(s: SectionedPoset) -> SetValuedTable:
 
 def check_th2(s: SectionedPoset) -> TheoremReport:
     """Elementary properties of the section implication."""
-    t = impl_I3(s)
+    t = cached(s, impl_I3)
     p = s.poset
     rep = TheoremReport("th2")
     one = 1 << p.top
@@ -187,7 +192,7 @@ def para_via_I3(s: SectionedPoset) -> Tuple[bool, bool, bool]:
 
     The law: x <= y^0 and x -> y = {y} together force x = y^0.
     """
-    t = impl_I3(s)
+    t = cached(s, impl_I3)
     p = s.poset
     g = s.sections[p.bottom]
     zero = 1 << p.bottom
@@ -212,7 +217,7 @@ def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     ok, w = check_C(s)
     if not ok:
         raise CompatibilityFailed(f"compatibility fails on chain {w}")
-    t = impl_I3(s)
+    t = cached(s, impl_I3)
     p = s.poset
     one = 1 << p.top
     law = all(
@@ -226,7 +231,7 @@ def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
 
 def antitone_first_arg_I4(s: SectionedPoset) -> bool:
     """On join-semilattices, x <= y forces (y -> z) <= (x -> z)."""
-    t = impl_I4(s)
+    t = cached(s, impl_I4)
     p = s.poset
     for x in range(p.n):
         for y in bits(p.up[x]):

@@ -1,13 +1,19 @@
 """Exhaustive generation of small bounded posets and their involutions.
 
 Bounded posets on n elements are generated through the order on the
-n-2 middle elements: every antisymmetric assignment of <, > or
-incomparable to the middle pairs is kept when transitive. Isomorphism
-reduction minimises the relation matrix over the degree-preserving
-relabellings of the middle: points are blocked by (up-degree,
-down-degree) and only permuted within their block. The first labelled
-order of each class is kept, so identical specs always produce
-identical streams.
+n-2 middle elements: the pairs are assigned <, > or incomparable one at
+a time, and a branch is cut as soon as a triple whose three pairs are
+all assigned breaks transitivity, so only partial orders are reached.
+Isomorphism reduction minimises the relation matrix over the
+degree-preserving relabellings of the middle: points are blocked by
+(up-degree, down-degree) and only permuted within their block. The
+first labelled order of each class is kept, so identical specs always
+produce identical streams.
+
+Each bounded poset expands into its ortho structures (one per antitone
+involution) and its sectioned structures (one per section family);
+``ortho_structures`` and ``sectioned_structures`` do this for one poset,
+so a caller walking ``bounded_posets`` once can feed every stream.
 """
 
 from __future__ import annotations
@@ -24,30 +30,45 @@ class BudgetExceeded(RuntimeError):
 
 
 def _middle_orders(m: int) -> Iterator[Tuple[int, ...]]:
-    """Strict partial orders on m points as tuples of strict-up masks."""
+    """Strict partial orders on m points as tuples of strict-up masks.
+
+    Pairs are assigned in lexicographic order, so assigning (i, j)
+    completes exactly the triples (a, i, j) with a < i; each assignment is
+    checked against those triples at once, on the bits below i.
+    """
     if m == 0:
         yield ()
         return
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    up = [0] * m
+    down = [0] * m
 
-    def rec(idx, up):
+    def rec(idx):
         if idx == len(pairs):
-            for i in range(m):
-                for j in bits(up[i]):
-                    if up[j] & ~up[i]:
-                        return
             yield tuple(up)
             return
         i, j = pairs[idx]
-        yield from rec(idx + 1, up)
-        up[i] |= 1 << j
-        yield from rec(idx + 1, up)
-        up[i] &= ~(1 << j)
-        up[j] |= 1 << i
-        yield from rec(idx + 1, up)
-        up[j] &= ~(1 << i)
+        low = (1 << i) - 1
+        ui, uj, di, dj = up[i] & low, up[j] & low, down[i] & low, down[j] & low
+        # incomparable: no a with i < a < j or j < a < i
+        if not (ui & dj or uj & di):
+            yield from rec(idx + 1)
+        # i < j: a < i forces a < j, j < a forces i < a
+        if not (di & ~dj or uj & ~ui):
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+            yield from rec(idx + 1)
+            up[i] &= ~(1 << j)
+            down[j] &= ~(1 << i)
+        # j < i: the mirror image
+        if not (dj & ~di or ui & ~uj):
+            up[j] |= 1 << i
+            down[i] |= 1 << j
+            yield from rec(idx + 1)
+            up[j] &= ~(1 << i)
+            down[i] &= ~(1 << j)
 
-    yield from rec(0, [0] * m)
+    yield from rec(0)
 
 
 def _canon_middle(up: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -180,16 +201,17 @@ def antitone_involutions(p: FinitePoset) -> Iterator[Tuple[int, ...]]:
     yield from rec(0)
 
 
+def ortho_structures(p: FinitePoset) -> Iterator[OrthoPoset]:
+    """The poset ``p`` with each of its antitone involutions."""
+    for inv in antitone_involutions(p):
+        yield OrthoPoset(p, inv)
+
+
 def ortho_posets(n: int, up_to_iso: bool = True,
                  max_count: Optional[int] = None) -> Iterator[OrthoPoset]:
     """Every bounded poset of size n with every antitone involution."""
-    count = 0
-    for p in bounded_posets(n, up_to_iso):
-        for inv in antitone_involutions(p):
-            count += 1
-            if max_count is not None and count > max_count:
-                raise BudgetExceeded(f"more than {max_count} structures at n={n}")
-            yield OrthoPoset(p, inv)
+    structures = chain.from_iterable(map(ortho_structures, bounded_posets(n, up_to_iso)))
+    yield from _budgeted(structures, n, max_count)
 
 
 def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
@@ -204,30 +226,27 @@ def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
     return rows
 
 
+def sectioned_structures(p: FinitePoset):
+    """The poset ``p`` with each of its valid section families."""
+    from .relative import SectionedPoset
+    per_elem = [filter_involutions(p, x) for x in range(p.n)]
+    for rows in product(*per_elem):
+        yield SectionedPoset(p, rows)
+
+
 def sectioned_posets(n: int, up_to_iso: bool = True,
                      max_count: Optional[int] = None):
     """Every bounded poset of size n with every valid section family."""
-    from .relative import SectionedPoset
-    count = 0
-    for p in bounded_posets(n, up_to_iso):
-        per_elem = [filter_involutions(p, x) for x in range(p.n)]
-        if any(not rows for rows in per_elem):
-            continue
-        idx = [0] * p.n
-        while True:
-            count += 1
-            if max_count is not None and count > max_count:
-                raise BudgetExceeded(f"more than {max_count} structures at n={n}")
-            yield SectionedPoset(p, tuple(per_elem[x][idx[x]] for x in range(p.n)))
-            k = p.n - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(per_elem[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
+    structures = chain.from_iterable(map(sectioned_structures, bounded_posets(n, up_to_iso)))
+    yield from _budgeted(structures, n, max_count)
+
+
+def _budgeted(structures, n, max_count):
+    """``structures``, raising BudgetExceeded past ``max_count`` of them."""
+    for count, s in enumerate(structures, 1):
+        if max_count is not None and count > max_count:
+            raise BudgetExceeded(f"more than {max_count} structures at n={n}")
+        yield s
 
 
 def is_orthoisomorphic(a: OrthoPoset, b: OrthoPoset) -> bool:

@@ -1,8 +1,13 @@
 import pytest
 
+from paraposet import adjoint as A
 from paraposet import figures
+from paraposet import harness as H
 from paraposet import implication as I
-from paraposet.poset import bits
+from paraposet import ortho as O
+from paraposet import relative as R
+from paraposet import universe as U
+from paraposet.poset import PosetError, bits
 
 
 def cell_labels(table, x, y):
@@ -85,3 +90,71 @@ def test_unit_row_and_diagonal():
         assert t.cell(x, x) == 1 << p.join(x, o.inv[x])
         assert t.cell(x, p.top) == 1 << p.top
         assert t.cell(p.top, x) == 1 << x
+
+
+# -- tables and reports built once per structure ----------------------
+
+ORTHO_BUILDS = (I.impl_I, I.impl_I2, I.sasaki_proj, I.sasaki_impl,
+                A._sasaki_conditions, A._mixed_conditions, A.cone_adjoint)
+SECTIONED_BUILDS = (R.impl_I3, R.impl_I4)
+
+
+def _run_theorems(s, stream):
+    for th in H.THEOREMS.values():
+        if th.stream == stream and (th.applies is None or th.applies(s)):
+            th.check(s)
+
+
+def _assert_cached_equals_fresh(s, build):
+    try:
+        fresh = build(s)
+    except PosetError as exc:
+        with pytest.raises(type(exc)):
+            I.cached(s, build)
+        assert build not in s._memo
+        return
+    assert I.cached(s, build) == fresh
+    assert I.cached(s, build) is I.cached(s, build)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_cached_results_equal_fresh_builds(n):
+    # fill the caches the way a sweep does, then rebuild every entry
+    for o in U.ortho_posets(n):
+        _run_theorems(o, "ortho")
+        for build in ORTHO_BUILDS:
+            _assert_cached_equals_fresh(o, build)
+    for s in U.sectioned_posets(n):
+        _run_theorems(s, "sectioned")
+        for build in SECTIONED_BUILDS:
+            _assert_cached_equals_fresh(s, build)
+
+
+def test_every_theorem_shares_one_cone_table(monkeypatch):
+    # a Boolean algebra meets every hypothesis, the adjoint product included
+    o = next(o for o in U.ortho_posets(4) if O.is_boolean_algebra(o))
+    builds = []
+    impl_I = I.impl_I
+
+    def counted(s):
+        builds.append(s)
+        return impl_I(s)
+
+    for mod in (I, A, H):
+        if getattr(mod, "impl_I", None) is impl_I:
+            monkeypatch.setattr(mod, "impl_I", counted)
+    _run_theorems(o, "ortho")
+    assert A.cone_adjoint(o) is not None
+    assert builds == [o]
+
+
+def test_failed_builds_are_not_cached():
+    o = figures.fig1a()
+    for _ in range(2):
+        with pytest.raises(I.NotOrthogonal):
+            I.check_th1(o)
+        with pytest.raises(I.NotOrthogonal):
+            A.lemma_AB_equiv(o)
+        with pytest.raises(I.NotOrthogonal):
+            A.th3_check(o)
+    assert o._memo == {}

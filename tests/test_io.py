@@ -174,6 +174,14 @@ def test_cli_verify_omidentity_matches_golden_report(capsys):
     assert capsys.readouterr().out == golden["stdout"]
 
 
+def test_cli_verify_sweep_matches_golden_report(capsys):
+    # every theorem on every structure at n <= 7
+    [golden] = json.loads((ROOT / "perfbench" / "golden" / "sweep-n7.json").read_text())
+    assert golden["argv"] == ["verify", "--max-n", "7"]
+    assert cli.main(golden["argv"]) == golden["exit"]
+    assert capsys.readouterr().out == golden["stdout"]
+
+
 def test_cli_search(capsys):
     code = cli.main(["search", "--implies", "orthomodular,paraorthomodular",
                      "--max-n", "5"])

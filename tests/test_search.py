@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -15,6 +15,31 @@ def test_bounded_poset_counts():
     expected = {2: 1, 3: 1, 4: 2, 5: 5, 6: 16, 7: 63}
     for n, count in expected.items():
         assert sum(1 for _ in U.bounded_posets(n)) == count
+
+
+def test_bounded_poset_count_at_eight():
+    # the 318 posets on six points
+    assert sum(1 for _ in U.bounded_posets(8)) == 318
+
+
+def _leaf_filtered_orders(m):
+    # every antisymmetric assignment of the pairs, kept when transitive
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for choice in product(range(3), repeat=len(pairs)):
+        up = [0] * m
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                up[i] |= 1 << j
+            elif c == 2:
+                up[j] |= 1 << i
+        if all(up[j] & ~up[i] == 0 for i in range(m) for j in bits(up[i])):
+            yield tuple(up)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_middle_orders_match_leaf_filter(m):
+    # pruning partial assignments keeps the same orders in the same order
+    assert list(U._middle_orders(m)) == list(_leaf_filtered_orders(m))
 
 
 def _relabel(up, new):
@@ -139,19 +164,29 @@ def test_harness_deterministic():
     assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
 
 
-def test_harness_enumerates_each_stream_once(monkeypatch):
+def test_harness_enumerates_bounded_posets_once_per_n(monkeypatch):
+    # one poset pass per n feeds all three streams
     calls = []
-    stream = harness._stream
+    enumerate_posets = U.bounded_posets
 
-    def counted(kind, n):
-        calls.append((kind, n))
-        return stream(kind, n)
+    def counted(n, *args):
+        calls.append(n)
+        return enumerate_posets(n, *args)
 
-    monkeypatch.setattr(harness, "_stream", counted)
+    # the universe alias is the one ortho_posets and sectioned_posets call
+    monkeypatch.setattr(harness, "bounded_posets", counted)
+    monkeypatch.setattr(U, "bounded_posets", counted)
     results = harness.run_harness(max_n=5)
-    assert sorted(calls) == [(k, n) for k in ("lattice-inv", "ortho", "sectioned")
-                             for n in range(2, 6)]
+    assert calls == [2, 3, 4, 5]
+    assert {harness.THEOREMS[r.theorem].stream for r in results} == {
+        "ortho", "sectioned", "lattice-inv"}
     assert [r.theorem for r in results] == sorted(harness.THEOREMS)
+
+
+def test_every_theorem_is_non_vacuous():
+    # each hypothesis holds on some structure of the sweep
+    vacuous = [r.theorem for r in harness.run_harness(max_n=6) if r.instances == 0]
+    assert vacuous == []
 
 
 def test_harness_results_follow_requested_order():
