@@ -3,7 +3,8 @@
 The element-level conditions (A)/(B) only make sense where both cells
 are singletons; non-singleton cells are counted as not applicable
 instead of being coerced. The subscripted variants work on arbitrary
-set-valued cells through the le1/le2 relations. The two condition
+set-valued cells through the le1/le2 relations, read as bit tests from
+the unions of the order rows over each cell. The two condition
 reports the statements share (the Sasaki pair, and the Sasaki product
 with the cone implication) and the residuation of the cone implication
 are built once per structure, through :func:`implication.cached`.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .poset import FinitePoset
+from .poset import FinitePoset, bits
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
                     is_orthomodular, is_weakly_boolean)
 from .implication import (NotALattice, SetValuedTable,
@@ -35,32 +36,53 @@ class AdjointnessReport:
     not_applicable: int = 0
 
 
+def _cell_unions(rows: Sequence[int], t: SetValuedTable) -> list:
+    """``out[x][y]``: the union of ``rows[a]`` over the members a of t(x, y).
+
+    With the ``up`` rows, z is in ``out[x][y]`` exactly when t(x, y) le2
+    {z}; with the ``down`` rows, x is in ``out[y][z]`` exactly when {x}
+    le1 t(y, z).
+    """
+    out = []
+    for cells in t.cells:
+        row = []
+        for c in cells:
+            m = 0
+            for a in bits(c):
+                m |= rows[a]
+            row.append(m)
+        out.append(row)
+    return out
+
+
 def check_conditions(o: OrthoPoset, prod: SetValuedTable,
                      imp: SetValuedTable) -> AdjointnessReport:
     """Evaluate (A), (B) and their subscripted variants over all triples."""
     p = o.poset
     rep = AdjointnessReport()
+    up = p.up
+    upcov = _cell_unions(up, prod)
+    downcov = _cell_unions(p.down, imp)
     for x in range(p.n):
         for y in range(p.n):
-            pc = prod.cell(x, y)
+            pc = prod.cells[x][y]
+            up_pc = up[pc.bit_length() - 1]
+            up_xy, imp_y, downcov_y = upcov[x][y], imp.cells[y], downcov[y]
             for z in range(p.n):
-                ic = imp.cell(y, z)
-                single = pc & (pc - 1) == 0 and ic & (ic - 1) == 0
-                if single:
-                    pe = pc.bit_length() - 1
-                    ie = ic.bit_length() - 1
-                    if p.leq(pe, z) and not p.leq(x, ie):
-                        if rep.holds_A:
-                            rep.holds_A = False
-                            rep.witness_A = (x, y, z)
-                    if p.leq(x, ie) and not p.leq(pe, z):
-                        if rep.holds_B:
-                            rep.holds_B = False
-                            rep.witness_B = (x, y, z)
+                ic = imp_y[z]
+                if pc & (pc - 1) == 0 and ic & (ic - 1) == 0:
+                    pe_z = up_pc >> z & 1
+                    x_ie = up[x] >> (ic.bit_length() - 1) & 1
+                    if pe_z and not x_ie and rep.holds_A:
+                        rep.holds_A = False
+                        rep.witness_A = (x, y, z)
+                    if x_ie and not pe_z and rep.holds_B:
+                        rep.holds_B = False
+                        rep.witness_B = (x, y, z)
                 else:
                     rep.not_applicable += 1
-                le2 = p.subset_rel(pc, 1 << z, "le2")
-                le1 = p.subset_rel(1 << x, ic, "le1")
+                le2 = up_xy >> z & 1
+                le1 = downcov_y[z] >> x & 1
                 if le2 and not le1 and rep.holds_A21:
                     rep.holds_A21 = False
                     rep.witness_A21 = (x, y, z)
@@ -174,13 +196,14 @@ def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
     reported as the ``failure``.
     """
     p = o.poset
+    downcov = _cell_unions(p.down, imp)
     cells = []
     for x in range(p.n):
         row = []
         for y in range(p.n):
             cand = 0
             for z in range(p.n):
-                if p.subset_rel(1 << x, imp.cell(y, z), "le1"):
+                if downcov[y][z] >> x & 1:
                     cand |= 1 << z
             least = p.min_of(cand)
             if least == 0 or least & (least - 1):
@@ -189,7 +212,7 @@ def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
         cells.append(tuple(row))
     prod = SetValuedTable(p, tuple(cells))
     adjoint = all(
-        p.leq(prod.element(x, y), z) == p.subset_rel(1 << x, imp.cell(y, z), "le1")
+        p.leq(prod.element(x, y), z) == bool(downcov[y][z] >> x & 1)
         for x in range(p.n) for y in range(p.n) for z in range(p.n)
     )
     return ResiduationResult(prod, adjoint=adjoint)

@@ -83,7 +83,7 @@ def _relpara(s):
 
 def _check_under_c(s):
     try:
-        ok, _ = relative.check_C(s)
+        ok, _ = implication.cached(s, relative.check_C)
     except implication.JoinMissing:
         return False
     return ok
@@ -95,7 +95,7 @@ def _relpara_c(s):
 
 
 def _omui(o):
-    d, u, ue = orthomodular_verdicts(o)
+    d, u, ue = implication.cached(o, orthomodular_verdicts)
     return [] if d == u == ue else [f"{_tag(o)} verdicts {d}/{u}/{ue}"]
 
 

@@ -11,23 +11,11 @@ builders themselves always build afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from .poset import FinitePoset, PosetError, bits
-from .ortho import (OrthoPoset, is_complementation, is_paraorthomodular,
+from .ortho import (OrthoPoset, cached, is_complementation, is_paraorthomodular,
                     orthogonality_witness)
-
-
-def cached(s, build: Callable):
-    """``build(s)``, built at most once per structure ``s``.
-
-    The result is kept on ``s`` under ``build``; a build that raises is
-    not kept, so the next call builds, and raises, again.
-    """
-    memo = s._memo
-    if build not in memo:
-        memo[build] = build(s)
-    return memo[build]
 
 
 class NotOrthogonal(PosetError):

@@ -8,7 +8,7 @@ forms are thin wrappers. Witnesses are element indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, PosetError, bits
 
@@ -43,7 +43,7 @@ class OrthoPoset:
 
     Use :func:`validate_involution` to construct; the raw constructor
     does not re-validate. ``_memo`` holds the tables and reports built
-    from the structure (see :func:`paraposet.implication.cached`).
+    from the structure (see :func:`cached`).
     """
 
     poset: FinitePoset
@@ -56,6 +56,18 @@ class OrthoPoset:
 
     def __repr__(self) -> str:
         return f"OrthoPoset({self.poset.name or self.poset.n})"
+
+
+def cached(s, build: Callable):
+    """``build(s)``, built at most once per structure ``s``.
+
+    The result is kept on ``s._memo`` under ``build``; a build that
+    raises is not kept, so the next call builds, and raises, again.
+    """
+    memo = s._memo
+    if build not in memo:
+        memo[build] = build(s)
+    return memo[build]
 
 
 def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
@@ -255,7 +267,7 @@ def is_orthomodular(o: OrthoPoset) -> bool:
     On orthogonal inputs the Min-U reformulations are evaluated as well
     and all three verdicts must agree.
     """
-    direct, via_u, via_ue = orthomodular_verdicts(o)
+    direct, via_u, via_ue = cached(o, orthomodular_verdicts)
     if is_orthogonal_poset(o) and not direct == via_u == via_ue:
         raise AssertionError("orthomodularity verdicts disagree")
     return direct

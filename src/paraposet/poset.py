@@ -9,8 +9,22 @@ first use, so ``meet``/``join`` are lookups. At the sizes this library
 targets (a few hundred elements at most) the O(n^3) closure and the
 all-pairs scans below are cheap.
 
-All values are immutable after construction and every operation is
-pure, so instances can be shared freely across threads.
+The LU-distributivity identities read two more n x n tables, the pair
+cones ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``, built once
+per poset on first use. Cones turn unions into intersections,
+L(A u B) = L(A) n L(B) and U(A u B) = U(A) n U(B), so the first binary
+identity L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})) at (x, y, z) reads
+
+    lu[x][y] & down[z] == L(ul[x][z] & ul[y][z])
+
+and the other three, and the n-ary pair, are its order duals and
+mirror images. The one cone left per triple, of an arbitrary mask, is
+memoised per poset.
+
+The order is immutable after construction and every operation is pure;
+the tables and the cone memo are filled on demand with values that
+depend on the order alone, so instances can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -99,6 +113,8 @@ class FinitePoset:
         self.bottom = bottoms[0]
         self.top = tops[0]
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
+        self._lower_memo: dict = {}
+        self._upper_memo: dict = {}
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], name: str = "") -> "FinitePoset":
@@ -158,6 +174,24 @@ class FinitePoset:
         for i in bits(a):
             res &= self.up[i]
         return res
+
+    def _cone(self, memo: dict, rows: Sequence[int], a: int) -> int:
+        """Intersection of ``rows`` over the bits of ``a``, memoised in ``memo``."""
+        res = memo.get(a)
+        if res is None:
+            res = self.full
+            for i in bits(a):
+                res &= rows[i]
+            memo[a] = res
+        return res
+
+    def _lower(self, a: int) -> int:
+        """L(a) for a mask known to lie in the poset."""
+        return self._cone(self._lower_memo, self.down, a)
+
+    def _upper(self, a: int) -> int:
+        """U(a) for a mask known to lie in the poset."""
+        return self._cone(self._upper_memo, self.up, a)
 
     def max_of(self, a: int) -> int:
         """Maximal elements of A within the induced order."""
@@ -227,17 +261,33 @@ class FinitePoset:
 
     # -- structural predicates ----------------------------------------
 
+    @cached_property
+    def pair_cones(self) -> tuple:
+        """``(lu, ul)`` with ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``."""
+        n, up, down = self.n, self.up, self.down
+        lu = [[0] * n for _ in range(n)]
+        ul = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x, n):
+                lu[x][y] = lu[y][x] = self._lower(up[x] & up[y])
+                ul[x][y] = ul[y][x] = self._upper(down[x] & down[y])
+        return tuple(map(tuple, lu)), tuple(map(tuple, ul))
+
     def distributive_variants(self, x: int, y: int, z: int):
         """The four binary LU-identities at (x, y, z) as (lhs, rhs) masks."""
-        L, U = self.lower_cone, self.upper_cone
-        b = 1 << x | 1 << y
-        c = 1 << x | 1 << z
-        d = 1 << y | 1 << z
+        self._check_subset(1 << x | 1 << y | 1 << z)
+        lu, ul = self.pair_cones
+        L, U = self._lower, self._upper
+        # L(U{x,y} u {z}), U(L{x,z} u L{y,z}) and their duals
+        lu_xy_z = lu[x][y] & self.down[z]
+        ul_xz_yz = ul[x][z] & ul[y][z]
+        ul_xy_z = ul[x][y] & self.up[z]
+        lu_xz_yz = lu[x][z] & lu[y][z]
         return (
-            (L(U(b) | 1 << z), L(U(L(c) | L(d)))),
-            (U(L(c) | L(d)), U(L(U(b) | 1 << z))),
-            (U(L(b) | 1 << z), U(L(U(c) | U(d)))),
-            (L(U(c) | U(d)), L(U(L(b) | 1 << z))),
+            (lu_xy_z, L(ul_xz_yz)),
+            (ul_xz_yz, U(lu_xy_z)),
+            (ul_xy_z, U(lu_xz_yz)),
+            (lu_xz_yz, L(ul_xy_z)),
         )
 
     @cached_property
@@ -254,14 +304,15 @@ class FinitePoset:
     @cached_property
     def is_distributive(self) -> bool:
         """First binary LU-identity, checked over all triples."""
-        L, U = self.lower_cone, self.upper_cone
-        for x in range(self.n):
-            for y in range(self.n):
-                uxy = U(1 << x | 1 << y)
-                for z in range(self.n):
-                    lhs = L(uxy | 1 << z)
-                    rhs = L(U(L(1 << x | 1 << z) | L(1 << y | 1 << z)))
-                    if lhs != rhs:
+        lu, ul = self.pair_cones
+        L, down, n = self._lower, self.down, self.n
+        # both sides are symmetric in x and y
+        for x in range(n):
+            ul_x = ul[x]
+            for y in range(x, n):
+                lu_xy, ul_y = lu[x][y], ul[y]
+                for z in range(n):
+                    if lu_xy & down[z] != L(ul_x[z] & ul_y[z]):
                         return False
         return True
 
@@ -340,13 +391,15 @@ class FinitePoset:
 
 def distributive_nary(p: FinitePoset, xs: Sequence[int], z: int) -> tuple:
     """The n-ary LU-identity and its dual at (xs, z) as (lhs==rhs, lhs==rhs)."""
-    L, U = p.lower_cone, p.upper_cone
     xmask = mask_of(xs)
-    cones_l = 0
-    cones_u = 0
+    p._check_subset(xmask | 1 << z)
+    lu, ul = p.pair_cones
+    L, U = p._lower, p._upper
+    # U of the union of the L{x,z} is the intersection of the ul[x][z]
+    ul_z = lu_z = p.full
     for x in xs:
-        cones_l |= L(1 << x | 1 << z)
-        cones_u |= U(1 << x | 1 << z)
-    first = L(U(xmask) | 1 << z) == L(U(cones_l))
-    second = U(L(xmask) | 1 << z) == U(L(cones_u))
+        ul_z &= ul[x][z]
+        lu_z &= lu[x][z]
+    first = L(U(xmask)) & p.down[z] == L(ul_z)
+    second = U(L(xmask)) & p.up[z] == U(lu_z)
     return first, second

@@ -33,8 +33,8 @@ class CompatibilityFailed(PosetError):
 class SectionedPoset:
     """A bounded poset with an antitone involution on every [x,1].
 
-    ``_memo`` holds the tables built from the structure (see
-    :func:`paraposet.implication.cached`).
+    ``_memo`` holds the tables and reports built from the structure (see
+    :func:`paraposet.ortho.cached`).
     """
 
     poset: FinitePoset
@@ -214,7 +214,7 @@ def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
 
     The equivalence needs the compatibility condition on sections.
     """
-    ok, w = check_C(s)
+    ok, w = cached(s, check_C)
     if not ok:
         raise CompatibilityFailed(f"compatibility fails on chain {w}")
     t = cached(s, impl_I3)

@@ -6,7 +6,8 @@ import sys
 from paraposet import figures
 from paraposet import adjoint as A
 from paraposet import implication as I
-from paraposet.poset import bits
+from paraposet import universe as U
+from paraposet.poset import PosetError, bits
 
 
 def test_cube_full_adjoint_pair():
@@ -95,3 +96,74 @@ def test_involution_check_survives_optimisation():
                          capture_output=True, text=True)
     assert res.returncode == 1
     assert "AssertionError: not an involution" in res.stderr
+
+
+# -- le1/le2 tables against the subset relations -----------------------
+
+def _subset_rel_conditions(o, prod, imp):
+    p = o.poset
+    rep = A.AdjointnessReport()
+    for x in range(p.n):
+        for y in range(p.n):
+            pc = prod.cell(x, y)
+            for z in range(p.n):
+                ic = imp.cell(y, z)
+                if pc & (pc - 1) == 0 and ic & (ic - 1) == 0:
+                    pe = pc.bit_length() - 1
+                    ie = ic.bit_length() - 1
+                    if p.leq(pe, z) and not p.leq(x, ie) and rep.holds_A:
+                        rep.holds_A, rep.witness_A = False, (x, y, z)
+                    if p.leq(x, ie) and not p.leq(pe, z) and rep.holds_B:
+                        rep.holds_B, rep.witness_B = False, (x, y, z)
+                else:
+                    rep.not_applicable += 1
+                le2 = p.subset_rel(pc, 1 << z, "le2")
+                le1 = p.subset_rel(1 << x, ic, "le1")
+                if le2 and not le1 and rep.holds_A21:
+                    rep.holds_A21, rep.witness_A21 = False, (x, y, z)
+                if le1 and not le2 and rep.holds_B12:
+                    rep.holds_B12, rep.witness_B12 = False, (x, y, z)
+    return rep
+
+
+def _subset_rel_residuate(o, imp):
+    p = o.poset
+    r = range(p.n)
+    le1 = [[[p.subset_rel(1 << x, imp.cell(y, z), "le1") for z in r]
+            for y in r] for x in r]
+    cells = []
+    for x in r:
+        row = []
+        for y in r:
+            least = p.min_of(sum(1 << z for z in r if le1[x][y][z]))
+            if least == 0 or least & (least - 1):
+                return A.ResiduationResult(None, failure=(x, y))
+            row.append(least)
+        cells.append(tuple(row))
+    prod = I.SetValuedTable(p, tuple(cells))
+    adjoint = all(p.leq(prod.element(x, y), z) == le1[x][y][z]
+                  for x in r for y in r for z in r)
+    return A.ResiduationResult(prod, adjoint=adjoint)
+
+
+def test_conditions_match_subset_relations():
+    # every ortho structure with n <= 6, plus fig2b for non-singleton cells
+    structures = [o for n in range(2, 7) for o in U.ortho_posets(n)]
+    reports = []
+    for o in structures + [figures.fig2b()]:
+        try:
+            pairs = [(I.sasaki_proj(o), I.sasaki_impl(o)),
+                     (I.sasaki_proj(o), I.impl_I(o))]
+        except PosetError:
+            continue
+        for prod, imp in pairs:
+            rep = A.check_conditions(o, prod, imp)
+            assert rep == _subset_rel_conditions(o, prod, imp)
+            reports.append(rep)
+        imp = I.impl_I(o)
+        assert A.residuate(o, imp) == _subset_rel_residuate(o, imp)
+    # the comparison covers failing and non-singleton cells
+    assert any(r.not_applicable for r in reports)
+    assert any(r.witness_A21 for r in reports)
+    assert any(r.witness_B12 for r in reports)
+    assert any(r.holds_A21 and r.holds_B12 for r in reports)

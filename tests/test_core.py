@@ -1,9 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import pathlib
+from functools import cached_property
+from itertools import combinations
 
-from paraposet import figures
-from paraposet.poset import (FinitePoset, NotAntisymmetric, NotBounded,
-                             bits, mask_of)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from paraposet import amalgam, figures, fileformat
+from paraposet.poset import (BadIndex, FinitePoset, NotAntisymmetric, NotBounded,
+                             bits, distributive_nary, mask_of)
+from paraposet.universe import bounded_posets
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def diamond():
@@ -123,3 +130,156 @@ def test_meet_join_tables_match_cones(p):
         _singleton(p.max_of(p.down[x] & p.down[y])) is not None
         and _singleton(p.min_of(p.up[x] & p.up[y])) is not None
         for x in range(p.n) for y in range(x + 1, p.n))
+
+
+# -- LU-identities: pair-cone tables against the cone formulas --------
+
+def _cone_variants(p, x, y, z):
+    L, U = p.lower_cone, p.upper_cone
+    b = 1 << x | 1 << y
+    c = 1 << x | 1 << z
+    d = 1 << y | 1 << z
+    return (
+        (L(U(b) | 1 << z), L(U(L(c) | L(d)))),
+        (U(L(c) | L(d)), U(L(U(b) | 1 << z))),
+        (U(L(b) | 1 << z), U(L(U(c) | U(d)))),
+        (L(U(c) | U(d)), L(U(L(b) | 1 << z))),
+    )
+
+
+def _cone_variant_failure(p):
+    r = range(p.n)
+    for x in r:
+        for y in r:
+            for z in r:
+                if any(lhs != rhs for lhs, rhs in _cone_variants(p, x, y, z)):
+                    return (x, y, z)
+    return None
+
+
+def _cone_distributive(p):
+    L, U = p.lower_cone, p.upper_cone
+    r = range(p.n)
+    return all(
+        L(U(1 << x | 1 << y) | 1 << z) == L(U(L(1 << x | 1 << z) | L(1 << y | 1 << z)))
+        for x in r for y in r for z in r)
+
+
+def _cone_nary(p, xs, z):
+    L, U = p.lower_cone, p.upper_cone
+    cones_l = cones_u = 0
+    for x in xs:
+        cones_l |= L(1 << x | 1 << z)
+        cones_u |= U(1 << x | 1 << z)
+    xmask = mask_of(xs)
+    return (L(U(xmask) | 1 << z) == L(U(cones_l)),
+            U(L(xmask) | 1 << z) == U(L(cones_u)))
+
+
+def _assert_identities_match_cones(p, nary_args):
+    assert p.is_distributive == _cone_distributive(p)
+    assert p.distributive_variant_failure == _cone_variant_failure(p)
+    r = range(p.n)
+    for x in r:
+        for y in r:
+            for z in r:
+                assert p.distributive_variants(x, y, z) == _cone_variants(p, x, y, z)
+    for xs, z in nary_args:
+        assert distributive_nary(p, xs, z) == _cone_nary(p, xs, z)
+
+
+def _all_nary_args(p):
+    return [(xs, z) for k in (1, 2, 3)
+            for xs in combinations(range(p.n), k) for z in range(p.n)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_lu_identities_match_cones_on_every_bounded_poset(n):
+    for p in bounded_posets(n):
+        _assert_identities_match_cones(p, _all_nary_args(p))
+
+
+def _fixture_posets(path):
+    s = fileformat.load(str(path))
+    if isinstance(s, amalgam.PastedFamily):
+        blocks = [blk.poset for blk in s.blocks]
+        return blocks + [amalgam.build_amalgam(s).carrier.poset]
+    return [getattr(s, "poset", s)]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.poset")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_lu_identities_match_cones_on_fixtures(path):
+    for p in _fixture_posets(path):
+        _assert_identities_match_cones(p, _all_nary_args(p)[::7])
+
+
+@st.composite
+def distributive_lattices(draw):
+    # the down-sets of a random order on k points, ordered by inclusion
+    k = draw(st.integers(min_value=3, max_value=5))
+    below = [1 << i for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if draw(st.booleans()):
+                below[j] |= below[i]
+    for j in range(k):
+        for i in bits(below[j]):
+            below[j] |= below[i]
+    ideals = [m for m in range(1 << k)
+              if all(below[i] & ~m == 0 for i in bits(m))]
+    labels = [str(m) for m in ideals]
+    up = [mask_of(b for b, m2 in enumerate(ideals) if m & ~m2 == 0) for m in ideals]
+    return FinitePoset(labels, up)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(random_bounded_posets(),
+                 distributive_lattices().filter(lambda p: 8 <= p.n <= 14)),
+       st.data())
+def test_lu_identities_match_cones_on_random_posets(p, data):
+    element = st.integers(min_value=0, max_value=p.n - 1)
+    nary_args = data.draw(st.lists(
+        st.tuples(st.lists(element, min_size=1, max_size=4), element),
+        max_size=10))
+    _assert_identities_match_cones(p, nary_args)
+
+
+def test_lu_identities_reject_elements_outside_the_poset():
+    p = diamond()
+    with pytest.raises(BadIndex):
+        p.distributive_variants(0, 1, p.n)
+    with pytest.raises(BadIndex):
+        distributive_nary(p, (0, p.n), 1)
+    with pytest.raises(ValueError):
+        p.distributive_variants(-1, 0, 0)
+
+
+def _count_pair_cone_builds(monkeypatch):
+    builds = []
+    build = FinitePoset.pair_cones.func
+
+    def counted(p):
+        builds.append(p)
+        return build(p)
+
+    prop = cached_property(counted)
+    prop.__set_name__(FinitePoset, "pair_cones")
+    monkeypatch.setattr(FinitePoset, "pair_cones", prop)
+    return builds
+
+
+def test_family_load_builds_pair_cones_once_per_block(monkeypatch):
+    builds = _count_pair_cone_builds(monkeypatch)
+    fam = fileformat.load(str(FIXTURES / "square" / "family.poset"))
+    assert len(fam.blocks) == 4
+    assert sorted(map(id, builds)) == sorted(id(blk.poset) for blk in fam.blocks)
+
+
+def test_distributivity_predicates_share_one_pair_cone_build(monkeypatch):
+    builds = _count_pair_cone_builds(monkeypatch)
+    p = figures.boolean_cube().poset
+    assert p.is_distributive
+    assert p.distributive_variant_failure is None
+    assert distributive_nary(p, (1, 2, 3), 4) == (True, True)
+    assert builds == [p]

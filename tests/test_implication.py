@@ -148,6 +148,34 @@ def test_every_theorem_shares_one_cone_table(monkeypatch):
     assert builds == [o]
 
 
+def _count_builds(monkeypatch, name, modules):
+    builds = []
+    build = getattr(modules[0], name)
+
+    def counted(s):
+        builds.append(s)
+        return build(s)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return builds
+
+
+def test_orthomodularity_read_once_per_structure(monkeypatch):
+    o = next(o for o in U.ortho_posets(4) if O.is_boolean_algebra(o))
+    builds = _count_builds(monkeypatch, "orthomodular_verdicts", (O, H))
+    _run_theorems(o, "ortho")
+    assert builds == [o]
+
+
+def test_compatibility_read_once_per_structure(monkeypatch):
+    # a structure meeting the hypothesis of relpara-under-c
+    s = next(s for s in U.sectioned_posets(4) if R.check_C(s)[0])
+    builds = _count_builds(monkeypatch, "check_C", (R,))
+    _run_theorems(s, "sectioned")
+    assert builds == [s]
+
+
 def test_failed_builds_are_not_cached():
     o = figures.fig1a()
     for _ in range(2):
