@@ -65,20 +65,8 @@ def _agree3(fn):
     return run
 
 
-def _orthogonal(o):
-    return is_orthogonal_poset(o)
-
-
-def _sharply(o):
-    return is_sharply_paraorthomodular(o)
-
-
 def _lattice(o):
     return o.poset.is_lattice
-
-
-def _relpara(s):
-    return relative.is_relatively_paraorthomodular(s)
 
 
 def _check_under_c(s):
@@ -194,7 +182,7 @@ def _nary_dist(o):
 
 def _mub_small(o):
     p = o.poset
-    if not (p.is_mub_complete(3) and p.is_mlb_complete(3) and p.has_maximality()):
+    if not (p.is_mub_complete() and p.is_mlb_complete() and p.has_maximality()):
         return [f"{_tag(o)} finite poset fails a completeness predicate"]
     return []
 
@@ -227,12 +215,12 @@ def _register(id, stream, check, applies=None, description=""):
     THEOREMS[id] = Theorem(id, stream, check, applies, description)
 
 
-_register("th1", "ortho", _report_th(implication.check_th1), _orthogonal,
+_register("th1", "ortho", _report_th(implication.check_th1), is_orthogonal_poset,
           "elementary laws of the cone implication")
 _register("lemma-sharply", "ortho", _report_th(implication.check_lemma_sharply),
-          _sharply, "sharp collapse laws of the cone implication")
+          is_sharply_paraorthomodular, "sharp collapse laws of the cone implication")
 _register("paraortho-iff-impl", "ortho", _agree3(implication.paraortho_iff_impl),
-          _orthogonal, "paraorthomodularity via the implication unit law")
+          is_orthogonal_poset, "paraorthomodularity via the implication unit law")
 _register("i2-antitone", "ortho",
           lambda o: [] if implication.antitone_first_arg_I2(o) else [f"{_tag(o)} not antitone"],
           _lattice, "lattice implication antitone in the first slot")
@@ -242,9 +230,10 @@ _register("i1-matches-i2", "ortho", lambda o: [
                     implication.cached(o, implication.impl_I2))]
     for x in range(o.n) for y in range(o.n) if t1.cell(x, y) != t2.cell(x, y)
 ], _lattice, "set and lattice implications agree on lattices")
-_register("duality", "ortho", _duality, _orthogonal,
+_register("duality", "ortho", _duality, is_orthogonal_poset,
           "cone implication is the flipped Sasaki implication")
-_register("th2", "sectioned", _report_th(relative.check_th2), _relpara,
+_register("th2", "sectioned", _report_th(relative.check_th2),
+          relative.is_relatively_paraorthomodular,
           "elementary laws of the section implication")
 _register("para-via-i3", "sectioned", _agree3(relative.para_via_I3), None,
           "global paraorthomodularity via the section implication")
@@ -256,23 +245,23 @@ _register("i4-antitone", "sectioned",
           "join-semilattice implication antitone in the first slot")
 _register("lemadj", "ortho", _ab_equiv, _lattice,
           "forward and backward Sasaki adjointness agree on lattices")
-_register("aisb", "ortho", _ab_equiv, _orthogonal,
+_register("aisb", "ortho", _ab_equiv, is_orthogonal_poset,
           "forward and backward Sasaki adjointness agree on posets")
 _register("omidentity", "lattice-inv", _omid, None,
           "orthomodular identities equal two-sided Sasaki adjointness")
-_register("omui", "ortho", _omui, _orthogonal,
+_register("omui", "ortho", _omui, is_orthogonal_poset,
           "three readings of orthomodularity agree")
-_register("sasom", "ortho", _agree3(adjoint.sasom_equiv), _orthogonal,
+_register("sasom", "ortho", _agree3(adjoint.sasom_equiv), is_orthogonal_poset,
           "orthomodularity equals subscripted Sasaki adjointness")
 _register("th3", "ortho", _th3, _lattice,
           "forward condition for the mixed pair forces orthomodularity")
-_register("posth3", "ortho", _posth3, _orthogonal,
+_register("posth3", "ortho", _posth3, is_orthogonal_poset,
           "poset variant of the mixed-pair condition")
-_register("adji", "ortho", _adji, _orthogonal,
+_register("adji", "ortho", _adji, is_orthogonal_poset,
           "consequences of an adjoint product for the cone implication")
 _register("adjibp", "ortho", _adjibp, None,
           "orthogonal Boolean posets with maximality are Boolean algebras")
-_register("adjebp", "ortho", _agree3(adjoint.adjebp_equiv), _orthogonal,
+_register("adjebp", "ortho", _agree3(adjoint.adjebp_equiv), is_orthogonal_poset,
           "adjoint product exists exactly on Boolean algebras")
 _register("om-implies-paraortho", "ortho", _om_implies_p, None,
           "orthomodular structures are paraorthomodular")

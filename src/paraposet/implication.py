@@ -51,9 +51,6 @@ class SetValuedTable:
                 out |= row[y]
         return out
 
-    def is_singleton_valued(self) -> bool:
-        return all(c & (c - 1) == 0 for row in self.cells for c in row)
-
     def element(self, x: int, y: int) -> int:
         c = self.cells[x][y]
         if c & (c - 1):

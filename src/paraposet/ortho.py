@@ -116,7 +116,7 @@ def orthogonality_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:
 
 
 def is_orthogonal_poset(o: OrthoPoset) -> bool:
-    return orthogonality_witness(o) is None
+    return cached(o, orthogonality_witness) is None
 
 
 # -- paraorthomodularity ----------------------------------------------

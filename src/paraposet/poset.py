@@ -71,6 +71,9 @@ LE1 = "le1"        # every element of A below some element of B
 LE2 = "le2"        # every element of B above some element of A
 EQ2 = "approx2"    # le2 in both directions
 
+# largest subsets checked by the bound-completeness predicates
+SMALL_SUBSET = 3
+
 
 class FinitePoset:
     """A bounded partial order on indexed elements.
@@ -162,18 +165,12 @@ class FinitePoset:
     def lower_cone(self, a: int) -> int:
         """L(A): common lower bounds of A; L(empty) is the whole poset."""
         self._check_subset(a)
-        res = self.full
-        for i in bits(a):
-            res &= self.down[i]
-        return res
+        return self._lower(a)
 
     def upper_cone(self, a: int) -> int:
         """U(A): common upper bounds of A; U(empty) is the whole poset."""
         self._check_subset(a)
-        res = self.full
-        for i in bits(a):
-            res &= self.up[i]
-        return res
+        return self._upper(a)
 
     def _cone(self, memo: dict, rows: Sequence[int], a: int) -> int:
         """Intersection of ``rows`` over the bits of ``a``, memoised in ``memo``."""
@@ -316,13 +313,13 @@ class FinitePoset:
                         return False
         return True
 
-    def is_mub_complete(self, max_subset: int = 2) -> bool:
+    def is_mub_complete(self) -> bool:
         """Below every upper bound of a small subset sits a minimal upper bound.
 
         Finiteness makes the unrestricted condition automatic; the check
-        runs over subsets up to ``max_subset`` elements.
+        runs over subsets of up to ``SMALL_SUBSET`` elements.
         """
-        for size in range(1, max_subset + 1):
+        for size in range(1, SMALL_SUBSET + 1):
             for m in combinations(range(self.n), size):
                 u = self.upper_cone(mask_of(m))
                 mins = self.min_of(u)
@@ -331,8 +328,8 @@ class FinitePoset:
                         return False
         return True
 
-    def is_mlb_complete(self, max_subset: int = 2) -> bool:
-        for size in range(1, max_subset + 1):
+    def is_mlb_complete(self) -> bool:
+        for size in range(1, SMALL_SUBSET + 1):
             for m in combinations(range(self.n), size):
                 lo = self.lower_cone(mask_of(m))
                 maxs = self.max_of(lo)
@@ -359,18 +356,6 @@ class FinitePoset:
 
     def covers_pair(self, x: int, y: int) -> bool:
         return self.lt(x, y) and self.up[x] & self.down[y] == 1 << x | 1 << y
-
-    def induced(self, mask: int) -> tuple:
-        """Subposet on the elements of ``mask``; returns (poset, old_indices).
-
-        The restriction must itself be bounded, which holds for every use
-        here (principal filters, involution-closed spans).
-        """
-        old = list(bits(mask))
-        pos = {o: k for k, o in enumerate(old)}
-        up = [mask_of(pos[j] for j in bits(self.up[o] & mask)) for o in old]
-        sub = FinitePoset([self.labels[o] for o in old], up)
-        return sub, old
 
     # -- misc ---------------------------------------------------------
 

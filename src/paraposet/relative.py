@@ -61,8 +61,7 @@ def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
     """Check every row is an antitone involution of its filter."""
     rows = []
     for x in range(poset.n):
-        row = list(sections[x]) if not callable(sections) else [
-            sections(x, y) if poset.leq(x, y) else -1 for y in range(poset.n)]
+        row = list(sections[x])
         lx = poset.labels[x]
         filt = poset.up[x]
         if len(row) != poset.n:

@@ -16,13 +16,20 @@ streams.
 Each bounded poset expands into its ortho structures (one per antitone
 involution) and its sectioned structures (one per section family);
 ``ortho_structures`` and ``sectioned_structures`` do this for one poset,
-so a caller walking ``bounded_posets`` once can feed every stream.
+so a caller walking ``bounded_posets`` once can feed every stream. One
+backtracker, ``filter_involutions``, pairs the points of a principal
+filter [x,1] on the poset's own rows; an antitone involution of the
+poset is the one of its bottom filter [0,1], and a section family takes
+one of each filter. The same canonical form, applied to the strict-up
+rows of the whole poset with the involution relabelled alongside, keys
+ortho structures, and two of them are orthoisomorphic exactly when
+their keys are equal.
 """
 
 from __future__ import annotations
 
 from itertools import chain, groupby, permutations, product
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits
 from .ortho import OrthoPoset
@@ -47,13 +54,15 @@ def _middle_posets(m: int) -> List[Tuple[int, ...]]:
     return sorted(level)
 
 
-def _canon_middle(up: Tuple[int, ...]) -> Tuple[int, ...]:
+def _canon_middle(up: Tuple[int, ...],
+                  inv: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
     """Least relabelled matrix over the relabellings that keep degree order.
 
     Points are put in blocks by (up-degree, down-degree); block k takes
     the k-th run of new labels, and only orders within a block are tried.
     Isomorphic orders reach the same set of matrices, so the minimum is
-    a canonical form.
+    a canonical form. With ``inv`` the relabelled involution follows the
+    rows in the key, so the key is canonical for the pair.
     """
     m = len(up)
     down = [0] * m
@@ -65,8 +74,9 @@ def _canon_middle(up: Tuple[int, ...]) -> Tuple[int, ...]:
     blocks = [tuple(g) for _, g in groupby(order, key=degree.__getitem__)]
     best = None
     for choice in product(*(permutations(b) for b in blocks)):
+        old = tuple(chain.from_iterable(choice))
         new = [0] * m
-        for k, i in enumerate(chain.from_iterable(choice)):
+        for k, i in enumerate(old):
             new[i] = k
         relabeled = [0] * m
         for i in range(m):
@@ -75,6 +85,8 @@ def _canon_middle(up: Tuple[int, ...]) -> Tuple[int, ...]:
                 row |= 1 << new[j]
             relabeled[new[i]] = row
         key = tuple(relabeled)
+        if inv is not None:
+            key += tuple(new[inv[i]] for i in old)
         if best is None or key < best:
             best = key
     return best
@@ -118,51 +130,54 @@ def involutions(n: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0)
 
 
-def antitone_involutions(p: FinitePoset) -> Iterator[Tuple[int, ...]]:
-    """All antitone involutions of a bounded poset, by backtracking."""
-    n = p.n
+def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
+    """Antitone involutions of [x,1], as rows over the whole poset.
+
+    The points of the filter are paired by backtracking, in order of
+    their down-degree inside the filter; points outside it map to -1.
+    """
+    n, filt = p.n, p.up[x]
     inv = [-1] * n
-    inv[p.bottom], inv[p.top] = p.top, p.bottom
-    if p.bottom == p.top:
-        yield tuple(inv)
-        return
-    # pair only elements whose up/down profiles mirror each other
-    down_sizes = [bin(p.down[i]).count("1") for i in range(n)]
+    inv[x], inv[p.top] = p.top, x
+    # pair only points whose up/down profiles inside the filter mirror each other
+    down_sizes = [bin(p.down[i] & filt).count("1") for i in range(n)]
     up_sizes = [bin(p.up[i]).count("1") for i in range(n)]
+    points = sorted(bits(filt), key=lambda i: (down_sizes[i], i))
+    rows = []
 
-    def compatible(x, y):
-        return down_sizes[x] == up_sizes[y] and up_sizes[x] == down_sizes[y]
+    def compatible(a, b):
+        return down_sizes[a] == up_sizes[b] and up_sizes[a] == down_sizes[b]
 
-    def antitone_ok(x, y):
+    def antitone_ok(a, b):
         # against every already assigned pair
-        for a in range(n):
-            b = inv[a]
-            if b < 0:
-                continue
-            if p.leq(x, a) != p.leq(b, y) or p.leq(a, x) != p.leq(y, b):
+        for c in points:
+            d = inv[c]
+            if d >= 0 and (p.leq(a, c) != p.leq(d, b) or p.leq(c, a) != p.leq(b, d)):
                 return False
         return True
 
-    order = sorted(range(n), key=lambda i: (down_sizes[i], i))
-
     def rec(k):
-        while k < n and inv[order[k]] >= 0:
+        while k < len(points) and inv[points[k]] >= 0:
             k += 1
-        if k == n:
-            yield tuple(inv)
+        if k == len(points):
+            rows.append(tuple(inv))
             return
-        x = order[k]
-        for y in range(n):
-            if (inv[y] >= 0 and y != x) or not compatible(x, y):
+        a = points[k]
+        for b in bits(filt):
+            if (inv[b] >= 0 and b != a) or not compatible(a, b):
                 continue
-            inv[x], inv[y] = y, x
-            if antitone_ok(x, y) and (y == x or antitone_ok(y, x)):
-                yield from rec(k + 1)
-            inv[x] = -1
-            if y != x:
-                inv[y] = -1
+            inv[a], inv[b] = b, a
+            if antitone_ok(a, b) and (b == a or antitone_ok(b, a)):
+                rec(k + 1)
+            inv[a] = inv[b] = -1
 
-    yield from rec(0)
+    rec(0)
+    return rows
+
+
+def antitone_involutions(p: FinitePoset) -> List[Tuple[int, ...]]:
+    """All antitone involutions of a bounded poset: those of [0,1]."""
+    return filter_involutions(p, p.bottom)
 
 
 def ortho_structures(p: FinitePoset) -> Iterator[OrthoPoset]:
@@ -174,18 +189,6 @@ def ortho_structures(p: FinitePoset) -> Iterator[OrthoPoset]:
 def ortho_posets(n: int) -> Iterator[OrthoPoset]:
     """Every bounded poset of size n with every antitone involution."""
     return chain.from_iterable(map(ortho_structures, bounded_posets(n)))
-
-
-def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
-    """Antitone involutions of [x,1], as rows over the whole poset."""
-    sub, old = p.induced(p.up[x])
-    rows = []
-    for inv in antitone_involutions(sub):
-        row = [-1] * p.n
-        for k, o in enumerate(old):
-            row[o] = old[inv[k]]
-        rows.append(tuple(row))
-    return rows
 
 
 def sectioned_structures(p: FinitePoset):
@@ -202,17 +205,8 @@ def sectioned_posets(n: int):
 
 
 def is_orthoisomorphic(a: OrthoPoset, b: OrthoPoset) -> bool:
-    """Brute-force order- and involution-preserving bijection test."""
-    if a.n != b.n:
-        return False
-    pa, pb = a.poset, b.poset
-    for perm in permutations(range(a.n)):
-        if perm[pa.bottom] != pb.bottom or perm[pa.top] != pb.top:
-            continue
-        ok = all(
-            pa.leq(x, y) == pb.leq(perm[x], perm[y])
-            for x in range(a.n) for y in range(a.n)
-        ) and all(perm[a.inv[x]] == b.inv[perm[x]] for x in range(a.n))
-        if ok:
-            return True
-    return False
+    """Order- and involution-preserving bijection test, by canonical keys."""
+    def key(o):
+        strict = tuple(row & ~(1 << i) for i, row in enumerate(o.poset.up))
+        return _canon_middle(strict, o.inv)
+    return a.n == b.n and key(a) == key(b)

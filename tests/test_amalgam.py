@@ -5,7 +5,7 @@ import pytest
 from paraposet import figures
 from paraposet import amalgam as am
 from paraposet import ortho as O
-from paraposet.poset import bits
+from paraposet.poset import FinitePoset, bits
 
 
 def test_fig5_family_builds_eight_element_lattice():
@@ -18,12 +18,12 @@ def test_fig5_family_builds_eight_element_lattice():
 
 
 def test_small_block_rejected():
-    k1 = figures.boolean_cube()
-    sub, old = k1.poset.induced(0b11000001 | 1 << k1.poset.top)
-    # a four-element chain fragment is no Kleene block
+    chain = FinitePoset.from_covers(["0", "a", "b", "1"],
+                                    [("0", "a"), ("a", "b"), ("b", "1")])
+    # a four-element chain is too small for a Kleene block
     with pytest.raises(am.FamilyError):
         am.validate_family([figures.kleene_k3b2("a", "b"),
-                            O.OrthoPoset(*_involute(sub))],
+                            O.OrthoPoset(*_involute(chain))],
                            [], names=("K1", "K2"))
 
 

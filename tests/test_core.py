@@ -73,15 +73,6 @@ def test_pentagon_not_distributive():
     assert p.is_lattice and not p.is_distributive
 
 
-def test_induced_filter():
-    p = figures.fig1a().poset
-    sub, old = p.induced(p.up[p.index("a")])
-    assert sub.n == 4
-    assert sub.labels[sub.bottom] == "a" and sub.labels[sub.top] == "1"
-    assert all(p.leq(old[x], old[y]) == sub.leq(x, y)
-               for x in range(sub.n) for y in range(sub.n))
-
-
 @given(st.integers(min_value=0, max_value=255))
 def test_cone_galois_closure(mask):
     p = figures.boolean_cube().poset

@@ -176,6 +176,15 @@ def test_compatibility_read_once_per_structure(monkeypatch):
     assert builds == [s]
 
 
+def test_orthogonality_read_once_by_hypotheses(monkeypatch):
+    o = next(o for o in U.ortho_posets(4) if O.is_boolean_algebra(o))
+    builds = _count_builds(monkeypatch, "orthogonality_witness", (O,))
+    for th in H.THEOREMS.values():
+        if th.stream == "ortho" and th.applies is not None:
+            th.applies(o)
+    assert builds == [o]
+
+
 def test_failed_builds_are_not_cached():
     o = figures.fig1a()
     for _ in range(2):

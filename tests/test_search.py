@@ -111,6 +111,60 @@ def test_involutions_are_antitone():
             assert O.is_antitone_involution(p, inv)
 
 
+def _filter_reference(p, x):
+    # each involution of the filter's points that reverses the order
+    points = list(bits(p.up[x]))
+    rows = set()
+    for inv in U.involutions(len(points)):
+        row = [-1] * p.n
+        for k, o in enumerate(points):
+            row[o] = points[inv[k]]
+        if all(p.leq(row[b], row[a]) for a in points for b in bits(p.up[a])):
+            rows.add(tuple(row))
+    return rows
+
+
+def test_filter_involutions_match_brute_force():
+    for n in range(1, 8):
+        for p in U.bounded_posets(n):
+            assert U.antitone_involutions(p) == U.filter_involutions(p, p.bottom)
+            for x in range(p.n):
+                rows = U.filter_involutions(p, x)
+                assert len(set(rows)) == len(rows)
+                for row in rows:
+                    assert [y for y in range(p.n) if row[y] < 0] == list(
+                        bits(p.full & ~p.up[x]))
+                assert set(rows) == _filter_reference(p, x)
+
+
+def _brute_orthoisomorphic(a, b):
+    # an order- and involution-preserving bijection among all n! maps
+    if a.n != b.n:
+        return False
+    pa, pb = a.poset, b.poset
+    for perm in permutations(range(a.n)):
+        if perm[pa.bottom] != pb.bottom or perm[pa.top] != pb.top:
+            continue
+        ok = all(
+            pa.leq(x, y) == pb.leq(perm[x], perm[y])
+            for x in range(a.n) for y in range(a.n)
+        ) and all(perm[a.inv[x]] == b.inv[perm[x]] for x in range(a.n))
+        if ok:
+            return True
+    return False
+
+
+def test_orthoisomorphic_matches_brute_force():
+    pairs = 0
+    for n in range(2, 7):
+        structures = list(U.ortho_posets(n))
+        for a in structures:
+            for b in structures:
+                assert U.is_orthoisomorphic(a, b) == _brute_orthoisomorphic(a, b)
+                pairs += 1
+    assert pairs == 488
+
+
 def test_fig1a_appears_in_universe():
     target = figures.fig1a()
     hits = [o for o in U.ortho_posets(6)
@@ -130,7 +184,8 @@ def test_fig2a_appears_in_universe():
 def test_small_figures_keep_profiles_in_universe():
     # every drawing small enough for the sweep is reachable at its size
     for builder in (figures.fig1a, figures.fig2a, figures.fig3,
-                    figures.fig4, figures.fig7):
+                    figures.fig4, figures.fig7, figures.boolean_cube,
+                    figures.fig1c, figures.fig5):
         target = builder()
         assert any(U.is_orthoisomorphic(o, target)
                    for o in U.ortho_posets(target.n))
