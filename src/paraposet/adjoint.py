@@ -13,11 +13,11 @@ are built once per structure, through :func:`implication.cached`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .poset import FinitePoset, bits
+from .poset import FinitePoset
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
-                    is_orthomodular, is_weakly_boolean)
+                    is_orthogonal_poset, is_orthomodular, is_weakly_boolean)
 from .implication import (NotALattice, SetValuedTable,
                           TheoremReport, cached, impl_I, sasaki_impl, sasaki_proj,
                           _require_orthogonal)
@@ -36,23 +36,14 @@ class AdjointnessReport:
     not_applicable: int = 0
 
 
-def _cell_unions(rows: Sequence[int], t: SetValuedTable) -> list:
-    """``out[x][y]``: the union of ``rows[a]`` over the members a of t(x, y).
+def _cell_unions(span: Callable[[int], int], t: SetValuedTable) -> list:
+    """``out[x][y]``: ``span`` of the cell t(x, y).
 
-    With the ``up`` rows, z is in ``out[x][y]`` exactly when t(x, y) le2
-    {z}; with the ``down`` rows, x is in ``out[y][z]`` exactly when {x}
-    le1 t(y, z).
+    With ``FinitePoset._upset``, z is in ``out[x][y]`` exactly when
+    t(x, y) le2 {z}; with ``_downset``, x is in ``out[y][z]`` exactly
+    when {x} le1 t(y, z).
     """
-    out = []
-    for cells in t.cells:
-        row = []
-        for c in cells:
-            m = 0
-            for a in bits(c):
-                m |= rows[a]
-            row.append(m)
-        out.append(row)
-    return out
+    return [[span(c) for c in cells] for cells in t.cells]
 
 
 def check_conditions(o: OrthoPoset, prod: SetValuedTable,
@@ -61,8 +52,8 @@ def check_conditions(o: OrthoPoset, prod: SetValuedTable,
     p = o.poset
     rep = AdjointnessReport()
     up = p.up
-    upcov = _cell_unions(up, prod)
-    downcov = _cell_unions(p.down, imp)
+    upcov = _cell_unions(p._upset, prod)
+    downcov = _cell_unions(p._downset, imp)
     for x in range(p.n):
         for y in range(p.n):
             pc = prod.cells[x][y]
@@ -196,7 +187,7 @@ def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
     reported as the ``failure``.
     """
     p = o.poset
-    downcov = _cell_unions(p.down, imp)
+    downcov = _cell_unions(p._downset, imp)
     cells = []
     for x in range(p.n):
         row = []
@@ -238,7 +229,7 @@ def adji_consequences(o: OrthoPoset, prod: SetValuedTable) -> TheoremReport:
         for y in range(p.n):
             pc = prod.cell(x, y)
             maxl = p.max_of(p.down[x] & p.down[y])
-            if not p.subset_rel(pc, maxl, "le1"):
+            if pc & ~p._downset(maxl):
                 rep.violations.append(("iii", x, y))
             if pc & ~(p.down[x] & p.down[y]):
                 rep.violations.append(("iii-bound", x, y))
@@ -252,7 +243,6 @@ def adjibp_check(o: OrthoPoset) -> Optional[bool]:
 
     Returns None when the hypotheses fail, else the conclusion verdict.
     """
-    from .ortho import is_orthogonal_poset
     if not (is_orthogonal_poset(o) and is_boolean_poset(o)
             and o.poset.has_maximality()):
         return None

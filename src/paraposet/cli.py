@@ -144,15 +144,26 @@ def cmd_amalgam(args) -> int:
     return 3
 
 
+def _verify_problem(max_n: int, ids) -> str:
+    """Why a verify run would check nothing or count a theorem twice, or ''."""
+    if max_n < 2:
+        return f"--max-n {max_n} checks nothing: structures start at n = 2"
+    if ids == []:
+        return "--theorems names no theorem"
+    for i, tid in enumerate(ids or ()):
+        if tid not in harness.THEOREMS:
+            return f"unknown theorem id {tid!r}"
+        if tid in ids[:i]:
+            return f"theorem id {tid!r} given twice"
+    return ""
+
+
 def cmd_verify(args) -> int:
-    if args.theorems in (None, "all"):
-        ids = None
-    else:
-        ids = [t for t in args.theorems.split(",") if t]
-        for tid in ids:
-            if tid not in harness.THEOREMS:
-                print(f"error: unknown theorem id {tid!r}", file=sys.stderr)
-                return 2
+    ids = None if args.theorems == "all" else [t for t in args.theorems.split(",") if t]
+    problem = _verify_problem(args.max_n, ids)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     results = harness.run_harness(max_n=args.max_n, ids=ids)
     bad = 0
     for res in results:

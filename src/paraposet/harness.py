@@ -1,7 +1,9 @@
 """Re-verification of every statement on exhaustively enumerated structures.
 
 Each registered check is offered the items of one stream of small
-structures and returns violation strings (expected: none). A run walks
+structures and returns the bare texts of its violations (expected:
+none). ``run_harness`` turns each text into a report line by prefixing
+``_tag(item)``, the one place that names the structure. A run walks
 the bounded posets once per size n and expands each poset into the
 items of every requested stream: its antitone involutions (``ortho``),
 its section families (``sectioned``) and, on lattices, all its
@@ -15,6 +17,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import adjoint, implication, relative
@@ -43,8 +46,9 @@ class HarnessResult:
                 "violations": list(self.violations)}
 
 
-def _tag(o) -> str:
-    p = o.poset if hasattr(o, "poset") else o
+def _tag(item) -> str:
+    """The crc32 tag of the poset a stream item is built on."""
+    p = item[0] if isinstance(item, tuple) else item.poset
     key = repr((p.labels, p.up)).encode()
     return f"n={p.n}:{zlib.crc32(key):08x}"
 
@@ -52,17 +56,27 @@ def _tag(o) -> str:
 def _report_th(check):
     def run(o):
         rep = check(o)
-        out = [f"{_tag(o)} clause {v}" for v in rep.violations]
-        out += [f"{_tag(o)} clause {v} (elementwise)" for v in rep.violations_elementwise]
-        return out
+        return ([f"clause {v}" for v in rep.violations]
+                + [f"clause {v} (elementwise)" for v in rep.violations_elementwise])
     return run
 
 
 def _agree3(fn):
     def run(o):
         a, b, agree = fn(o)
-        return [] if agree else [f"{_tag(o)} verdicts {a} vs {b}"]
+        return [] if agree else [f"verdicts {a} vs {b}"]
     return run
+
+
+def _holds(statement, text):
+    """A check reporting ``text`` where ``statement`` is false."""
+    return lambda o: [] if statement(o) else [text]
+
+
+def _forces_om(condition):
+    """A check of a statement 'condition forces orthomodularity'."""
+    return _holds(lambda o: condition(o).consistent,
+                  "condition holds yet not orthomodular")
 
 
 def _lattice(o):
@@ -77,81 +91,47 @@ def _check_under_c(s):
     return ok
 
 
-def _relpara_c(s):
-    d, l, agree = relative.relpara_via_impl_under_C(s)
-    return [] if agree else [f"{_tag(s)} verdicts {d} vs {l}"]
+def _antitone(build):
+    return _holds(lambda s: implication.antitone_first_arg(implication.cached(s, build)),
+                  "not antitone")
 
 
 def _omui(o):
     d, u, ue = implication.cached(o, orthomodular_verdicts)
-    return [] if d == u == ue else [f"{_tag(o)} verdicts {d}/{u}/{ue}"]
+    return [] if d == u == ue else [f"verdicts {d}/{u}/{ue}"]
 
 
-def _ab_equiv(o):
-    return [] if adjoint.lemma_AB_equiv(o) else [f"{_tag(o)} A/B verdicts split"]
-
-
-def _th3(o):
-    rep = adjoint.th3_check(o)
-    return [] if rep.consistent else [f"{_tag(o)} condition holds yet not orthomodular"]
-
-
-def _posth3(o):
-    rep = adjoint.posth3_check(o)
-    return [] if rep.consistent else [f"{_tag(o)} condition holds yet not orthomodular"]
+def _i1_matches_i2(o):
+    t1 = implication.cached(o, implication.impl_I)
+    t2 = implication.cached(o, implication.impl_I2)
+    return [f"cells differ at ({x},{y})"
+            for x in range(o.n) for y in range(o.n) if t1.cell(x, y) != t2.cell(x, y)]
 
 
 def _adji(o):
     prod = implication.cached(o, adjoint.cone_adjoint)
     if prod is None:
         return []
-    rep = adjoint.adji_consequences(o, prod)
-    return [f"{_tag(o)} clause {v}" for v in rep.violations]
-
-
-def _adjibp(o):
-    verdict = adjoint.adjibp_check(o)
-    return [] if verdict in (None, True) else [f"{_tag(o)} Boolean poset not a Boolean algebra"]
-
-
-def _om_implies_p(o):
-    if is_orthomodular(o) and not is_paraorthomodular(o):
-        return [f"{_tag(o)} orthomodular but not paraorthomodular"]
-    return []
-
-
-def _wb_ba(o):
-    if (is_weakly_boolean(o) and is_orthomodular(o)
-            and o.poset.has_maximality() and not is_boolean_algebra(o)):
-        return [f"{_tag(o)} weakly Boolean orthomodular yet not Boolean"]
-    return []
+    return [f"clause {v}" for v in adjoint.adji_consequences(o, prod).violations]
 
 
 def _kleene_remark(o):
     if not is_kleene_lattice(o):
         return []
     p = o.poset
-    out = []
-    for x in range(p.n):
-        for y in range(p.n):
-            if p.meet(x, y) == p.bottom and not p.leq(x, o.inv[y]):
-                out.append(f"{_tag(o)} zero meet without orthogonality at "
-                           f"({p.labels[x]}, {p.labels[y]})")
-    return out
+    return [f"zero meet without orthogonality at ({p.labels[x]}, {p.labels[y]})"
+            for x in range(p.n) for y in range(p.n)
+            if p.meet(x, y) == p.bottom and not p.leq(x, o.inv[y])]
 
 
 def _benzene(o):
     try:
         w = find_benzene(o)
     except AssertionError as exc:
-        return [f"{_tag(o)} {exc}"]
+        return [str(exc)]
     if (w is None) != (paraortho_witness(o) is None):
-        return [f"{_tag(o)} hexagon presence disagrees with the predicate"]
+        return ["hexagon presence disagrees with the predicate"]
     return []
-
-
-def _duality(o):
-    return [] if implication.duality_check(o) else [f"{_tag(o)} duality broken"]
 
 
 def _dist_variants(o):
@@ -161,9 +141,9 @@ def _dist_variants(o):
     fails = p.distributive_variant_failure
     if p.is_distributive and fails is not None:
         x, y, z = fails
-        return [f"{_tag(o)} variant split at ({x},{y},{z})"]
+        return [f"variant split at ({x},{y},{z})"]
     if not p.is_distributive and fails is None:
-        return [f"{_tag(o)} predicate false yet every variant holds"]
+        return ["predicate false yet every variant holds"]
     return []
 
 
@@ -171,19 +151,11 @@ def _nary_dist(o):
     p = o.poset
     if not p.is_distributive:
         return []
-    from itertools import combinations
     for xs in combinations(range(p.n), 3):
         for z in range(p.n):
             a, b = distributive_nary(p, xs, z)
             if not (a and b):
-                return [f"{_tag(o)} n-ary identity fails at {xs},{z}"]
-    return []
-
-
-def _mub_small(o):
-    p = o.poset
-    if not (p.is_mub_complete() and p.is_mlb_complete() and p.has_maximality()):
-        return [f"{_tag(o)} finite poset fails a completeness predicate"]
+                return [f"n-ary identity fails at {xs},{z}"]
     return []
 
 
@@ -196,7 +168,7 @@ def _lattice_involutions(p):
 def _omid(pair):
     p, inv = pair
     oi, adj, agree = adjoint.omidentity_equiv(p, inv)
-    return [] if agree else [f"{_tag(p)} inv={inv} verdicts {oi} vs {adj}"]
+    return [] if agree else [f"inv={inv} verdicts {oi} vs {adj}"]
 
 
 @dataclass(frozen=True)
@@ -221,28 +193,22 @@ _register("lemma-sharply", "ortho", _report_th(implication.check_lemma_sharply),
           is_sharply_paraorthomodular, "sharp collapse laws of the cone implication")
 _register("paraortho-iff-impl", "ortho", _agree3(implication.paraortho_iff_impl),
           is_orthogonal_poset, "paraorthomodularity via the implication unit law")
-_register("i2-antitone", "ortho",
-          lambda o: [] if implication.antitone_first_arg_I2(o) else [f"{_tag(o)} not antitone"],
-          _lattice, "lattice implication antitone in the first slot")
-_register("i1-matches-i2", "ortho", lambda o: [
-    f"{_tag(o)} cells differ at ({x},{y})"
-    for t1, t2 in [(implication.cached(o, implication.impl_I),
-                    implication.cached(o, implication.impl_I2))]
-    for x in range(o.n) for y in range(o.n) if t1.cell(x, y) != t2.cell(x, y)
-], _lattice, "set and lattice implications agree on lattices")
-_register("duality", "ortho", _duality, is_orthogonal_poset,
-          "cone implication is the flipped Sasaki implication")
+_register("i2-antitone", "ortho", _antitone(implication.impl_I2), _lattice,
+          "lattice implication antitone in the first slot")
+_register("i1-matches-i2", "ortho", _i1_matches_i2, _lattice,
+          "set and lattice implications agree on lattices")
+_register("duality", "ortho", _holds(implication.duality_check, "duality broken"),
+          is_orthogonal_poset, "cone implication is the flipped Sasaki implication")
 _register("th2", "sectioned", _report_th(relative.check_th2),
           relative.is_relatively_paraorthomodular,
           "elementary laws of the section implication")
 _register("para-via-i3", "sectioned", _agree3(relative.para_via_I3), None,
           "global paraorthomodularity via the section implication")
-_register("relpara-under-c", "sectioned", _relpara_c, _check_under_c,
-          "relative paraorthomodularity via the unit law under compatibility")
-_register("i4-antitone", "sectioned",
-          lambda s: [] if relative.antitone_first_arg_I4(s) else [f"{_tag(s)} not antitone"],
-          lambda s: s.poset.is_lattice,
+_register("relpara-under-c", "sectioned", _agree3(relative.relpara_via_impl_under_C),
+          _check_under_c, "relative paraorthomodularity via the unit law under compatibility")
+_register("i4-antitone", "sectioned", _antitone(relative.impl_I4), _lattice,
           "join-semilattice implication antitone in the first slot")
+_ab_equiv = _holds(adjoint.lemma_AB_equiv, "A/B verdicts split")
 _register("lemadj", "ortho", _ab_equiv, _lattice,
           "forward and backward Sasaki adjointness agree on lattices")
 _register("aisb", "ortho", _ab_equiv, is_orthogonal_poset,
@@ -253,19 +219,25 @@ _register("omui", "ortho", _omui, is_orthogonal_poset,
           "three readings of orthomodularity agree")
 _register("sasom", "ortho", _agree3(adjoint.sasom_equiv), is_orthogonal_poset,
           "orthomodularity equals subscripted Sasaki adjointness")
-_register("th3", "ortho", _th3, _lattice,
+_register("th3", "ortho", _forces_om(adjoint.th3_check), _lattice,
           "forward condition for the mixed pair forces orthomodularity")
-_register("posth3", "ortho", _posth3, is_orthogonal_poset,
+_register("posth3", "ortho", _forces_om(adjoint.posth3_check), is_orthogonal_poset,
           "poset variant of the mixed-pair condition")
 _register("adji", "ortho", _adji, is_orthogonal_poset,
           "consequences of an adjoint product for the cone implication")
-_register("adjibp", "ortho", _adjibp, None,
+_register("adjibp", "ortho", _holds(lambda o: adjoint.adjibp_check(o) in (None, True),
+                                    "Boolean poset not a Boolean algebra"), None,
           "orthogonal Boolean posets with maximality are Boolean algebras")
 _register("adjebp", "ortho", _agree3(adjoint.adjebp_equiv), is_orthogonal_poset,
           "adjoint product exists exactly on Boolean algebras")
-_register("om-implies-paraortho", "ortho", _om_implies_p, None,
+_register("om-implies-paraortho", "ortho",
+          _holds(lambda o: not is_orthomodular(o) or is_paraorthomodular(o),
+                 "orthomodular but not paraorthomodular"), None,
           "orthomodular structures are paraorthomodular")
-_register("weakly-boolean-ba", "ortho", _wb_ba, None,
+_register("weakly-boolean-ba", "ortho",
+          _holds(lambda o: not (is_weakly_boolean(o) and is_orthomodular(o)
+                                and o.poset.has_maximality()) or is_boolean_algebra(o),
+                 "weakly Boolean orthomodular yet not Boolean"), None,
           "weakly Boolean orthomodular maximality forces Booleanness")
 _register("kleene-ortho-remark", "ortho", _kleene_remark, None,
           "zero meets are orthogonal in Kleene lattices")
@@ -275,7 +247,10 @@ _register("distributive-variants", "ortho", _dist_variants, None,
           "the four binary cone identities stand or fall together")
 _register("nary-distributivity", "ortho", _nary_dist, None,
           "ternary cone identities on distributive posets")
-_register("completeness-finite", "ortho", _mub_small, None,
+_register("completeness-finite", "ortho",
+          _holds(lambda o: (o.poset.is_mub_complete() and o.poset.is_mlb_complete()
+                            and o.poset.has_maximality()),
+                 "finite poset fails a completeness predicate"), None,
           "finite posets satisfy the bound-completeness predicates")
 
 
@@ -301,9 +276,11 @@ def run_harness(max_n: int = 6,
     ``applies`` and ``check`` time, not the shared enumeration.
     """
     wanted = sorted(THEOREMS) if ids is None else list(ids)
-    for tid in wanted:
+    for i, tid in enumerate(wanted):
         if tid not in THEOREMS:
             raise KeyError(f"unknown theorem id {tid!r}")
+        if tid in wanted[:i]:
+            raise ValueError(f"theorem id {tid!r} given twice")
     results = {tid: HarnessResult(tid, 0, [], 0.0) for tid in wanted}
     by_stream: Dict[str, List[tuple]] = {}
     for tid, res in results.items():
@@ -316,7 +293,8 @@ def run_harness(max_n: int = 6,
                         t0 = time.perf_counter()
                         if th.applies is None or th.applies(item):
                             res.instances += 1
-                            res.violations.extend(th.check(item))
+                            for v in th.check(item):
+                                res.violations.append(f"{_tag(item)} {v}")
                         res.seconds += time.perf_counter() - t0
     return [results[tid] for tid in wanted]
 

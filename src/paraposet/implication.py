@@ -175,6 +175,32 @@ class TheoremReport:
     def ok(self) -> bool:
         return not self.violations and not self.violations_elementwise
 
+    def identity(self, p: FinitePoset, clause: str, lhs: int, rhs: int, *elems) -> None:
+        """Record a set identity lhs = rhs of ``p`` failing literally and under approx2."""
+        if lhs != rhs:
+            self.violations.append((clause, *elems))
+            if not p._approx2(lhs, rhs):
+                self.violations_elementwise.append((clause, *elems))
+
+
+def antitone_first_arg(t: SetValuedTable) -> bool:
+    """x <= y forces t(y, z) <= t(x, z); the cells must be singletons."""
+    p = t.poset
+    for x in range(p.n):
+        for y in bits(p.up[x]):
+            for z in range(p.n):
+                if not p.leq(t.element(y, z), t.element(x, z)):
+                    return False
+    return True
+
+
+def unit_law(t: SetValuedTable) -> bool:
+    """t(x, y) = {1} forces x <= y."""
+    p = t.poset
+    one = 1 << p.top
+    return all(p.leq(x, y) for x in range(p.n) for y in range(p.n)
+               if t.cell(x, y) == one)
+
 
 def check_th1(o: OrthoPoset) -> TheoremReport:
     """Elementary properties of the (I1) implication on orthogonal posets."""
@@ -182,13 +208,6 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
     p = o.poset
     rep = TheoremReport("th1")
     n = p.n
-
-    def both(tag, lhs, rhs, *elems):
-        if lhs != rhs:
-            rep.violations.append((tag, *elems))
-        if not p.subset_rel(lhs, rhs, "approx2"):
-            rep.violations_elementwise.append((tag, *elems))
-
     for x in range(n):
         xi = o.inv[x]
         for y in range(n):
@@ -199,7 +218,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
                 rep.violations.append(("i", x, y))
             # (iii) case formulas
             if p.leq(x, y):
-                both("iii-le", cell, 1 << _join(p, y, yi), x, y)
+                rep.identity(p, "iii-le", cell, 1 << _join(p, y, yi), x, y)
                 if is_complementation(o) and cell != 1 << p.top:
                     rep.violations.append(("iii-compl", x, y))
             if p.leq(x, yi):
@@ -207,43 +226,35 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
                 if m is None:
                     rep.violations.append(("iii-perp", x, y))
                 else:
-                    both("iii-perp", cell, 1 << _join(p, y, m), x, y)
+                    rep.identity(p, "iii-perp", cell, 1 << _join(p, y, m), x, y)
             if p.leq(y, x):
-                both("iii-ge", cell, 1 << _join(p, y, xi), x, y)
+                rep.identity(p, "iii-ge", cell, 1 << _join(p, y, xi), x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
             lhs = t.lift(cell, 1 << y)
             rhs = 0
-            good = True
             for w in bits(p.min_of(p.up[x] & p.up[y])):
                 m = p.meet(yi, w)
                 if m is None:
-                    good = False
+                    rep.violations.append(("iv", x, y))
                     break
                 rhs |= 1 << _join(p, y, m)
-            if not good:
-                rep.violations.append(("iv", x, y))
             else:
-                both("iv", lhs, rhs, x, y)
+                rep.identity(p, "iv", lhs, rhs, x, y)
             # (v) triple implication
-            lhs5 = t.lift(lhs, 1 << y)
             rhs5 = 0
-            good = True
             for a in bits(p.max_of(p.down[xi] & p.down[yi])):
-                j = _join(p, y, a)
-                m = p.meet(yi, j)
+                m = p.meet(yi, _join(p, y, a))
                 if m is None:
-                    good = False
+                    rep.violations.append(("v", x, y))
                     break
                 rhs5 |= 1 << _join(p, y, m)
-            if not good:
-                rep.violations.append(("v", x, y))
             else:
-                both("v", lhs5, rhs5, x, y)
+                rep.identity(p, "v", t.lift(lhs, 1 << y), rhs5, x, y)
     # (ii) antitone in the first argument, up to le1
     for x in range(n):
         for y in bits(p.up[x]):
             for z in range(n):
-                if not p.subset_rel(t.cell(y, z), t.cell(x, z), "le1"):
+                if t.cell(y, z) & ~p._downset(t.cell(x, z)):
                     rep.violations.append(("ii", x, y, z))
     return rep
 
@@ -270,25 +281,6 @@ def check_lemma_sharply(o: OrthoPoset) -> TheoremReport:
 
 def paraortho_iff_impl(o: OrthoPoset) -> Tuple[bool, bool, bool]:
     """Paraorthomodularity against the 'x -> y = {1} forces x <= y' law."""
-    t = cached(o, impl_I)
-    p = o.poset
-    one = 1 << p.top
-    law = all(
-        p.leq(x, y)
-        for x in range(p.n) for y in range(p.n)
-        if t.cell(x, y) == one
-    )
+    law = unit_law(cached(o, impl_I))
     direct = is_paraorthomodular(o)
     return direct, law, direct == law
-
-
-def antitone_first_arg_I2(o: OrthoPoset) -> bool:
-    """On lattices, x <= y forces (y -> z) <= (x -> z) for (I2)."""
-    t = cached(o, impl_I2)
-    p = o.poset
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            for z in range(p.n):
-                if not p.leq(t.element(y, z), t.element(x, z)):
-                    return False
-    return True

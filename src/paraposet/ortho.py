@@ -100,11 +100,6 @@ def is_antitone_involution(poset: FinitePoset, inv: Sequence[int]) -> bool:
 
 # -- orthogonality ----------------------------------------------------
 
-def orthogonal(o: OrthoPoset, x: int, y: int) -> bool:
-    """x is below the involute of y (equivalently, y below that of x)."""
-    return o.poset.leq(x, o.inv[y])
-
-
 def orthogonality_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:
     """An orthogonal pair without a join, if any."""
     p = o.poset
@@ -243,10 +238,7 @@ def om_u_identity(o: OrthoPoset, elementwise: bool = False) -> bool:
                 if j is None:
                     return False
                 lhs |= 1 << j
-            if elementwise:
-                if not p.subset_rel(lhs, minu, "approx2"):
-                    return False
-            elif lhs != minu:
+            if lhs != minu and not (elementwise and p._approx2(lhs, minu)):
                 return False
     return True
 

@@ -118,6 +118,8 @@ class FinitePoset:
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
         self._lower_memo: dict = {}
         self._upper_memo: dict = {}
+        self._downset_memo: dict = {}
+        self._upset_memo: dict = {}
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], name: str = "") -> "FinitePoset":
@@ -153,9 +155,6 @@ class FinitePoset:
         except KeyError:
             raise BadIndex(f"no element labelled {label!r}") from None
 
-    def subset(self, labels: Iterable[str]) -> int:
-        return mask_of(self.index(str(x)) for x in labels)
-
     def _check_subset(self, a: int) -> None:
         if a & ~self.full:
             raise BadIndex("subset indexes elements outside the poset")
@@ -190,6 +189,28 @@ class FinitePoset:
         """U(a) for a mask known to lie in the poset."""
         return self._cone(self._upper_memo, self.up, a)
 
+    def _span(self, memo: dict, rows: Sequence[int], a: int) -> int:
+        """Union of ``rows`` over the bits of ``a``, memoised in ``memo``."""
+        res = memo.get(a)
+        if res is None:
+            res = 0
+            for i in bits(a):
+                res |= rows[i]
+            memo[a] = res
+        return res
+
+    def _downset(self, a: int) -> int:
+        """Everything below some element of a: A le1 B iff A lies in _downset(B)."""
+        return self._span(self._downset_memo, self.down, a)
+
+    def _upset(self, a: int) -> int:
+        """Everything above some element of a: A le2 B iff B lies in _upset(A)."""
+        return self._span(self._upset_memo, self.up, a)
+
+    def _approx2(self, a: int, b: int) -> bool:
+        """A approx2 B: le2 in both directions."""
+        return b & ~self._upset(a) == 0 and a & ~self._upset(b) == 0
+
     def max_of(self, a: int) -> int:
         """Maximal elements of A within the induced order."""
         self._check_subset(a)
@@ -223,26 +244,29 @@ class FinitePoset:
 
     # -- meets and joins ----------------------------------------------
 
-    def _bound_table(self, cones: Sequence[int], extremal) -> tuple:
-        """Unique extremal element of each pairwise cone intersection, or None."""
+    def _bound_table(self, cones: Sequence[int]) -> tuple:
+        """``table[x][y]``: the b in cones[x] & cones[y] whose cone holds them
+        all (on ``down`` rows the meet, on ``up`` rows the join), or None."""
         n = self.n
         rows = [[None] * n for _ in range(n)]
         for x in range(n):
             for y in range(x, n):
-                m = extremal(cones[x] & cones[y])
-                if m and m & (m - 1) == 0:
-                    rows[x][y] = rows[y][x] = m.bit_length() - 1
+                common = cones[x] & cones[y]
+                for b in bits(common):
+                    if cones[b] & common == common:
+                        rows[x][y] = rows[y][x] = b
+                        break
         return tuple(map(tuple, rows))
 
     @cached_property
     def meets(self) -> tuple:
         """``meets[x][y]``: infimum of x and y, or None when none exists."""
-        return self._bound_table(self.down, self.max_of)
+        return self._bound_table(self.down)
 
     @cached_property
     def joins(self) -> tuple:
         """``joins[x][y]``: supremum of x and y, or None when none exists."""
-        return self._bound_table(self.up, self.min_of)
+        return self._bound_table(self.up)
 
     def meet(self, x: int, y: int) -> Optional[int]:
         """Infimum of x and y, or None when no greatest lower bound exists."""

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .poset import FinitePoset, PosetError, bits
-from .implication import JoinMissing, SetValuedTable, TheoremReport, cached
+from .implication import JoinMissing, SetValuedTable, TheoremReport, cached, unit_law
+from .ortho import OrthoPoset, paraortho_witness
 
 
 class SectionViolation(PosetError):
@@ -159,13 +160,6 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
     p = s.poset
     rep = TheoremReport("th2")
     one = 1 << p.top
-
-    def both(tag, lhs, rhs, *elems):
-        if lhs != rhs:
-            rep.violations.append((tag, *elems))
-        if not p.subset_rel(lhs, rhs, "approx2"):
-            rep.violations_elementwise.append((tag, *elems))
-
     for x in range(p.n):
         for y in range(p.n):
             cell = t.cell(x, y)
@@ -181,8 +175,8 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
             if p.leq(y, x) and cell != 1 << s.sections[y][x]:
                 rep.violations.append(("iii-ge", x, y))
             minu = p.min_of(p.up[x] & p.up[y])
-            both("iv", t.lift(cell, 1 << y), minu, x, y)
-            both("v", t.lift(t.lift(cell, 1 << y), 1 << y), cell, x, y)
+            rep.identity(p, "iv", t.lift(cell, 1 << y), minu, x, y)
+            rep.identity(p, "v", t.lift(t.lift(cell, 1 << y), 1 << y), cell, x, y)
     return rep
 
 
@@ -194,12 +188,7 @@ def para_via_I3(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     t = cached(s, impl_I3)
     p = s.poset
     g = s.sections[p.bottom]
-    zero = 1 << p.bottom
-    direct = True
-    for x in range(p.n):
-        for y in bits(p.up[x] & ~(1 << x)):
-            if p.down[g[x]] & p.down[y] == zero:
-                direct = False
+    direct = paraortho_witness(OrthoPoset(p, g)) is None
     law = all(
         x == g[y]
         for x in range(p.n) for y in range(p.n)
@@ -216,28 +205,9 @@ def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     ok, w = cached(s, check_C)
     if not ok:
         raise CompatibilityFailed(f"compatibility fails on chain {w}")
-    t = cached(s, impl_I3)
-    p = s.poset
-    one = 1 << p.top
-    law = all(
-        p.leq(x, y)
-        for x in range(p.n) for y in range(p.n)
-        if t.cell(x, y) == one
-    )
+    law = unit_law(cached(s, impl_I3))
     direct = is_relatively_paraorthomodular(s)
     return direct, law, direct == law
-
-
-def antitone_first_arg_I4(s: SectionedPoset) -> bool:
-    """On join-semilattices, x <= y forces (y -> z) <= (x -> z)."""
-    t = cached(s, impl_I4)
-    p = s.poset
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            for z in range(p.n):
-                if not p.leq(t.element(y, z), t.element(x, z)):
-                    return False
-    return True
 
 
 def sections_from_involution(o) -> SectionedPoset:

@@ -123,6 +123,18 @@ def test_meet_join_tables_match_cones(p):
         for x in range(p.n) for y in range(x + 1, p.n))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_row_unions_match_subset_relations(n):
+    # every pair of masks of every bounded poset with n <= 5
+    for p in bounded_posets(n):
+        masks = range(p.full + 1)
+        for a in masks:
+            for b in masks:
+                assert (a & ~p._downset(b) == 0) == p.subset_rel(a, b, "le1")
+                assert (b & ~p._upset(a) == 0) == p.subset_rel(a, b, "le2")
+                assert p._approx2(a, b) == p.subset_rel(a, b, "approx2")
+
+
 # -- LU-identities: pair-cone tables against the cone formulas --------
 
 def _cone_variants(p, x, y, z):

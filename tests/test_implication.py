@@ -78,8 +78,8 @@ def test_duality_with_sasaki():
 
 
 def test_antitone_in_first_argument():
-    assert I.antitone_first_arg_I2(figures.fig2a())
-    assert I.antitone_first_arg_I2(figures.boolean_cube())
+    assert I.antitone_first_arg(I.impl_I2(figures.fig2a()))
+    assert I.antitone_first_arg(I.impl_I2(figures.boolean_cube()))
 
 
 def test_unit_row_and_diagonal():

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from paraposet import cli, figures, fileformat as ff, render
+from paraposet import cli, figures, fileformat as ff, harness, render
 from paraposet.poset import PosetError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -156,6 +156,28 @@ def test_cli_verify_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "0 violations" in first
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--theorems", "th1,th1"], "error: theorem id 'th1' given twice\n"),
+    (["--theorems", "duality,th1,duality"], "error: theorem id 'duality' given twice\n"),
+    (["--theorems", ","], "error: --theorems names no theorem\n"),
+    (["--theorems", ""], "error: --theorems names no theorem\n"),
+    (["--max-n", "0"], "error: --max-n 0 checks nothing: structures start at n = 2\n"),
+    (["--max-n", "1", "--theorems", "th1"],
+     "error: --max-n 1 checks nothing: structures start at n = 2\n"),
+    (["--theorems", "th1,nope"], "error: unknown theorem id 'nope'\n"),
+])
+def test_cli_verify_rejects_runs_that_check_nothing_or_count_twice(capsys, argv, message):
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_run_harness_rejects_duplicate_ids():
+    with pytest.raises(ValueError, match="'th1' given twice"):
+        harness.run_harness(max_n=2, ids=["th1", "omui", "th1"])
 
 
 def test_cli_verify_matches_golden_report(capsys):
