@@ -8,6 +8,18 @@ the unions of the order rows over each cell. The two condition
 reports the statements share (the Sasaki pair, and the Sasaki product
 with the cone implication) and the residuation of the cone implication
 are built once per structure, through :func:`implication.cached`.
+
+The lattice-side statement, ``omidentity_equiv``, takes any involution
+of a lattice and reads each of its entries on its own. The orthomodular
+identities at x, x v ((x v y) ^ x') = x v y and x ^ ((x ^ y) v x') =
+x ^ y, read only inv[x]. The Sasaki product y ^ (x v y') and the Sasaki
+implication y' v (y ^ z) read only inv[y], and so does their
+adjointness at y over every (x, z). So two masks per element, built
+once per lattice, settle every involution of it: ``G[x]`` holds the
+values a for which both identities hold at x when inv[x] = a, and
+``H[y]`` the values b for which adjointness holds at y when inv[y] = b.
+The identities hold for ``inv`` when every inv[x] is in G[x], and the
+pair is adjoint when every inv[y] is in H[y].
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .poset import FinitePoset
+from .poset import FinitePoset, bits, mask_of
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
                     is_orthogonal_poset, is_orthomodular, is_weakly_boolean)
 from .implication import (NotALattice, SetValuedTable,
@@ -101,36 +113,46 @@ def lemma_AB_equiv(o: OrthoPoset) -> bool:
 
 # -- lattice-side results (plain involutions allowed) -----------------
 
-def _sasaki_lattice(p: FinitePoset, inv: Sequence[int]):
-    """Direct lattice formulas for the Sasaki product and implication."""
+def _omidentity_masks(p: FinitePoset) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(G, H)`` of a lattice: per element, the mask of its admissible involutes.
+
+    The joins x v y over all y are the u >= x and the meets x ^ y are
+    the d <= x, so G[x] tests a on those alone. For H[y] the relations
+    y ^ (x v b) <= z and x <= b v (y ^ z) over all (x, z) are each packed
+    into one n*n-bit int, bit x*n + z, so comparing them is one test.
+    """
     if not p.is_lattice:
         raise NotALattice("Sasaki lattice operators need a lattice")
-    meets, joins, r = p.meets, p.joins, range(p.n)
-    prod = [[meets[y][joins[x][inv[y]]] for y in r] for x in r]
-    imp = [[joins[inv[x]][meets[x][y]] for y in r] for x in r]
-    return prod, imp
+    n, meets, joins, up, down = p.n, p.meets, p.joins, p.up, p.down
+    r = range(n)
+    g = tuple(
+        mask_of(a for a in r
+                if all(joins[x][meets[u][a]] == u for u in bits(up[x]))
+                and all(meets[x][joins[d][a]] == d for d in bits(down[x])))
+        for x in r)
+    below = [sum(1 << x * n for x in bits(down[w])) for w in r]
+    h = tuple(
+        mask_of(b for b in r
+                if sum(up[meets[y][joins[x][b]]] << x * n for x in r)
+                == sum(below[joins[b][meets[y][z]]] << z for z in r))
+        for y in r)
+    return g, h
 
 
 def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bool]:
     """Both orthomodular identities against two-sided Sasaki adjointness.
 
     Stated for lattices with an arbitrary involution; ``inv`` only needs
-    to satisfy inv[inv[x]] == x.
+    to be a self-map of the n elements with inv[inv[x]] == x.
     """
     inv = tuple(inv)
-    if not all(inv[inv[x]] == x for x in range(p.n)):
+    ids = list(range(p.n))
+    # a permutation of the elements that is its own inverse
+    if sorted(inv) != ids or [inv[a] for a in inv] != ids:
         raise AssertionError(f"not an involution: {inv}")
-    prod, imp = _sasaki_lattice(p, inv)
-    meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
-    oi = all(
-        joins[x][meets[joins[x][y]][inv[x]]] == joins[x][y]
-        and meets[x][joins[meets[x][y]][inv[x]]] == meets[x][y]
-        for x in r for y in r
-    )
-    adj = all(
-        (up[prod[x][y]] >> z & 1) == (up[x] >> imp[y][z] & 1)
-        for x in r for y in r for z in r
-    )
+    g, h = cached(p, _omidentity_masks)
+    oi = all(g[x] >> a & 1 for x, a in enumerate(inv))
+    adj = all(h[y] >> b & 1 for y, b in enumerate(inv))
     return oi, adj, oi == adj
 
 

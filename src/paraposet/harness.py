@@ -7,9 +7,9 @@ none). ``run_harness`` turns each text into a report line by prefixing
 the bounded posets once per size n and expands each poset into the
 items of every requested stream: its antitone involutions (``ortho``),
 its section families (``sectioned``) and, on lattices, all its
-involutions (``lattice-inv``). Streams and results are fully
-deterministic, so repeated runs with equal settings produce identical
-reports.
+involutions (``lattice-inv``), enumerated once per size. Streams and
+results are fully deterministic, so repeated runs with equal settings
+produce identical reports.
 """
 
 from __future__ import annotations
@@ -159,10 +159,9 @@ def _nary_dist(o):
     return []
 
 
-def _lattice_involutions(p):
-    if p.is_lattice:
-        for inv in involutions(p.n):
-            yield (p, inv)
+def _lattice_involutions(p, invs):
+    """``p`` with each of ``invs``, the involutions of its size, on a lattice."""
+    return ((p, inv) for inv in invs) if p.is_lattice else ()
 
 
 def _omid(pair):
@@ -254,14 +253,18 @@ _register("completeness-finite", "ortho",
           "finite posets satisfy the bound-completeness predicates")
 
 
-def _items(kind: str, p):
-    """The items of stream ``kind`` that the bounded poset ``p`` expands into."""
+def _items(kind: str, p, invs):
+    """The items of stream ``kind`` that the bounded poset ``p`` expands into.
+
+    ``invs`` holds every involution of ``p.n`` points, enumerated once
+    per size for the ``lattice-inv`` stream.
+    """
     if kind == "ortho":
         return ortho_structures(p)
     if kind == "sectioned":
         return sectioned_structures(p)
     if kind == "lattice-inv":
-        return _lattice_involutions(p)
+        return _lattice_involutions(p, invs)
     raise ValueError(f"unknown stream {kind!r}")
 
 
@@ -286,9 +289,10 @@ def run_harness(max_n: int = 6,
     for tid, res in results.items():
         by_stream.setdefault(THEOREMS[tid].stream, []).append((THEOREMS[tid], res))
     for n in range(2, max_n + 1):
+        invs = tuple(involutions(n)) if "lattice-inv" in by_stream else ()
         for p in bounded_posets(n):
             for kind, pairs in by_stream.items():
-                for item in _items(kind, p):
+                for item in _items(kind, p, invs):
                     for th, res in pairs:
                         t0 = time.perf_counter()
                         if th.applies is None or th.applies(item):

@@ -19,7 +19,8 @@ identity L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})) at (x, y, z) reads
 
 and the other three, and the n-ary pair, are its order duals and
 mirror images. The one cone left per triple, of an arbitrary mask, is
-memoised per poset.
+memoised per poset. ``_memo`` holds what other modules build from the
+order alone, through ``ortho.cached``.
 
 The order is immutable after construction and every operation is pure;
 the tables and the cone memo are filled on demand with values that
@@ -120,6 +121,7 @@ class FinitePoset:
         self._upper_memo: dict = {}
         self._downset_memo: dict = {}
         self._upset_memo: dict = {}
+        self._memo: dict = {}
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], name: str = "") -> "FinitePoset":

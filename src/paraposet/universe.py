@@ -32,7 +32,7 @@ from itertools import chain, groupby, permutations, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits
-from .ortho import OrthoPoset
+from .ortho import OrthoPoset, cached
 
 
 def _middle_posets(m: int) -> List[Tuple[int, ...]]:
@@ -204,9 +204,26 @@ def sectioned_posets(n: int):
     return chain.from_iterable(map(sectioned_structures, bounded_posets(n)))
 
 
+def _ortho_key(o: OrthoPoset) -> Tuple[int, ...]:
+    """The canonical key of the strict-up rows with the involution."""
+    strict = tuple(row & ~(1 << i) for i, row in enumerate(o.poset.up))
+    return _canon_middle(strict, o.inv)
+
+
+def _degree_signature(o: OrthoPoset) -> List[Tuple[int, int, int]]:
+    """Sorted (up-degree, down-degree, up-degree of the involute) per point."""
+    p = o.poset
+    ups = [bin(row).count("1") for row in p.up]
+    return sorted((ups[x], bin(p.down[x]).count("1"), ups[o.inv[x]])
+                  for x in range(p.n))
+
+
 def is_orthoisomorphic(a: OrthoPoset, b: OrthoPoset) -> bool:
-    """Order- and involution-preserving bijection test, by canonical keys."""
-    def key(o):
-        strict = tuple(row & ~(1 << i) for i, row in enumerate(o.poset.up))
-        return _canon_middle(strict, o.inv)
-    return a.n == b.n and key(a) == key(b)
+    """Order- and involution-preserving bijection test, by canonical keys.
+
+    An orthoisomorphism keeps every point's degrees and those of its
+    involute, so unequal degree signatures settle the test before any
+    key is computed. Each key is built once per structure.
+    """
+    return (a.n == b.n and _degree_signature(a) == _degree_signature(b)
+            and cached(a, _ortho_key) == cached(b, _ortho_key))

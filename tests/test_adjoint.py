@@ -2,12 +2,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
 
 from paraposet import figures
+from paraposet import harness as H
 from paraposet import adjoint as A
 from paraposet import implication as I
 from paraposet import universe as U
-from paraposet.poset import PosetError, bits
+from paraposet.poset import FinitePoset, PosetError, bits
 
 
 def test_cube_full_adjoint_pair():
@@ -35,6 +39,100 @@ def test_om_identities_match_adjointness():
     assert A.omidentity_equiv(f4.poset, f4.inv) == (False, False, True)
     cube = figures.boolean_cube()
     assert A.omidentity_equiv(cube.poset, cube.inv) == (True, True, True)
+
+
+def _omidentity_reference(p, inv):
+    # both identities over every (x, y) and adjointness over every (x, y, z)
+    meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
+    prod = [[meets[y][joins[x][inv[y]]] for y in r] for x in r]
+    imp = [[joins[inv[x]][meets[x][y]] for y in r] for x in r]
+    oi = all(
+        joins[x][meets[joins[x][y]][inv[x]]] == joins[x][y]
+        and meets[x][joins[meets[x][y]][inv[x]]] == meets[x][y]
+        for x in r for y in r
+    )
+    adj = all(
+        (up[prod[x][y]] >> z & 1) == (up[x] >> imp[y][z] & 1)
+        for x in r for y in r for z in r
+    )
+    return oi, adj, oi == adj
+
+
+def test_om_identity_masks_match_reference():
+    split = Counter()
+    for n in range(2, 8):
+        invs = list(U.involutions(n))
+        for p in U.bounded_posets(n):
+            if p.is_lattice:
+                for inv in invs:
+                    got = A.omidentity_equiv(p, inv)
+                    assert got == _omidentity_reference(p, inv), (p.up, inv)
+                    split[got] += 1
+    # both verdicts occur, so masks that reject or accept everything fail
+    assert split == {(True, True, True): 5, (False, False, True): 13587}
+    cube = figures.boolean_cube().poset
+    cube_split = Counter()
+    for inv in U.involutions(cube.n):
+        got = A.omidentity_equiv(cube, inv)
+        assert got == _omidentity_reference(cube, inv), inv
+        cube_split[got] += 1
+    assert sum(cube_split.values()) == 764 and cube_split[True, True, True]
+
+
+def test_om_identity_masks_match_their_definition():
+    # the verdicts alone would not see a dropped clause: on every lattice
+    # with n <= 8 the two identities fail for the same involutions
+    lattices = [p for n in range(2, 8) for p in U.bounded_posets(n) if p.is_lattice]
+    for p in lattices + [figures.boolean_cube().poset]:
+        meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
+        g = [sum(1 << a for a in r if all(
+            joins[x][meets[joins[x][y]][a]] == joins[x][y]
+            and meets[x][joins[meets[x][y]][a]] == meets[x][y] for y in r))
+            for x in r]
+        h = [sum(1 << b for b in r if all(
+            (up[meets[y][joins[x][b]]] >> z & 1) == (up[x] >> joins[b][meets[y][z]] & 1)
+            for x in r for z in r))
+            for y in r]
+        assert A._omidentity_masks(p) == (tuple(g), tuple(h)), p.up
+
+
+def test_om_identity_rejects_malformed_involutions():
+    chain = FinitePoset.from_covers("0ab1", ["0a", "ab", "b1"])
+    assert A.omidentity_equiv(chain, (3, 2, 1, 0)) == (False, False, True)
+    for inv in [(3, 2, 1, 0, 9, 9), (3, 2, 1), (3, 2, 1, 4), (3, 2, 1, -1),
+                (1, 2, 3, 0)]:
+        with pytest.raises(AssertionError, match="not an involution"):
+            A.omidentity_equiv(chain, inv)
+
+
+def test_om_identity_masks_built_once_per_lattice(monkeypatch):
+    built = Counter()
+    sizes = Counter()
+    build, enumerate_involutions = A._omidentity_masks, H.involutions
+
+    def counted_build(p):
+        built[p] += 1
+        return build(p)
+
+    def counted_involutions(n):
+        sizes[n] += 1
+        return enumerate_involutions(n)
+
+    monkeypatch.setattr(A, "_omidentity_masks", counted_build)
+    monkeypatch.setattr(H, "involutions", counted_involutions)
+    [res] = H.run_harness(6, ["omidentity"])
+    lattices = [p for n in range(2, 7) for p in U.bounded_posets(n) if p.is_lattice]
+    assert res.ok and res.instances == 1 * 2 + 1 * 4 + 2 * 10 + 5 * 26 + 15 * 76
+    assert len(lattices) == 24 and built == Counter(lattices)
+    assert sizes == Counter(range(2, 7))
+    # a failed build on a non-lattice is not kept, so it raises again
+    fence = FinitePoset.from_covers("0abcd1", ["0a", "0b", "ac", "ad", "bc", "bd",
+                                              "c1", "d1"])
+    assert not fence.is_lattice
+    for _ in range(2):
+        with pytest.raises(I.NotALattice):
+            A.omidentity_equiv(fence, (5, 2, 1, 4, 3, 0))
+    assert fence._memo == {} and built[fence] == 2
 
 
 def test_subscripted_adjointness_is_orthomodularity():

@@ -83,7 +83,7 @@ def _lines(monkeypatch, tid, item):
     monkeypatch.setitem(H.THEOREMS, tid, replace(th, applies=None))
     p = item[0] if isinstance(item, tuple) else item.poset
     monkeypatch.setattr(H, "bounded_posets", lambda n: [p])
-    monkeypatch.setattr(H, "_items", lambda kind, q: [item])
+    monkeypatch.setattr(H, "_items", lambda kind, q, invs: [item])
     [res] = H.run_harness(max_n=2, ids=[tid])
     assert res.instances == 1
     return res.violations
