@@ -250,8 +250,7 @@ def adji_consequences(o: OrthoPoset, prod: SetValuedTable) -> TheoremReport:
     for x in range(p.n):
         for y in range(p.n):
             pc = prod.cell(x, y)
-            maxl = p.max_of(p.down[x] & p.down[y])
-            if pc & ~p._downset(maxl):
+            if pc & ~p._downset(p.max_lower[x][y]):
                 rep.violations.append(("iii", x, y))
             if pc & ~(p.down[x] & p.down[y]):
                 rep.violations.append(("iii-bound", x, y))

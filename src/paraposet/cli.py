@@ -150,11 +150,10 @@ def _verify_problem(max_n: int, ids) -> str:
         return f"--max-n {max_n} checks nothing: structures start at n = 2"
     if ids == []:
         return "--theorems names no theorem"
-    for i, tid in enumerate(ids or ()):
-        if tid not in harness.THEOREMS:
-            return f"unknown theorem id {tid!r}"
-        if tid in ids[:i]:
-            return f"theorem id {tid!r} given twice"
+    try:
+        harness.validate_ids(ids or ())
+    except (KeyError, ValueError) as exc:
+        return exc.args[0]
     return ""
 
 

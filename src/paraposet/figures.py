@@ -230,10 +230,3 @@ def greechie_chain() -> PastedFamily:
     glue = [[(0, "p"), (1, "p")], [(0, "p'"), (1, "p'")]]
     return validate_family([k1, k2], glue, names=("K1", "K2"))
 
-
-FIG_BUILDERS = {
-    "fig1a": fig1a, "fig1b": fig1b, "fig1c": fig1c,
-    "fig2a": fig2a, "fig2b": fig2b,
-    "fig3": fig3, "fig4": fig4, "fig5": fig5,
-    "fig7": fig7, "fig8": fig8,
-}

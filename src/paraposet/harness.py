@@ -268,6 +268,15 @@ def _items(kind: str, p, invs):
     raise ValueError(f"unknown stream {kind!r}")
 
 
+def validate_ids(ids: Sequence[str]) -> None:
+    """Raise KeyError for an unknown theorem id and ValueError for one given twice."""
+    for i, tid in enumerate(ids):
+        if tid not in THEOREMS:
+            raise KeyError(f"unknown theorem id {tid!r}")
+        if tid in ids[:i]:
+            raise ValueError(f"theorem id {tid!r} given twice")
+
+
 def run_harness(max_n: int = 6,
                 ids: Optional[Sequence[str]] = None) -> List[HarnessResult]:
     """Check the theorems ``ids`` (default: all) on every structure up to ``max_n``.
@@ -279,11 +288,7 @@ def run_harness(max_n: int = 6,
     ``applies`` and ``check`` time, not the shared enumeration.
     """
     wanted = sorted(THEOREMS) if ids is None else list(ids)
-    for i, tid in enumerate(wanted):
-        if tid not in THEOREMS:
-            raise KeyError(f"unknown theorem id {tid!r}")
-        if tid in wanted[:i]:
-            raise ValueError(f"theorem id {tid!r} given twice")
+    validate_ids(wanted)
     results = {tid: HarnessResult(tid, 0, [], 0.0) for tid in wanted}
     by_stream: Dict[str, List[tuple]] = {}
     for tid, res in results.items():

@@ -1,11 +1,14 @@
 """Set-valued implication operators and their verified properties.
 
-The operators are materialized as full n x n tables of subset bitmasks;
-theorem-check helpers walk the tables and report violating clauses with
-witnesses (expected: none, on inputs meeting the hypotheses). The checks
-read their tables through :func:`cached`, so each table is built once per
-structure however many statements are checked on it; the public
-builders themselves always build afresh.
+The operators are materialized as full n x n tables of subset bitmasks.
+Each builder states only its cell rule, read off the poset's pair-bound
+tables (``max_lower``, ``min_upper``) and meet/join tables, and
+``_table`` lays the cells out. Theorem-check helpers walk the tables
+and report violating clauses with witnesses (expected: none, on inputs
+meeting the hypotheses). The checks read their tables through
+:func:`cached`, so each table is built once per structure however many
+statements are checked on it; the public builders themselves always
+build afresh.
 """
 
 from __future__ import annotations
@@ -42,13 +45,11 @@ class SetValuedTable:
     def cell(self, x: int, y: int) -> int:
         return self.cells[x][y]
 
-    def lift(self, a: int, b: int) -> int:
-        """Union extension to subsets: union of cells over a x b."""
+    def lift(self, a: int, y: int) -> int:
+        """Union extension to the pair (A, {y}): union of the cells (x, y), x in A."""
         out = 0
         for x in bits(a):
-            row = self.cells[x]
-            for y in bits(b):
-                out |= row[y]
+            out |= self.cells[x][y]
         return out
 
     def element(self, x: int, y: int) -> int:
@@ -64,86 +65,53 @@ def _require_orthogonal(o: OrthoPoset) -> None:
         raise NotOrthogonal(w)
 
 
-def _join(p: FinitePoset, x: int, y: int) -> int:
-    j = p.join(x, y)
-    if j is None:
-        raise JoinMissing(f"join of {p.labels[x]} and {p.labels[y]} missing")
-    return j
+def _image(p: FinitePoset, op: str, a: int, mask: int, error=JoinMissing) -> int:
+    """The mask of the a v b (``op`` "join") or a ^ b ("meet") over the b
+    in ``mask``; a missing one raises ``error``."""
+    row = (p.joins if op == "join" else p.meets)[a]
+    out = 0
+    for b in bits(mask):
+        c = row[b]
+        if c is None:
+            raise error(f"{op} of {p.labels[a]} and {p.labels[b]} missing")
+        out |= 1 << c
+    return out
+
+
+def _table(p: FinitePoset, cell) -> SetValuedTable:
+    """The table of ``p`` whose (x, y) cell is ``cell(x, y)``."""
+    r = range(p.n)
+    return SetValuedTable(p, tuple(tuple(cell(x, y) for y in r) for x in r))
 
 
 def impl_I(o: OrthoPoset) -> SetValuedTable:
     """x -> y as the joins of y with the maximal lower bounds of (x', y')."""
     _require_orthogonal(o)
-    p = o.poset
-    cells = []
-    for x in range(p.n):
-        xi = o.inv[x]
-        row = []
-        for y in range(p.n):
-            yi = o.inv[y]
-            maxl = p.max_of(p.down[xi] & p.down[yi])
-            cell = 0
-            for a in bits(maxl):
-                # a <= y' makes a orthogonal to y, so the join exists
-                cell |= 1 << _join(p, y, a)
-            row.append(cell)
-        cells.append(tuple(row))
-    return SetValuedTable(p, tuple(cells))
+    p, inv, maxl = o.poset, o.inv, o.poset.max_lower
+    # a <= y' makes a orthogonal to y, so the joins exist
+    return _table(p, lambda x, y: _image(p, "join", y, maxl[inv[x]][inv[y]]))
 
 
 def impl_I2(o: OrthoPoset) -> SetValuedTable:
     """Lattice form y v (x' ^ y'); cells are singletons."""
-    p = o.poset
+    p, inv = o.poset, o.inv
     if not p.is_lattice:
         raise NotALattice("the (I2) operator needs a lattice")
-    cells = []
-    for x in range(p.n):
-        xi = o.inv[x]
-        row = []
-        for y in range(p.n):
-            m = p.meet(xi, o.inv[y])
-            row.append(1 << p.join(y, m))
-        cells.append(tuple(row))
-    return SetValuedTable(p, tuple(cells))
+    return _table(p, lambda x, y: 1 << p.joins[y][p.meets[inv[x]][inv[y]]])
 
 
 def sasaki_proj(o: OrthoPoset) -> SetValuedTable:
     """x (.) y: meets of y with the minimal upper bounds of (x, y')."""
     _require_orthogonal(o)
-    p = o.poset
-    cells = []
-    for x in range(p.n):
-        row = []
-        for y in range(p.n):
-            minu = p.min_of(p.up[x] & p.up[o.inv[y]])
-            cell = 0
-            for w in bits(minu):
-                m = p.meet(y, w)
-                if m is None:
-                    raise JoinMissing(
-                        f"meet of {p.labels[y]} and {p.labels[w]} missing")
-                cell |= 1 << m
-            row.append(cell)
-        cells.append(tuple(row))
-    return SetValuedTable(p, tuple(cells))
+    p, inv, minu = o.poset, o.inv, o.poset.min_upper
+    return _table(p, lambda x, y: _image(p, "meet", y, minu[x][inv[y]]))
 
 
 def sasaki_impl(o: OrthoPoset) -> SetValuedTable:
     """x -> y as joins of x' with the maximal lower bounds of (x, y)."""
     _require_orthogonal(o)
-    p = o.poset
-    cells = []
-    for x in range(p.n):
-        xi = o.inv[x]
-        row = []
-        for y in range(p.n):
-            maxl = p.max_of(p.down[x] & p.down[y])
-            cell = 0
-            for a in bits(maxl):
-                cell |= 1 << _join(p, xi, a)
-            row.append(cell)
-        cells.append(tuple(row))
-    return SetValuedTable(p, tuple(cells))
+    p, inv, maxl = o.poset, o.inv, o.poset.max_lower
+    return _table(p, lambda x, y: _image(p, "join", inv[x], maxl[x][y]))
 
 
 def duality_check(o: OrthoPoset) -> bool:
@@ -218,7 +186,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
                 rep.violations.append(("i", x, y))
             # (iii) case formulas
             if p.leq(x, y):
-                rep.identity(p, "iii-le", cell, 1 << _join(p, y, yi), x, y)
+                rep.identity(p, "iii-le", cell, _image(p, "join", y, 1 << yi), x, y)
                 if is_complementation(o) and cell != 1 << p.top:
                     rep.violations.append(("iii-compl", x, y))
             if p.leq(x, yi):
@@ -226,30 +194,25 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
                 if m is None:
                     rep.violations.append(("iii-perp", x, y))
                 else:
-                    rep.identity(p, "iii-perp", cell, 1 << _join(p, y, m), x, y)
+                    rep.identity(p, "iii-perp", cell, _image(p, "join", y, 1 << m), x, y)
             if p.leq(y, x):
-                rep.identity(p, "iii-ge", cell, 1 << _join(p, y, xi), x, y)
+                rep.identity(p, "iii-ge", cell, _image(p, "join", y, 1 << xi), x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
-            lhs = t.lift(cell, 1 << y)
-            rhs = 0
-            for w in bits(p.min_of(p.up[x] & p.up[y])):
-                m = p.meet(yi, w)
-                if m is None:
-                    rep.violations.append(("iv", x, y))
-                    break
-                rhs |= 1 << _join(p, y, m)
+            lhs = t.lift(cell, y)
+            try:
+                low = _image(p, "meet", yi, p.min_upper[x][y])
+            except JoinMissing:
+                rep.violations.append(("iv", x, y))
             else:
-                rep.identity(p, "iv", lhs, rhs, x, y)
-            # (v) triple implication
-            rhs5 = 0
-            for a in bits(p.max_of(p.down[xi] & p.down[yi])):
-                m = p.meet(yi, _join(p, y, a))
-                if m is None:
-                    rep.violations.append(("v", x, y))
-                    break
-                rhs5 |= 1 << _join(p, y, m)
+                rep.identity(p, "iv", lhs, _image(p, "join", y, low), x, y)
+            # (v) triple implication against y v (y' ^ (y v Max L(x', y')))
+            high = _image(p, "join", y, p.max_lower[xi][yi])
+            try:
+                low = _image(p, "meet", yi, high)
+            except JoinMissing:
+                rep.violations.append(("v", x, y))
             else:
-                rep.identity(p, "v", t.lift(lhs, 1 << y), rhs5, x, y)
+                rep.identity(p, "v", t.lift(lhs, y), _image(p, "join", y, low), x, y)
     # (ii) antitone in the first argument, up to le1
     for x in range(n):
         for y in bits(p.up[x]):

@@ -218,29 +218,32 @@ def om_law_holds(o: OrthoPoset, x: int, y: int) -> bool:
     return p.join(x, m) == y
 
 
-def om_u_identity(o: OrthoPoset, elementwise: bool = False) -> bool:
-    """The Min-U form of the orthomodular identity over all pairs.
+def om_u_identity(o: OrthoPoset) -> Tuple[bool, bool]:
+    """The Min-U form of the orthomodular identity over all pairs, read
+    literally and elementwise.
 
-    With ``elementwise`` the comparison uses the two-sided le2 relation
-    instead of literal set equality. A missing meet or join makes the
-    identity fail.
+    The literal reading is set equality, the elementwise one the
+    two-sided le2 relation. A missing meet or join fails both.
     """
-    p = o.poset
+    p, inv = o.poset, o.inv
+    meets, joins, minus = p.meets, p.joins, p.min_upper
+    literal = True
     for x in range(p.n):
+        meet_xi, join_x = meets[inv[x]], joins[x]
         for y in range(p.n):
-            minu = p.min_of(p.up[x] & p.up[y])
+            minu = minus[x][y]
             lhs = 0
             for w in bits(minu):
-                m = p.meet(w, o.inv[x])
-                if m is None:
-                    return False
-                j = p.join(x, m)
+                m = meet_xi[w]
+                j = None if m is None else join_x[m]
                 if j is None:
-                    return False
+                    return False, False
                 lhs |= 1 << j
-            if lhs != minu and not (elementwise and p._approx2(lhs, minu)):
-                return False
-    return True
+            if lhs != minu:
+                if not p._approx2(lhs, minu):
+                    return False, False
+                literal = False
+    return literal, True
 
 
 def orthomodular_verdicts(o: OrthoPoset) -> tuple:
@@ -250,7 +253,7 @@ def orthomodular_verdicts(o: OrthoPoset) -> tuple:
         and is_complementation(o)
         and orthomodular_witness(o) is None
     )
-    return direct, om_u_identity(o), om_u_identity(o, elementwise=True)
+    return (direct, *om_u_identity(o))
 
 
 def is_orthomodular(o: OrthoPoset) -> bool:

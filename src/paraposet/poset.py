@@ -3,11 +3,14 @@
 Elements are integers ``0..n-1``; subsets of a poset are plain int
 bitmasks. The order relation is stored as one bitmask row per element
 (``up[i]`` = everything above ``i``, ``down[i]`` = everything below),
-built from cover pairs by transitive closure. Meets and joins are n x n
-tables (``meets``, ``joins``), built from the cones once per poset, on
-first use, so ``meet``/``join`` are lookups. At the sizes this library
-targets (a few hundred elements at most) the O(n^3) closure and the
-all-pairs scans below are cheap.
+built from cover pairs by transitive closure. The pair bounds are two
+n x n tables of masks, built from the cones once per poset, on first
+use: ``max_lower[x][y]`` = Max L{x,y} and ``min_upper[x][y]`` =
+Min U{x,y}. The meet and join tables (``meets``, ``joins``) are their
+singleton cells, with None where a pair has several maximal lower or
+minimal upper bounds, so ``meet``/``join`` are lookups. At the sizes
+this library targets (a few hundred elements at most) the O(n^3)
+closure and the all-pairs scans below are cheap.
 
 The LU-distributivity identities read two more n x n tables, the pair
 cones ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``, built once
@@ -74,6 +77,13 @@ EQ2 = "approx2"    # le2 in both directions
 
 # largest subsets checked by the bound-completeness predicates
 SMALL_SUBSET = 3
+
+
+def _singletons(table: Sequence[Sequence[int]]) -> tuple:
+    """``table`` with each one-element mask replaced by its element and
+    every other mask by None."""
+    return tuple(tuple(c.bit_length() - 1 if c and not c & (c - 1) else None
+                       for c in row) for row in table)
 
 
 class FinitePoset:
@@ -244,31 +254,44 @@ class FinitePoset:
             return self.subset_rel(a, b, LE2) and self.subset_rel(b, a, LE2)
         raise ValueError(f"unknown subset relation {kind!r}")
 
-    # -- meets and joins ----------------------------------------------
+    # -- pair bounds, meets and joins ---------------------------------
 
-    def _bound_table(self, cones: Sequence[int]) -> tuple:
-        """``table[x][y]``: the b in cones[x] & cones[y] whose cone holds them
-        all (on ``down`` rows the meet, on ``up`` rows the join), or None."""
+    def _extremal_table(self, cones: Sequence[int], rows: Sequence[int]) -> tuple:
+        """``table[x][y]``: the b in cones[x] & cones[y] whose ``rows`` entry
+        meets that set in b alone (on ``down`` cones and ``up`` rows the
+        maximal lower bounds, on ``up`` cones and ``down`` rows the minimal
+        upper bounds)."""
         n = self.n
-        rows = [[None] * n for _ in range(n)]
+        table = [[0] * n for _ in range(n)]
         for x in range(n):
             for y in range(x, n):
                 common = cones[x] & cones[y]
+                ext = 0
                 for b in bits(common):
-                    if cones[b] & common == common:
-                        rows[x][y] = rows[y][x] = b
-                        break
-        return tuple(map(tuple, rows))
+                    if rows[b] & common == 1 << b:
+                        ext |= 1 << b
+                table[x][y] = table[y][x] = ext
+        return tuple(map(tuple, table))
+
+    @cached_property
+    def max_lower(self) -> tuple:
+        """``max_lower[x][y]``: Max L{x,y}, the maximal common lower bounds, as a mask."""
+        return self._extremal_table(self.down, self.up)
+
+    @cached_property
+    def min_upper(self) -> tuple:
+        """``min_upper[x][y]``: Min U{x,y}, the minimal common upper bounds, as a mask."""
+        return self._extremal_table(self.up, self.down)
 
     @cached_property
     def meets(self) -> tuple:
         """``meets[x][y]``: infimum of x and y, or None when none exists."""
-        return self._bound_table(self.down)
+        return _singletons(self.max_lower)
 
     @cached_property
     def joins(self) -> tuple:
         """``joins[x][y]``: supremum of x and y, or None when none exists."""
-        return self._bound_table(self.up)
+        return _singletons(self.min_upper)
 
     def meet(self, x: int, y: int) -> Optional[int]:
         """Infimum of x and y, or None when no greatest lower bound exists."""
@@ -366,10 +389,7 @@ class FinitePoset:
 
     def has_maximality(self) -> bool:
         """Every two-element lower cone has a maximal element."""
-        return all(
-            self.max_of(self.lower_cone(1 << a | 1 << b)) != 0
-            for a in range(self.n) for b in range(self.n)
-        )
+        return all(0 not in row for row in self.max_lower)
 
     def covers(self) -> list:
         """All pairs (x, y) with x strictly below y and nothing in between."""

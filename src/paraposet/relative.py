@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .poset import FinitePoset, PosetError, bits
-from .implication import JoinMissing, SetValuedTable, TheoremReport, cached, unit_law
+from .poset import FinitePoset, PosetError, bits, mask_of
+from .implication import (JoinMissing, SetValuedTable, TheoremReport, _image, _table,
+                          cached, unit_law)
 from .ortho import OrthoPoset, paraortho_witness
 
 
@@ -114,44 +115,22 @@ def check_C(s: SectionedPoset) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     for x in range(p.n):
         for y in bits(p.up[x]):
             for z in bits(p.up[y]):
-                j = p.join(s.sections[x][z], y)
-                if j is None:
-                    raise JoinMissing(
-                        f"join of {p.labels[s.sections[x][z]]} and {p.labels[y]} missing")
-                if j != s.sections[y][z]:
+                if _image(p, "join", s.sections[x][z], 1 << y) != 1 << s.sections[y][z]:
                     return False, (x, y, z)
     return True, None
 
 
 def impl_I3(s: SectionedPoset) -> SetValuedTable:
     """x -> y as the section images of the minimal upper bounds of (x, y)."""
-    p = s.poset
-    cells = []
-    for x in range(p.n):
-        row = []
-        for y in range(p.n):
-            cell = 0
-            for w in bits(p.min_of(p.up[x] & p.up[y])):
-                cell |= 1 << s.sections[y][w]
-            row.append(cell)
-        cells.append(tuple(row))
-    return SetValuedTable(p, tuple(cells))
+    p, sec, minu = s.poset, s.sections, s.poset.min_upper
+    return _table(p, lambda x, y: mask_of(sec[y][w] for w in bits(minu[x][y])))
 
 
 def impl_I4(s: SectionedPoset) -> SetValuedTable:
     """x -> y as (x v y)^y on join-semilattices; cells are singletons."""
-    p = s.poset
-    cells = []
-    for x in range(p.n):
-        row = []
-        for y in range(p.n):
-            j = p.join(x, y)
-            if j is None:
-                raise NotJoinSemilattice(
-                    f"join of {p.labels[x]} and {p.labels[y]} missing")
-            row.append(1 << s.sections[y][j])
-        cells.append(tuple(row))
-    return SetValuedTable(p, tuple(cells))
+    p, sec = s.poset, s.sections
+    return _table(p, lambda x, y: mask_of(
+        sec[y][j] for j in bits(_image(p, "join", x, 1 << y, NotJoinSemilattice))))
 
 
 def check_th2(s: SectionedPoset) -> TheoremReport:
@@ -174,9 +153,9 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
                 rep.violations.append(("iii-join", x, y))
             if p.leq(y, x) and cell != 1 << s.sections[y][x]:
                 rep.violations.append(("iii-ge", x, y))
-            minu = p.min_of(p.up[x] & p.up[y])
-            rep.identity(p, "iv", t.lift(cell, 1 << y), minu, x, y)
-            rep.identity(p, "v", t.lift(t.lift(cell, 1 << y), 1 << y), cell, x, y)
+            lhs = t.lift(cell, y)
+            rep.identity(p, "iv", lhs, p.min_upper[x][y], x, y)
+            rep.identity(p, "v", t.lift(lhs, y), cell, x, y)
     return rep
 
 

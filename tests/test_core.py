@@ -114,6 +114,8 @@ def _singleton(m):
 def test_meet_join_tables_match_cones(p):
     for x in range(p.n):
         for y in range(p.n):
+            assert p.max_lower[x][y] == p.max_of(p.down[x] & p.down[y])
+            assert p.min_upper[x][y] == p.min_of(p.up[x] & p.up[y])
             assert p.meets[x][y] == _singleton(p.max_of(p.down[x] & p.down[y]))
             assert p.joins[x][y] == _singleton(p.min_of(p.up[x] & p.up[y]))
             assert p.meet(x, y) == p.meets[x][y] and p.join(x, y) == p.joins[x][y]

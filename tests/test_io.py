@@ -204,6 +204,21 @@ def test_cli_verify_sweep_matches_golden_report(capsys):
     assert capsys.readouterr().out == golden["stdout"]
 
 
+def test_cli_gallery_matches_golden(capsys, monkeypatch):
+    # every check, table, amalgam and export command on every fixture,
+    # the 198 implication table renderings among them
+    gallery = json.loads((ROOT / "perfbench" / "golden" / "gallery.json").read_text())
+    assert len(gallery) == 251
+    monkeypatch.chdir(ROOT)
+    differ = []
+    for entry in gallery:
+        code = cli.main(entry["argv"])
+        out = capsys.readouterr().out
+        if code != entry["exit"] or out != entry["stdout"]:
+            differ.append(entry["argv"])
+    assert differ == []
+
+
 def test_cli_search(capsys):
     code = cli.main(["search", "--implies", "orthomodular,paraorthomodular",
                      "--max-n", "5"])
