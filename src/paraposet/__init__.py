@@ -7,6 +7,6 @@ from .relative import SectionedPoset, validate_sections, impl_I3, impl_I4
 from .amalgam import (PastedFamily, AtomicAmalgam, validate_family,
                       build_amalgam, classify_amalgam, cover_transfer,
                       find_loops)
-from .fileformat import StructureFile, ParseError, parse, emit, build, load, save
+from .fileformat import StructureFile, ParseError, parse, emit, build, load
 from .render import export_dot, render_table
 from .harness import THEOREMS, run_harness, find_counterexample

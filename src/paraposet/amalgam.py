@@ -3,18 +3,24 @@
 Blocks are glued along {0,1} or along 4-element atomic subalgebras.
 Validation enforces the pasting rules; the builder re-checks the order
 and involution axioms on the glued carrier instead of trusting them.
+
+A family numbers its identification classes once, by first occurrence
+over (block, element), and every consumer reads that numbering. The
+union of two blocks that the two-block lattice lemma speaks about is
+the family restricted to those blocks: their class rows renumbered the
+same way, with no second validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, PosetError, bits, mask_of
 from .ortho import (OrthoPoset, is_kleene_lattice, is_paraorthomodular,
-                    is_sharply_paraorthomodular, validate_involution,
-                    InvolutionError)
+                    is_sharply_paraorthomodular, nonorthogonal_zero_meets,
+                    validate_involution, InvolutionError)
 
 
 class FamilyError(PosetError):
@@ -66,20 +72,39 @@ class PastedFamily:
     members: Tuple[Tuple[Tuple[int, int], ...], ...]
 
     @property
-    def n_classes(self) -> int:
-        return len(self.members)
+    def zero(self) -> int:
+        """The class of the block bottoms."""
+        return self.class_of[0][self.blocks[0].poset.bottom]
+
+    @property
+    def one(self) -> int:
+        """The class of the block tops."""
+        return self.class_of[0][self.blocks[0].poset.top]
 
     def shared(self, i: int, j: int) -> FrozenSet[int]:
         """Class ids present in both block i and block j."""
-        a = {self.class_of[i][e] for e in range(self.blocks[i].n)}
-        b = {self.class_of[j][e] for e in range(self.blocks[j].n)}
-        return frozenset(a & b)
+        return frozenset(self.class_of[i]).intersection(self.class_of[j])
 
-    def elem_in_block(self, cls: int, i: int) -> Optional[int]:
-        for b, e in self.members[cls]:
-            if b == i:
-                return e
-        return None
+
+def _paste(blocks: Sequence[OrthoPoset], names: Sequence[str],
+           rows: Sequence[Sequence[Hashable]]) -> PastedFamily:
+    """The family whose classes are the equal keys of ``rows``.
+
+    ``rows[i][e]`` keys the class of element e of block i; classes are
+    numbered by first occurrence over (block, element).
+    """
+    ids: Dict[Hashable, int] = {}
+    class_of = []
+    members: List[List[Tuple[int, int]]] = []
+    for i, row in enumerate(rows):
+        for e, key in enumerate(row):
+            if key not in ids:
+                ids[key] = len(members)
+                members.append([])
+            members[ids[key]].append((i, e))
+        class_of.append(tuple(ids[key] for key in row))
+    return PastedFamily(tuple(blocks), tuple(names),
+                        tuple(class_of), tuple(map(tuple, members)))
 
 
 def _atom_or_coatom(p: FinitePoset, e: int) -> bool:
@@ -101,13 +126,10 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
             raise BlockTooSmall(f"block {names[i]} has {blk.n} elements")
         if not is_kleene_lattice(blk):
             raise NotKleene(f"block {names[i]} is not a Kleene lattice")
-        p = blk.poset
         # in a Kleene lattice a zero meet forces orthogonality
-        for x in range(p.n):
-            for y in range(p.n):
-                if p.meet(x, y) == p.bottom and not p.leq(x, blk.inv[y]):
-                    raise AssertionError(
-                        f"block {names[i]}: zero meet without orthogonality")
+        if next(nonorthogonal_zero_meets(blk), None) is not None:
+            raise AssertionError(
+                f"block {names[i]}: zero meet without orthogonality")
 
     # union-find over (block, element)
     stride = max(b.n for b in blocks)
@@ -144,31 +166,14 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         for i, e in resolved[1:]:
             union(key(resolved[0][0], resolved[0][1]), key(i, e))
 
-    # same-block collapse check and class numbering by first occurrence
-    class_ids: Dict[int, int] = {}
-    class_of = []
-    members: List[List[Tuple[int, int]]] = []
-    for i, blk in enumerate(blocks):
-        row = []
-        seen_roots = {}
-        for e in range(blk.n):
-            r = find(key(i, e))
-            if r in seen_roots:
-                raise BadIntersection(i, i, "two elements of one block identified")
-            seen_roots[r] = e
-            if r not in class_ids:
-                class_ids[r] = len(members)
-                members.append([])
-            c = class_ids[r]
-            members[c].append((i, e))
-            row.append(c)
-        class_of.append(tuple(row))
+    # the union-find roots key the classes; one block may not meet a class twice
+    roots = [[find(key(i, e)) for e in range(blk.n)] for i, blk in enumerate(blocks)]
+    for i, row in enumerate(roots):
+        if len(set(row)) != len(row):
+            raise BadIntersection(i, i, "two elements of one block identified")
+    fam = _paste(blocks, names, roots)
 
-    fam = PastedFamily(blocks, names,
-                       tuple(class_of), tuple(tuple(m) for m in members))
-
-    zero = class_of[0][blocks[0].poset.bottom]
-    one = class_of[0][blocks[0].poset.top]
+    zero, one = fam.zero, fam.one
     for i, j in combinations(range(len(blocks)), 2):
         s = fam.shared(i, j)
         if s == {zero, one}:
@@ -179,8 +184,8 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
             raise BadIntersection(names[i], names[j],
                                   f"shared set of size {len(s)}")
         mid = sorted(s - {zero, one})
-        ei = {c: fam.elem_in_block(c, i) for c in s}
-        ej = {c: fam.elem_in_block(c, j) for c in s}
+        ei = {c: fam.class_of[i].index(c) for c in s}
+        ej = {c: fam.class_of[j].index(c) for c in s}
         bi, bj = blocks[i], blocks[j]
         for c in mid:
             if not _atom_or_coatom(bi.poset, ei[c]):
@@ -213,12 +218,11 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
 class AtomicAmalgam:
     family: PastedFamily
     carrier: OrthoPoset
-    origin: Tuple[FrozenSet[int], ...]
 
 
 def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
     """Glue the blocks: union order, blockwise involution, re-validated."""
-    nc = fam.n_classes
+    nc = len(fam.members)
     labels = []
     used = {}
     for c in range(nc):
@@ -254,8 +258,7 @@ def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
     except InvolutionError as exc:
         raise InvolutionClash(str(exc)) from exc
 
-    origin = tuple(frozenset(i for i, _ in fam.members[c]) for c in range(nc))
-    amal = AtomicAmalgam(fam, carrier, origin)
+    amal = AtomicAmalgam(fam, carrier)
     # every amalgam of Kleene blocks is paraorthomodular
     if not is_paraorthomodular(carrier):
         raise AssertionError("amalgam of Kleene blocks is not paraorthomodular")
@@ -279,15 +282,10 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
     if order < 3:
         raise ValueError("loops start at order 3")
     nb = len(fam.blocks)
-    zero = fam.class_of[0][fam.blocks[0].poset.bottom]
-    one = fam.class_of[0][fam.blocks[0].poset.top]
-    trivial = frozenset((zero, one))
+    trivial = frozenset((fam.zero, fam.one))
     shared = {}
     for i, j in combinations(range(nb), 2):
         shared[i, j] = shared[j, i] = fam.shared(i, j)
-
-    def block_classes(i):
-        return {fam.class_of[i][e] for e in range(fam.blocks[i].n)}
 
     loops = []
     for combo in combinations(range(nb), order):
@@ -312,8 +310,7 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
             if not ok:
                 continue
             for trip in combinations(seq, 3):
-                inter = block_classes(trip[0]) & block_classes(trip[1]) & block_classes(trip[2])
-                if inter != set(trivial):
+                if shared[trip[0], trip[1]].intersection(fam.class_of[trip[2]]) != trivial:
                     ok = False
                     break
             if not ok:
@@ -322,7 +319,7 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
             for j in range(order):
                 a, b = seq[j], seq[(j + 1) % order]
                 mids = [c for c in shared[a, b] if c not in trivial]
-                e = fam.elem_in_block(mids[0], a)
+                e = fam.class_of[a].index(mids[0])
                 atom = mids[0] if fam.blocks[a].poset.covers_pair(
                     fam.blocks[a].poset.bottom, e) else mids[1]
                 atoms.append(atom)
@@ -385,17 +382,11 @@ def two_block_union(fam: PastedFamily, i: int, j: int) -> OrthoPoset:
 
     This is the structure the two-block lattice lemma speaks about; the
     order comes from the two blocks alone, without comparabilities that
-    other blocks contribute in the full carrier.
+    other blocks contribute in the full carrier. The pair is the family
+    restricted to blocks i and j, so the pasting rules already hold.
     """
-    zero = fam.class_of[0][fam.blocks[0].poset.bottom]
-    one = fam.class_of[0][fam.blocks[0].poset.top]
-    glue = []
-    for c in fam.shared(i, j):
-        if c not in (zero, one):
-            glue.append([(0, fam.elem_in_block(c, i)),
-                         (1, fam.elem_in_block(c, j))])
-    sub = validate_family([fam.blocks[i], fam.blocks[j]], glue,
-                          names=(fam.names[i], fam.names[j]))
+    sub = _paste((fam.blocks[i], fam.blocks[j]), (fam.names[i], fam.names[j]),
+                 (fam.class_of[i], fam.class_of[j]))
     return build_amalgam(sub).carrier
 
 

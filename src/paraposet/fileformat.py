@@ -8,7 +8,8 @@ Poset files:
     inv a a'
     section a a' b'      # image of a' under the involution of [a,1]
 
-Family files list blocks by file and the element identifications:
+Family files list blocks by file, each a poset file with inv lines and
+no section lines, and the element identifications:
 
     name triangle
     family
@@ -122,13 +123,15 @@ def build(sf: StructureFile, basedir: str = ".") -> Structure:
         names = []
         by_name = {}
         for bname, path in sf.blocks:
-            blk = load(os.path.join(basedir, path))
-            if not isinstance(blk, OrthoPoset):
-                if isinstance(blk, SectionedPoset) or isinstance(blk, FinitePoset):
-                    raise PosetError(f"block {bname} must carry a global involution")
+            path = os.path.join(basedir, path)
+            bsf = _read(path)
+            # only a plain poset file with inv lines builds to an OrthoPoset;
+            # checked before building, so a family block never recurses
+            if bsf.is_family or bsf.sections or not bsf.inv_pairs:
+                raise PosetError(f"block {bname} must carry a global involution")
             names.append(bname)
             by_name[bname] = len(blocks)
-            blocks.append(blk)
+            blocks.append(build(bsf, os.path.dirname(path) or "."))
         glue = []
         for group in sf.identify:
             resolved = []
@@ -192,11 +195,9 @@ def emit(obj: Union[Structure, StructureFile], basedir: str = ".") -> str:
         lines.append("family")
         for name, _ in zip(obj.names, obj.blocks):
             lines.append(f"block {name} {name}.poset")
-        zero = obj.class_of[0][obj.blocks[0].poset.bottom]
-        one = obj.class_of[0][obj.blocks[0].poset.top]
         groups = []
         for cls, members in enumerate(obj.members):
-            if cls in (zero, one) or len(members) < 2:
+            if cls in (obj.zero, obj.one) or len(members) < 2:
                 continue
             groups.append(" ".join(
                 f"{obj.names[i]}:{obj.blocks[i].poset.labels[e]}" for i, e in members))
@@ -223,12 +224,10 @@ def emit(obj: Union[Structure, StructureFile], basedir: str = ".") -> str:
     return "\n".join(lines) + "\n"
 
 
-def load(path: str) -> Structure:
+def _read(path: str) -> StructureFile:
     with open(path, encoding="utf-8") as fh:
-        sf = parse(fh.read())
-    return build(sf, basedir=os.path.dirname(path) or ".")
+        return parse(fh.read())
 
 
-def save(obj: Structure, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit(obj))
+def load(path: str) -> Structure:
+    return build(_read(path), basedir=os.path.dirname(path) or ".")

@@ -24,7 +24,8 @@ from . import adjoint, implication, relative
 from .ortho import (OrthoPoset, PREDICATES, find_benzene, is_boolean_algebra,
                     is_kleene_lattice, is_orthogonal_poset, is_orthomodular,
                     is_paraorthomodular, is_sharply_paraorthomodular,
-                    is_weakly_boolean, orthomodular_verdicts, paraortho_witness)
+                    is_weakly_boolean, nonorthogonal_zero_meets,
+                    orthomodular_verdicts, paraortho_witness)
 from .poset import PosetError, distributive_nary
 from .universe import (bounded_posets, involutions, ortho_posets,
                        ortho_structures, sectioned_structures)
@@ -118,10 +119,9 @@ def _adji(o):
 def _kleene_remark(o):
     if not is_kleene_lattice(o):
         return []
-    p = o.poset
-    return [f"zero meet without orthogonality at ({p.labels[x]}, {p.labels[y]})"
-            for x in range(p.n) for y in range(p.n)
-            if p.meet(x, y) == p.bottom and not p.leq(x, o.inv[y])]
+    labels = o.poset.labels
+    return [f"zero meet without orthogonality at ({labels[x]}, {labels[y]})"
+            for x, y in nonorthogonal_zero_meets(o)]
 
 
 def _benzene(o):
@@ -247,7 +247,7 @@ _register("distributive-variants", "ortho", _dist_variants, None,
 _register("nary-distributivity", "ortho", _nary_dist, None,
           "ternary cone identities on distributive posets")
 _register("completeness-finite", "ortho",
-          _holds(lambda o: (o.poset.is_mub_complete() and o.poset.is_mlb_complete()
+          _holds(lambda o: (o.poset.is_mub_complete and o.poset.is_mlb_complete
                             and o.poset.has_maximality()),
                  "finite poset fails a completeness predicate"), None,
           "finite posets satisfy the bound-completeness predicates")

@@ -8,7 +8,7 @@ forms are thin wrappers. Witnesses are element indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, PosetError, bits
 
@@ -88,14 +88,6 @@ def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
     if inv[poset.bottom] != poset.top:
         raise AssertionError("antitone involution must swap bottom and top")
     return o
-
-
-def is_antitone_involution(poset: FinitePoset, inv: Sequence[int]) -> bool:
-    try:
-        validate_involution(poset, inv)
-        return True
-    except InvolutionError:
-        return False
 
 
 # -- orthogonality ----------------------------------------------------
@@ -297,6 +289,15 @@ def is_kleene_lattice(o: OrthoPoset) -> bool:
     if not (o.poset.is_lattice and o.poset.is_distributive):
         return False
     return is_regular(o) and is_paraorthomodular(o)
+
+
+def nonorthogonal_zero_meets(o: OrthoPoset) -> Iterator[Tuple[int, int]]:
+    """Pairs (x, y) with x ^ y = 0 yet x not below y'; a Kleene lattice has none."""
+    p = o.poset
+    for x in range(p.n):
+        for y in range(p.n):
+            if p.meet(x, y) == p.bottom and not p.leq(x, o.inv[y]):
+                yield x, y
 
 
 PREDICATES = {

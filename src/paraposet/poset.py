@@ -362,30 +362,31 @@ class FinitePoset:
                         return False
         return True
 
-    def is_mub_complete(self) -> bool:
-        """Below every upper bound of a small subset sits a minimal upper bound.
+    def _bound_complete(self, cone, extremal, rows) -> bool:
+        """Every element x of the ``cone`` of each small subset has an
+        ``extremal`` element of that cone in ``rows[x]``.
 
         Finiteness makes the unrestricted condition automatic; the check
         runs over subsets of up to ``SMALL_SUBSET`` elements.
         """
         for size in range(1, SMALL_SUBSET + 1):
             for m in combinations(range(self.n), size):
-                u = self.upper_cone(mask_of(m))
-                mins = self.min_of(u)
-                for x in bits(u):
-                    if not mins & self.down[x]:
+                c = cone(mask_of(m))
+                ext = extremal(c)
+                for x in bits(c):
+                    if not ext & rows[x]:
                         return False
         return True
 
+    @cached_property
+    def is_mub_complete(self) -> bool:
+        """Below every upper bound of a small subset sits a minimal upper bound."""
+        return self._bound_complete(self._upper, self.min_of, self.down)
+
+    @cached_property
     def is_mlb_complete(self) -> bool:
-        for size in range(1, SMALL_SUBSET + 1):
-            for m in combinations(range(self.n), size):
-                lo = self.lower_cone(mask_of(m))
-                maxs = self.max_of(lo)
-                for x in bits(lo):
-                    if not maxs & self.up[x]:
-                        return False
-        return True
+        """Above every lower bound of a small subset sits a maximal lower bound."""
+        return self._bound_complete(self._lower, self.max_of, self.up)
 
     def has_maximality(self) -> bool:
         """Every two-element lower cone has a maximal element."""

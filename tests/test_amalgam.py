@@ -1,11 +1,15 @@
+import pathlib
 import time
+from itertools import combinations
 
 import pytest
 
-from paraposet import figures
+from paraposet import figures, fileformat
 from paraposet import amalgam as am
 from paraposet import ortho as O
 from paraposet.poset import FinitePoset, bits
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_fig5_family_builds_eight_element_lattice():
@@ -89,6 +93,68 @@ def test_loop_search_budget():
     assert am.find_loops(fam, 3) == []
     assert am.find_loops(fam, 4) == []
     assert len(am.find_loops(fam, 5)) == 1
+
+
+def kleene_loop():
+    """Four K3 x B2 blocks in a 4-loop; each block shares its chain pair
+    with one neighbour and its complemented pair with the other."""
+    blocks = [figures.kleene_k3b2(atom, side, name=f"K{i + 1}")
+              for i, (atom, side) in enumerate(("ad", "ab", "cb", "cd"))]
+    glue = [[(i, x + s), ((i + 1) % 4, x + s)]
+            for i, x in enumerate("abcd") for s in ("", "'")]
+    return am.validate_family(blocks, glue, names=("K1", "K2", "K3", "K4"))
+
+
+def test_kleene_loop_classification():
+    fam = kleene_loop()
+    amal = am.build_amalgam(fam)
+    rep = am.classify_amalgam(fam, amal)
+    assert amal.carrier.poset.n == 10
+    assert len(rep.loops3) == 0 and len(rep.loops4) == 1
+    assert not rep.predicted_lattice and not rep.direct_lattice
+    assert rep.direct_sharply
+    assert rep.agree
+    cover = am.cover_transfer(fam, amal)
+    assert not cover.violations and not cover.exceptions
+
+
+def _two_block_union_reference(fam, i, j):
+    """Blocks i and j pasted as a family of their own: glue their shared
+    classes, validate the pair and build it."""
+    glue = [[(0, fam.class_of[i].index(c)), (1, fam.class_of[j].index(c))]
+            for c in fam.shared(i, j) if c not in (fam.zero, fam.one)]
+    sub = am.validate_family([fam.blocks[i], fam.blocks[j]], glue,
+                             names=(fam.names[i], fam.names[j]))
+    return sub, am.build_amalgam(sub).carrier
+
+
+def _numbered_by_first_occurrence(fam):
+    order = []
+    for row in fam.class_of:
+        order += [c for c in row if c not in order]
+    return order == list(range(len(fam.members)))
+
+
+FAMILIES = {
+    **{f"fixture-{d}": (lambda d=d: fileformat.load(str(FIXTURES / d / "family.poset")))
+       for d in ("chain", "fig5", "pentagon", "square", "triangle")},
+    **{f"cycle-{n}": (lambda n=n: figures.greechie_cycle(n)) for n in (3, 4, 5)},
+    "chain": figures.greechie_chain,
+    "fig5": figures.fig5_family,
+    "kleene-loop": kleene_loop,
+}
+
+
+@pytest.mark.parametrize("build", FAMILIES.values(), ids=FAMILIES.keys())
+def test_two_block_union_matches_a_fresh_pasting(build):
+    fam = build()
+    assert _numbered_by_first_occurrence(fam)
+    for i, j in combinations(range(len(fam.blocks)), 2):
+        sub, ref = _two_block_union_reference(fam, i, j)
+        assert _numbered_by_first_occurrence(sub)
+        got = am.two_block_union(fam, i, j)
+        assert (got.poset.labels, got.poset.up, got.inv) == \
+            (ref.poset.labels, ref.poset.up, ref.inv)
 
 
 def test_two_block_unions_are_lattices():

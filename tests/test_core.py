@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paraposet import amalgam, figures, fileformat
+from paraposet import amalgam, figures, fileformat, harness
 from paraposet.poset import (BadIndex, FinitePoset, NotAntisymmetric, NotBounded,
                              bits, distributive_nary, mask_of)
 from paraposet.universe import bounded_posets
@@ -288,3 +288,22 @@ def test_distributivity_predicates_share_one_pair_cone_build(monkeypatch):
     assert p.distributive_variant_failure is None
     assert distributive_nary(p, (1, 2, 3), 4) == (True, True)
     assert builds == [p]
+
+
+def test_bound_completeness_runs_once_per_poset(monkeypatch):
+    runs = []
+    body = FinitePoset._bound_complete
+
+    def counted(p, cone, extremal, rows):
+        runs.append((p, rows is p.up))
+        return body(p, cone, extremal, rows)
+
+    monkeypatch.setattr(FinitePoset, "_bound_complete", counted)
+    [res] = harness.run_harness(6, ["completeness-finite"])
+    assert res.ok
+    posets = {id(p) for p, _ in runs}
+    # one minimal-upper-bound and one maximal-lower-bound run per poset,
+    # though many posets carry several involutions
+    assert sorted((id(p), mlb) for p, mlb in runs) == sorted(
+        (i, mlb) for i in posets for mlb in (False, True))
+    assert res.instances > len(posets)

@@ -148,6 +148,24 @@ def test_cli_amalgam_loops_below_three(capsys):
     assert "loops start at order 3" in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "amalgam"])
+@pytest.mark.parametrize("block", ["inner.poset", "family.poset"],
+                         ids=["family-block", "self-block"])
+def test_family_block_without_global_involution(tmp_path, capsys, command, block):
+    # a block that is a family file, or the family file naming itself
+    for name in ("K1.poset", "K2.poset", "family.poset"):
+        text = (FIXTURES / "chain" / name).read_text()
+        (tmp_path / ("inner.poset" if name == "family.poset" else name)).write_text(text)
+    family = tmp_path / "family.poset"
+    family.write_text(f"name outer\nfamily\nblock K1 K1.poset\nblock A {block}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(family)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {family}: block A must carry a global involution\n"
+
+
 def test_cli_verify_deterministic(capsys):
     argv = ["verify", "--theorems", "th1,duality,omui", "--max-n", "4"]
     assert cli.main(argv) == 0
