@@ -2,7 +2,10 @@
 
 Blocks are glued along {0,1} or along 4-element atomic subalgebras.
 Validation enforces the pasting rules; the builder re-checks the order
-and involution axioms on the glued carrier instead of trusting them.
+and involution axioms on the glued carrier instead of trusting them,
+and returns the carrier. ``build_amalgam`` is the one place that checks
+that a carrier is paraorthomodular: it raises otherwise, so no consumer
+re-checks it.
 
 A family numbers its identification classes once, by first occurrence
 over (block, element), and every consumer reads that numbering. The
@@ -27,37 +30,7 @@ class FamilyError(PosetError):
     pass
 
 
-class BlockTooSmall(FamilyError):
-    pass
-
-
 class NotKleene(FamilyError):
-    pass
-
-
-class BadIntersection(FamilyError):
-    def __init__(self, i, j, detail):
-        super().__init__(f"bad intersection of blocks {i} and {j}: {detail}")
-        self.blocks = (i, j)
-
-
-class K3Intersection(FamilyError):
-    def __init__(self, i, j):
-        super().__init__(f"blocks {i} and {j} share a 3-element subalgebra")
-        self.blocks = (i, j)
-
-
-class NotAtomCoatom(FamilyError):
-    def __init__(self, label, i):
-        super().__init__(f"shared element {label} is neither atom nor coatom in block {i}")
-        self.element = label
-
-
-class OrderViolation(FamilyError):
-    pass
-
-
-class InvolutionClash(FamilyError):
     pass
 
 
@@ -123,7 +96,7 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
     names = tuple(names) if names else tuple(f"K{i+1}" for i in range(len(blocks)))
     for i, blk in enumerate(blocks):
         if blk.n < 6:
-            raise BlockTooSmall(f"block {names[i]} has {blk.n} elements")
+            raise FamilyError(f"block {names[i]} has {blk.n} elements")
         if not is_kleene_lattice(blk):
             raise NotKleene(f"block {names[i]} is not a Kleene lattice")
         # in a Kleene lattice a zero meet forces orthogonality
@@ -161,7 +134,8 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         seen = {}
         for i, e in resolved:
             if i in seen:
-                raise BadIntersection(i, i, "two elements of one block identified")
+                raise FamilyError(f"bad intersection of blocks {names[i]} and "
+                                  f"{names[i]}: two elements of one block identified")
             seen[i] = e
         for i, e in resolved[1:]:
             union(key(resolved[0][0], resolved[0][1]), key(i, e))
@@ -170,7 +144,8 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
     roots = [[find(key(i, e)) for e in range(blk.n)] for i, blk in enumerate(blocks)]
     for i, row in enumerate(roots):
         if len(set(row)) != len(row):
-            raise BadIntersection(i, i, "two elements of one block identified")
+            raise FamilyError(f"bad intersection of blocks {names[i]} and "
+                              f"{names[i]}: two elements of one block identified")
     fam = _paste(blocks, names, roots)
 
     zero, one = fam.zero, fam.one
@@ -178,50 +153,46 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         s = fam.shared(i, j)
         if s == {zero, one}:
             continue
+        bad = f"bad intersection of blocks {names[i]} and {names[j]}"
         if len(s) == 3:
-            raise K3Intersection(names[i], names[j])
+            raise FamilyError(f"blocks {names[i]} and {names[j]} "
+                              "share a 3-element subalgebra")
         if len(s) != 4 or zero not in s or one not in s:
-            raise BadIntersection(names[i], names[j],
-                                  f"shared set of size {len(s)}")
+            raise FamilyError(f"{bad}: shared set of size {len(s)}")
         mid = sorted(s - {zero, one})
         ei = {c: fam.class_of[i].index(c) for c in s}
         ej = {c: fam.class_of[j].index(c) for c in s}
         bi, bj = blocks[i], blocks[j]
         for c in mid:
-            if not _atom_or_coatom(bi.poset, ei[c]):
-                raise NotAtomCoatom(bi.poset.labels[ei[c]], names[i])
-            if not _atom_or_coatom(bj.poset, ej[c]):
-                raise NotAtomCoatom(bj.poset.labels[ej[c]], names[j])
+            for k, blk, e in ((i, bi, ei[c]), (j, bj, ej[c])):
+                if not _atom_or_coatom(blk.poset, e):
+                    raise FamilyError(f"shared element {blk.poset.labels[e]} is "
+                                      f"neither atom nor coatom in block {names[k]}")
         for c in s:
             ci = fam.class_of[i][bi.inv[ei[c]]]
             cj = fam.class_of[j][bj.inv[ej[c]]]
             if ci != cj or ci not in s:
-                raise BadIntersection(names[i], names[j],
-                                      "not closed under the involutions")
+                raise FamilyError(f"{bad}: not closed under the involutions")
         for c, d in combinations(s, 2):
             if bi.poset.leq(ei[c], ei[d]) != bj.poset.leq(ej[c], ej[d]) \
                     or bi.poset.leq(ei[d], ei[c]) != bj.poset.leq(ej[d], ej[c]):
-                raise BadIntersection(names[i], names[j],
-                                      "orders disagree on the shared set")
+                raise FamilyError(f"{bad}: orders disagree on the shared set")
         for blk, em in ((bi, ei), (bj, ej)):
             smask = mask_of(em[c] for c in s)
             for c, d in combinations(s, 2):
                 m = blk.poset.meet(em[c], em[d])
                 jn = blk.poset.join(em[c], em[d])
                 if m is None or jn is None or not (smask >> m & 1 and smask >> jn & 1):
-                    raise BadIntersection(names[i], names[j],
-                                          "shared set is not a sublattice")
+                    raise FamilyError(f"{bad}: shared set is not a sublattice")
     return fam
 
 
-@dataclass(frozen=True)
-class AtomicAmalgam:
-    family: PastedFamily
-    carrier: OrthoPoset
+def build_amalgam(fam: PastedFamily) -> OrthoPoset:
+    """The carrier: union order, blockwise involution, re-validated.
 
-
-def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
-    """Glue the blocks: union order, blockwise involution, re-validated."""
+    Raises AssertionError if the carrier is not paraorthomodular, which
+    the pasting theorem rules out for Kleene blocks.
+    """
     nc = len(fam.members)
     labels = []
     used = {}
@@ -243,7 +214,7 @@ def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
     try:
         poset = FinitePoset(labels, up)
     except PosetError as exc:
-        raise OrderViolation(f"glued relation is not a bounded order: {exc}") from exc
+        raise FamilyError(f"glued relation is not a bounded order: {exc}") from exc
 
     inv = [-1] * nc
     for i, blk in enumerate(fam.blocks):
@@ -251,18 +222,17 @@ def build_amalgam(fam: PastedFamily) -> AtomicAmalgam:
             c = fam.class_of[i][e]
             ci = fam.class_of[i][blk.inv[e]]
             if inv[c] not in (-1, ci):
-                raise InvolutionClash(f"blocks disagree on the involute of {labels[c]}")
+                raise FamilyError(f"blocks disagree on the involute of {labels[c]}")
             inv[c] = ci
     try:
         carrier = validate_involution(poset, inv)
     except InvolutionError as exc:
-        raise InvolutionClash(str(exc)) from exc
+        raise FamilyError(str(exc)) from exc
 
-    amal = AtomicAmalgam(fam, carrier)
     # every amalgam of Kleene blocks is paraorthomodular
     if not is_paraorthomodular(carrier):
         raise AssertionError("amalgam of Kleene blocks is not paraorthomodular")
-    return amal
+    return carrier
 
 
 @dataclass(frozen=True)
@@ -331,49 +301,49 @@ def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
 
 @dataclass
 class ClassificationReport:
+    """Loop predictions next to direct checks of the carrier.
+
+    The carrier is paraorthomodular: ``build_amalgam`` raises otherwise.
+    """
+
     loops3: List[AtomicLoop]
     loops4: List[AtomicLoop]
     predicted_sharply: bool
     predicted_lattice: bool
-    direct_paraortho: bool
     direct_sharply: bool
     direct_lattice: bool
+    two_block_lattices: bool
     join_witness: Optional[Tuple[int, int]] = None
-    two_block_lattices: bool = True
 
     @property
     def agree(self) -> bool:
-        return (self.direct_paraortho
-                and self.predicted_sharply == self.direct_sharply
+        return (self.predicted_sharply == self.direct_sharply
                 and self.predicted_lattice == self.direct_lattice)
 
 
 def classify_amalgam(fam: PastedFamily,
-                     amal: Optional[AtomicAmalgam] = None) -> ClassificationReport:
+                     carrier: Optional[OrthoPoset] = None) -> ClassificationReport:
     """Loop-based prediction against direct carrier checks."""
-    if amal is None:
-        amal = build_amalgam(fam)
+    if carrier is None:
+        carrier = build_amalgam(fam)
     loops3 = find_loops(fam, 3)
     loops4 = find_loops(fam, 4)
-    carrier = amal.carrier
+    p = carrier.poset
     rep = ClassificationReport(
         loops3=loops3,
         loops4=loops4,
         predicted_sharply=not loops3,
         predicted_lattice=not loops3 and not loops4,
-        direct_paraortho=is_paraorthomodular(carrier),
         direct_sharply=is_sharply_paraorthomodular(carrier),
-        direct_lattice=carrier.poset.is_lattice,
+        direct_lattice=p.is_lattice,
+        # a list, not a generator: every union is built, so every one is checked
+        two_block_lattices=all([two_block_union(fam, i, j).poset.is_lattice
+                                for i, j in combinations(range(len(fam.blocks)), 2)]),
     )
     if loops3:
         a1, a3 = loops3[0].atoms[0], loops3[0].atoms[2]
-        p = carrier.poset
         if p.leq(a1, carrier.inv[a3]) and p.join(a1, a3) is None:
             rep.join_witness = (a1, a3)
-    for i, j in combinations(range(len(fam.blocks)), 2):
-        sub = two_block_union(fam, i, j)
-        if not (sub.poset.is_lattice and is_paraorthomodular(sub)):
-            rep.two_block_lattices = False
     return rep
 
 
@@ -387,7 +357,7 @@ def two_block_union(fam: PastedFamily, i: int, j: int) -> OrthoPoset:
     """
     sub = _paste((fam.blocks[i], fam.blocks[j]), (fam.names[i], fam.names[j]),
                  (fam.class_of[i], fam.class_of[j]))
-    return build_amalgam(sub).carrier
+    return build_amalgam(sub)
 
 
 @dataclass
@@ -407,9 +377,9 @@ class CoverReport:
         return not self.violations
 
 
-def cover_transfer(fam: PastedFamily, amal: AtomicAmalgam) -> CoverReport:
+def cover_transfer(fam: PastedFamily, carrier: OrthoPoset) -> CoverReport:
     rep = CoverReport()
-    p = amal.carrier.poset
+    p = carrier.poset
     for i, blk in enumerate(fam.blocks):
         bp = blk.poset
         for x in range(bp.n):
@@ -420,7 +390,7 @@ def cover_transfer(fam: PastedFamily, amal: AtomicAmalgam) -> CoverReport:
                 amal_cover = p.covers_pair(cx, cy)
                 if amal_cover and not block_cover:
                     rep.violations.append(("i", cx, cy, i))
-                if cy != amal.carrier.inv[cx]:
+                if cy != carrier.inv[cx]:
                     if block_cover != amal_cover:
                         rep.violations.append(("ii", cx, cy, i))
                 elif block_cover and not amal_cover:

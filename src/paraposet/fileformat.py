@@ -19,7 +19,10 @@ no section lines, and the element identifications:
 Comments start with '#'. Emission is canonical: the element line keeps
 declaration order, cover/inv/section lines are regenerated from the
 built structure and sorted, so emit is idempotent and fixtures
-round-trip byte for byte.
+round-trip byte for byte. A family emitted from its parsed file keeps
+the file's name line (or its absence) and block paths, and regenerates
+the identify lines; a family built in code is named by its joined block
+names and lists block NAME as NAME.poset.
 """
 
 from __future__ import annotations
@@ -187,14 +190,17 @@ def _inv_map(p: FinitePoset, pairs) -> list:
 
 def emit(obj: Union[Structure, StructureFile], basedir: str = ".") -> str:
     """Canonical text for a structure; idempotent with parse."""
+    sf = None
     if isinstance(obj, StructureFile):
-        obj = build(obj, basedir)
+        sf, obj = obj, build(obj, basedir)
     lines = []
     if isinstance(obj, PastedFamily):
-        lines.append(f"name {'-'.join(obj.names)}")
+        name = sf.name if sf else "-".join(obj.names)
+        paths = dict(sf.blocks) if sf else {n: f"{n}.poset" for n in obj.names}
+        if name:
+            lines.append(f"name {name}")
         lines.append("family")
-        for name, _ in zip(obj.names, obj.blocks):
-            lines.append(f"block {name} {name}.poset")
+        lines.extend(f"block {n} {paths[n]}" for n in obj.names)
         groups = []
         for cls, members in enumerate(obj.members):
             if cls in (obj.zero, obj.one) or len(members) < 2:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from .poset import FinitePoset, bits
 from .ortho import OrthoPoset
 from .relative import SectionedPoset
-from .amalgam import AtomicAmalgam
 from .implication import SetValuedTable
 
 
@@ -20,8 +19,6 @@ def export_dot(structure) -> str:
     is recorded as a node attribute so the diagram stays a plain graph.
     """
     inv = None
-    if isinstance(structure, AtomicAmalgam):
-        structure = structure.carrier
     if isinstance(structure, OrthoPoset):
         inv = structure.inv
         p = structure.poset

@@ -78,10 +78,12 @@ def test_section_implication_table(report):
 
 def test_amalgam_theorems(report):
     t0 = time.perf_counter()
-    tri = am.classify_amalgam(figures.greechie_cycle(3))
+    tri_fam = figures.greechie_cycle(3)
+    tri_carrier = am.build_amalgam(tri_fam)
+    tri = am.classify_amalgam(tri_fam, tri_carrier)
     sq = am.classify_amalgam(figures.greechie_cycle(4))
     ch = am.classify_amalgam(figures.greechie_chain())
-    ok = (tri.direct_paraortho and not tri.direct_sharply
+    ok = (O.is_paraorthomodular(tri_carrier) and not tri.direct_sharply
           and tri.join_witness is not None and tri.agree)
     ok = ok and (sq.direct_sharply and not sq.direct_lattice and sq.agree)
     ok = ok and (ch.direct_lattice and ch.direct_sharply and ch.agree)
@@ -119,9 +121,9 @@ def test_known_separations(report):
 
 def test_cover_anomaly(report):
     fam = figures.fig5_family()
-    amal = am.build_amalgam(fam)
-    rep = am.cover_transfer(fam, amal)
-    p = amal.carrier.poset
+    carrier = am.build_amalgam(fam)
+    rep = am.cover_transfer(fam, carrier)
+    p = carrier.poset
     ok = rep.ok
     hit = [e for e in rep.exceptions
            if p.labels[e[0]] == "a" and p.labels[e[1]] == "a'"]

@@ -14,11 +14,11 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_fig5_family_builds_eight_element_lattice():
     fam = figures.fig5_family()
-    amal = am.build_amalgam(fam)
-    p = amal.carrier.poset
+    carrier = am.build_amalgam(fam)
+    p = carrier.poset
     assert p.n == 8
     assert p.is_lattice
-    assert O.is_sharply_paraorthomodular(amal.carrier)
+    assert O.is_sharply_paraorthomodular(carrier)
 
 
 def test_small_block_rejected():
@@ -57,17 +57,17 @@ def test_three_element_intersection_rejected():
 
 def test_triangle_classification():
     fam = figures.greechie_cycle(3)
-    amal = am.build_amalgam(fam)
-    rep = am.classify_amalgam(fam, amal)
-    assert amal.carrier.poset.n == 14
+    carrier = am.build_amalgam(fam)
+    rep = am.classify_amalgam(fam, carrier)
+    assert carrier.poset.n == 14
     assert len(rep.loops3) == 1 and len(rep.loops4) == 0
-    assert rep.direct_paraortho and not rep.direct_sharply
+    assert O.is_paraorthomodular(carrier) and not rep.direct_sharply
     assert not rep.direct_lattice
     assert rep.agree
     assert rep.join_witness is not None
     a, b = rep.join_witness
-    p = amal.carrier.poset
-    assert p.leq(a, amal.carrier.inv[b])
+    p = carrier.poset
+    assert p.leq(a, carrier.inv[b])
     assert p.join(a, b) is None
     assert rep.two_block_lattices
 
@@ -107,14 +107,14 @@ def kleene_loop():
 
 def test_kleene_loop_classification():
     fam = kleene_loop()
-    amal = am.build_amalgam(fam)
-    rep = am.classify_amalgam(fam, amal)
-    assert amal.carrier.poset.n == 10
+    carrier = am.build_amalgam(fam)
+    rep = am.classify_amalgam(fam, carrier)
+    assert carrier.poset.n == 10
     assert len(rep.loops3) == 0 and len(rep.loops4) == 1
     assert not rep.predicted_lattice and not rep.direct_lattice
     assert rep.direct_sharply
     assert rep.agree
-    cover = am.cover_transfer(fam, amal)
+    cover = am.cover_transfer(fam, carrier)
     assert not cover.violations and not cover.exceptions
 
 
@@ -125,7 +125,7 @@ def _two_block_union_reference(fam, i, j):
             for c in fam.shared(i, j) if c not in (fam.zero, fam.one)]
     sub = am.validate_family([fam.blocks[i], fam.blocks[j]], glue,
                              names=(fam.names[i], fam.names[j]))
-    return sub, am.build_amalgam(sub).carrier
+    return sub, am.build_amalgam(sub)
 
 
 def _numbered_by_first_occurrence(fam):
@@ -166,12 +166,48 @@ def test_two_block_unions_are_lattices():
             assert O.is_paraorthomodular(sub)
 
 
+def test_classify_checks_the_pasting_theorem_once_per_two_block_union(monkeypatch):
+    fam = FAMILIES["fixture-pentagon"]()
+    carrier = am.build_amalgam(fam)
+    checked = []
+
+    def counted(o):
+        checked.append(o)
+        return O.is_paraorthomodular(o)
+
+    monkeypatch.setattr(am, "is_paraorthomodular", counted)
+    am.classify_amalgam(fam, carrier)
+    # one build_amalgam per block pair, none on the carrier again
+    assert len(checked) == len(list(combinations(range(5), 2))) == 10
+
+
+def test_build_amalgam_raises_when_the_pasting_theorem_fails(monkeypatch):
+    fams = [build() for name, build in FAMILIES.items() if name.startswith("fixture-")]
+    assert len(fams) == 5
+    monkeypatch.setattr(am, "is_paraorthomodular", lambda o: False)
+    for fam in fams:
+        with pytest.raises(AssertionError, match="not paraorthomodular"):
+            am.build_amalgam(fam)
+
+
+@pytest.mark.parametrize("identify", [
+    "identify K1:p K2:p K1:b1\n",
+    "identify K1:p K2:p\nidentify K2:p K1:b1\n",
+], ids=["one-line", "two-lines"])
+def test_same_block_collapse_names_the_block(identify):
+    text = "family\nblock K1 K1.poset\nblock K2 K2.poset\n" + identify
+    with pytest.raises(am.FamilyError) as err:
+        fileformat.build(fileformat.parse(text), basedir=str(FIXTURES / "chain"))
+    assert str(err.value) == \
+        "bad intersection of blocks K1 and K1: two elements of one block identified"
+
+
 def test_fig5_cover_anomaly():
     fam = figures.fig5_family()
-    amal = am.build_amalgam(fam)
-    rep = am.cover_transfer(fam, amal)
+    carrier = am.build_amalgam(fam)
+    rep = am.cover_transfer(fam, carrier)
     assert rep.ok, rep.violations
-    p = amal.carrier.poset
+    p = carrier.poset
     found = False
     for cx, cy, blk, between in rep.exceptions:
         if p.labels[cx] == "a" and p.labels[cy] == "a'":
@@ -182,8 +218,7 @@ def test_fig5_cover_anomaly():
 
 def test_cover_transfer_clean_on_chain():
     fam = figures.greechie_chain()
-    amal = am.build_amalgam(fam)
-    rep = am.cover_transfer(fam, amal)
+    rep = am.cover_transfer(fam, am.build_amalgam(fam))
     assert rep.ok and not rep.exceptions
 
 

@@ -208,7 +208,7 @@ def _fixture_posets(path):
     s = fileformat.load(str(path))
     if isinstance(s, amalgam.PastedFamily):
         blocks = [blk.poset for blk in s.blocks]
-        return blocks + [amalgam.build_amalgam(s).carrier.poset]
+        return blocks + [amalgam.build_amalgam(s).poset]
     return [getattr(s, "poset", s)]
 
 

@@ -29,6 +29,15 @@ def test_round_trip_identity(path):
     assert ff.emit(built) == text
 
 
+@pytest.mark.parametrize("name_line", ["name chain\n", ""], ids=["named", "unnamed"])
+def test_family_file_round_trip_keeps_its_name_and_block_paths(tmp_path, name_line):
+    for block, path in (("K1", "one.poset"), ("K2", "two.poset")):
+        (tmp_path / path).write_text((FIXTURES / "chain" / f"{block}.poset").read_text())
+    text = (name_line + "family\nblock K1 one.poset\nblock K2 two.poset\n"
+            "identify K1:p K2:p\nidentify K1:p' K2:p'\n")
+    assert ff.emit(ff.parse(text), basedir=str(tmp_path)) == text
+
+
 def test_emit_idempotent():
     o = figures.fig2a()
     once = ff.emit(o)
