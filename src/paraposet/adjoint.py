@@ -15,17 +15,24 @@ identities at x, x v ((x v y) ^ x') = x v y and x ^ ((x ^ y) v x') =
 x ^ y, read only inv[x]. The Sasaki product y ^ (x v y') and the Sasaki
 implication y' v (y ^ z) read only inv[y], and so does their
 adjointness at y over every (x, z). So two masks per element, built
-once per lattice, settle every involution of it: ``G[x]`` holds the
-values a for which both identities hold at x when inv[x] = a, and
-``H[y]`` the values b for which adjointness holds at y when inv[y] = b.
-The identities hold for ``inv`` when every inv[x] is in G[x], and the
-pair is adjoint when every inv[y] is in H[y].
+once per lattice, hold the admissible values: ``G[x]`` those a for
+which both identities hold at x when inv[x] = a, and ``H[y]`` those b
+for which adjointness holds at y when inv[y] = b. With b fixed, f(x) =
+y ^ (x v b) and g(z) = b v (y ^ z) are monotone, so f is left adjoint
+to g exactly when the unit x <= g(f(x)) holds for every x and the
+counit f(g(z)) <= z for every z: each b costs O(n) with early exit.
+
+From the masks, one backtracker (``universe.involutions`` with the
+masks as allowed partners) lists the involutions that fit G and those
+that fit H, once per lattice. A pair is then two set lookups: the
+identities hold for ``inv`` when it fits G, and the Sasaki pair is
+adjoint when it fits H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits, mask_of
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
@@ -33,6 +40,7 @@ from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
 from .implication import (NotALattice, SetValuedTable,
                           TheoremReport, cached, impl_I, sasaki_impl, sasaki_proj,
                           _require_orthogonal)
+from .universe import involutions
 
 
 @dataclass
@@ -117,9 +125,9 @@ def _omidentity_masks(p: FinitePoset) -> Tuple[Tuple[int, ...], Tuple[int, ...]]
     """``(G, H)`` of a lattice: per element, the mask of its admissible involutes.
 
     The joins x v y over all y are the u >= x and the meets x ^ y are
-    the d <= x, so G[x] tests a on those alone. For H[y] the relations
-    y ^ (x v b) <= z and x <= b v (y ^ z) over all (x, z) are each packed
-    into one n*n-bit int, bit x*n + z, so comparing them is one test.
+    the d <= x, so G[x] tests a on those alone. H[y] tests b by the unit
+    x <= b v (y ^ (x v b)) over all x and the counit
+    y ^ (b v (y ^ z)) <= z over all z.
     """
     if not p.is_lattice:
         raise NotALattice("Sasaki lattice operators need a lattice")
@@ -130,13 +138,19 @@ def _omidentity_masks(p: FinitePoset) -> Tuple[Tuple[int, ...], Tuple[int, ...]]
                 if all(joins[x][meets[u][a]] == u for u in bits(up[x]))
                 and all(meets[x][joins[d][a]] == d for d in bits(down[x])))
         for x in r)
-    below = [sum(1 << x * n for x in bits(down[w])) for w in r]
     h = tuple(
-        mask_of(b for b in r
-                if sum(up[meets[y][joins[x][b]]] << x * n for x in r)
-                == sum(below[joins[b][meets[y][z]]] << z for z in r))
-        for y in r)
+        mask_of(b for b, jb in enumerate(joins)
+                if all(up[x] >> jb[my[jb[x]]] & 1 for x in r)
+                and all(up[my[jb[my[z]]]] >> z & 1 for z in r))
+        for my in meets)
     return g, h
+
+
+def _omidentity_fits(p: FinitePoset) -> Tuple[FrozenSet[Tuple[int, ...]],
+                                              FrozenSet[Tuple[int, ...]]]:
+    """The involutions of a lattice that fit G, and those that fit H."""
+    g, h = cached(p, _omidentity_masks)
+    return frozenset(involutions(p.n, g)), frozenset(involutions(p.n, h))
 
 
 def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bool]:
@@ -150,9 +164,8 @@ def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bo
     # a permutation of the elements that is its own inverse
     if sorted(inv) != ids or [inv[a] for a in inv] != ids:
         raise AssertionError(f"not an involution: {inv}")
-    g, h = cached(p, _omidentity_masks)
-    oi = all(g[x] >> a & 1 for x, a in enumerate(inv))
-    adj = all(h[y] >> b & 1 for y, b in enumerate(inv))
+    fits_g, fits_h = cached(p, _omidentity_fits)
+    oi, adj = inv in fits_g, inv in fits_h
     return oi, adj, oi == adj
 
 

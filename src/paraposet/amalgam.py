@@ -34,6 +34,14 @@ class NotKleene(FamilyError):
     pass
 
 
+class PastingViolation(AssertionError):
+    """A carrier of Kleene blocks that is not paraorthomodular.
+
+    The pasting theorem rules this out, so it is a failed check, not a
+    malformed family.
+    """
+
+
 @dataclass(frozen=True)
 class PastedFamily:
     """Validated Kleene blocks plus the identification classes."""
@@ -190,8 +198,8 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
 def build_amalgam(fam: PastedFamily) -> OrthoPoset:
     """The carrier: union order, blockwise involution, re-validated.
 
-    Raises AssertionError if the carrier is not paraorthomodular, which
-    the pasting theorem rules out for Kleene blocks.
+    Raises PastingViolation if the carrier is not paraorthomodular,
+    which the pasting theorem rules out for Kleene blocks.
     """
     nc = len(fam.members)
     labels = []
@@ -231,7 +239,7 @@ def build_amalgam(fam: PastedFamily) -> OrthoPoset:
 
     # every amalgam of Kleene blocks is paraorthomodular
     if not is_paraorthomodular(carrier):
-        raise AssertionError("amalgam of Kleene blocks is not paraorthomodular")
+        raise PastingViolation("amalgam of Kleene blocks is not paraorthomodular")
     return carrier
 
 

@@ -121,7 +121,8 @@ def cmd_amalgam(args) -> int:
     print(f"elements: {p.n}")
     print(f"loops: order-3={len(rep.loops3)} order-4={len(rep.loops4)}")
     print(f"predicted: sharply={rep.predicted_sharply} lattice={rep.predicted_lattice}")
-    # build_amalgam raises on a carrier that is not paraorthomodular
+    # build_amalgam raises PastingViolation on a carrier that is not
+    # paraorthomodular, and main turns that into exit 3
     print("direct: paraorthomodular=True "
           f"sharply={rep.direct_sharply} lattice={rep.direct_lattice}")
     if rep.join_witness is not None:
@@ -247,7 +248,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except am.PastingViolation as exc:
+        # only a family file is pasted: ``amalgam`` names it ``family``
+        path = getattr(args, "file", None) or args.family
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

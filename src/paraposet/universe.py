@@ -20,10 +20,11 @@ so a caller walking ``bounded_posets`` once can feed every stream. One
 backtracker, ``filter_involutions``, pairs the points of a principal
 filter [x,1] on the poset's own rows; an antitone involution of the
 poset is the one of its bottom filter [0,1], and a section family takes
-one of each filter. The same canonical form, applied to the strict-up
-rows of the whole poset with the involution relabelled alongside, keys
-ortho structures, and two of them are orthoisomorphic exactly when
-their keys are equal.
+one of each filter. ``involutions`` pairs bare points, with no order,
+optionally within a mask of allowed partners per point. The same
+canonical form, applied to the strict-up rows of the whole poset with
+the involution relabelled alongside, keys ortho structures, and two of
+them are orthoisomorphic exactly when their keys are equal.
 """
 
 from __future__ import annotations
@@ -110,24 +111,31 @@ def bounded_posets(n: int) -> Iterator[FinitePoset]:
         yield FinitePoset(labels, up, name=f"P{n}")
 
 
-def involutions(n: int) -> Iterator[Tuple[int, ...]]:
-    """All self-inverse permutations of 0..n-1."""
+def involutions(n: int,
+                allowed: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, ...]]:
+    """Self-inverse permutations of 0..n-1, in lexicographic order.
+
+    With ``allowed``, only those with inv[x] in the mask ``allowed[x]``
+    for every x: the least unpaired x is paired with an unpaired a
+    only when a is in allowed[x] and x is in allowed[a].
+    """
+    full = (1 << n) - 1
+    if allowed is None:
+        allowed = [full] * n
     inv = [-1] * n
 
-    def rec(x):
-        if x == n:
+    def rec(free):
+        if not free:
             yield tuple(inv)
             return
-        if inv[x] >= 0:
-            yield from rec(x + 1)
-            return
-        for y in range(x, n):
-            if inv[y] < 0:
-                inv[x], inv[y] = y, x
-                yield from rec(x + 1)
-                inv[x] = inv[y] = -1
+        x = (free & -free).bit_length() - 1
+        for a in bits(allowed[x] & free):
+            if not allowed[a] >> x & 1:
+                continue
+            inv[x], inv[a] = a, x
+            yield from rec(free & ~(1 << x | 1 << a))
 
-    yield from rec(0)
+    yield from rec(full)
 
 
 def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:

@@ -105,25 +105,50 @@ def test_om_identity_rejects_malformed_involutions():
             A.omidentity_equiv(chain, inv)
 
 
+def test_om_identity_fit_sets_match_the_masks():
+    lattices = [p for n in range(2, 9) for p in U.bounded_posets(n) if p.is_lattice]
+    sizes = Counter()
+    for p in lattices + [figures.boolean_cube().poset]:
+        g, h = A._omidentity_masks(p)
+        invs = list(U.involutions(p.n))
+
+        def fitting(masks):
+            return frozenset(inv for inv in invs
+                             if all(masks[x] >> a & 1 for x, a in enumerate(inv)))
+
+        fits = A._omidentity_fits(p)
+        assert fits == (fitting(g), fitting(h)), p.up
+        sizes[len(fits[0]), len(fits[1])] += 1
+    # lattices with no fitting involution, with one, and with several
+    assert sizes[0, 0] and sizes[1, 1] and any(a > 1 for a, b in sizes)
+
+
 def test_om_identity_masks_built_once_per_lattice(monkeypatch):
     built = Counter()
+    fitted = Counter()
     sizes = Counter()
-    build, enumerate_involutions = A._omidentity_masks, H.involutions
+    build, fit = A._omidentity_masks, A._omidentity_fits
+    enumerate_involutions = H.involutions
 
     def counted_build(p):
         built[p] += 1
         return build(p)
+
+    def counted_fit(p):
+        fitted[p] += 1
+        return fit(p)
 
     def counted_involutions(n):
         sizes[n] += 1
         return enumerate_involutions(n)
 
     monkeypatch.setattr(A, "_omidentity_masks", counted_build)
+    monkeypatch.setattr(A, "_omidentity_fits", counted_fit)
     monkeypatch.setattr(H, "involutions", counted_involutions)
     [res] = H.run_harness(6, ["omidentity"])
     lattices = [p for n in range(2, 7) for p in U.bounded_posets(n) if p.is_lattice]
     assert res.ok and res.instances == 1 * 2 + 1 * 4 + 2 * 10 + 5 * 26 + 15 * 76
-    assert len(lattices) == 24 and built == Counter(lattices)
+    assert len(lattices) == 24 and built == fitted == Counter(lattices)
     assert sizes == Counter(range(2, 7))
     # a failed build on a non-lattice is not kept, so it raises again
     fence = FinitePoset.from_covers("0abcd1", ["0a", "0b", "ac", "ad", "bc", "bd",
@@ -132,7 +157,7 @@ def test_om_identity_masks_built_once_per_lattice(monkeypatch):
     for _ in range(2):
         with pytest.raises(I.NotALattice):
             A.omidentity_equiv(fence, (5, 2, 1, 4, 3, 0))
-    assert fence._memo == {} and built[fence] == 2
+    assert fence._memo == {} and built[fence] == fitted[fence] == 2
 
 
 def test_subscripted_adjointness_is_orthomodularity():

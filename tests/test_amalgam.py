@@ -186,7 +186,7 @@ def test_build_amalgam_raises_when_the_pasting_theorem_fails(monkeypatch):
     assert len(fams) == 5
     monkeypatch.setattr(am, "is_paraorthomodular", lambda o: False)
     for fam in fams:
-        with pytest.raises(AssertionError, match="not paraorthomodular"):
+        with pytest.raises(am.PastingViolation, match="not paraorthomodular"):
             am.build_amalgam(fam)
 
 

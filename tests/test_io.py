@@ -1,9 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from paraposet import cli, figures, fileformat as ff, harness, render
+from paraposet import amalgam as am, cli, figures, fileformat as ff, harness, render
 from paraposet.poset import PosetError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -173,6 +176,37 @@ def test_family_block_without_global_involution(tmp_path, capsys, command, block
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {family}: block A must carry a global involution\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["amalgam", "--classify"], ["amalgam"], ["check"], ["table", "--op", "i1"],
+    ["export"],
+], ids=lambda argv: " ".join(argv))
+def test_pasting_theorem_failure_exits_3(capsys, monkeypatch, argv):
+    family = str(FIXTURES / "triangle" / "family.poset")
+    monkeypatch.setattr(am, "is_paraorthomodular", lambda o: False)
+    assert cli.main([argv[0], family, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {family}: amalgam of Kleene blocks is not paraorthomodular\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_pasting_theorem_failure_exits_3_in_a_fresh_interpreter(flags):
+    # the check is a raise, not an assert, so -O keeps it
+    family = str(FIXTURES / "triangle" / "family.poset")
+    code = ("from paraposet import amalgam, cli\n"
+            "amalgam.is_paraorthomodular = lambda o: False\n"
+            f"raise SystemExit(cli.main(['amalgam', {family!r}, '--classify']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == (
+        f"error: {family}: amalgam of Kleene blocks is not paraorthomodular\n")
 
 
 def test_cli_verify_deterministic(capsys):

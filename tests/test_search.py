@@ -2,6 +2,7 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from paraposet import figures
 from paraposet import harness
@@ -103,6 +104,28 @@ def test_ortho_universe_counts():
 
 def test_sectioned_universe_count():
     assert sum(1 for _ in U.sectioned_posets(6)) == 26
+
+
+def test_involution_counts():
+    # the involutions of n points, A000085
+    expected = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
+    assert [sum(1 for _ in U.involutions(n)) for n in range(11)] == expected
+
+
+@st.composite
+def involution_masks(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    # masks may name points past n, which no involution can reach
+    return n, draw(st.lists(st.integers(min_value=0, max_value=(1 << n + 1) - 1),
+                            min_size=n, max_size=n))
+
+
+@given(involution_masks())
+def test_masked_involutions_filter_the_unmasked_ones(case):
+    n, allowed = case
+    want = [inv for inv in U.involutions(n)
+            if all(allowed[x] >> a & 1 for x, a in enumerate(inv))]
+    assert list(U.involutions(n, allowed)) == want
 
 
 def test_involutions_are_antitone():
