@@ -8,6 +8,7 @@ counterexample search comes back empty, 2 usage or file errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import amalgam as am
@@ -51,14 +52,20 @@ def _witness(o: OrthoPoset, name: str):
     return "  witness (" + ", ".join(p.labels[i] for i in w) + ")"
 
 
-def cmd_check(args) -> int:
-    obj = _load(args.file)
-    names = args.predicate or sorted(PREDICATES)
+def _unknown_predicate(names) -> bool:
+    """Report the first name that is not a predicate; True if there is one."""
     for name in names:
         if name not in PREDICATES:
             print(f"error: unknown predicate {name!r}", file=sys.stderr)
-            return 2
-    o = _as_ortho(obj, args.file)
+            return True
+    return False
+
+
+def cmd_check(args) -> int:
+    names = args.predicate or sorted(PREDICATES)
+    if _unknown_predicate(names):
+        return 2
+    o = _as_ortho(_load(args.file), args.file)
     all_ok = True
     for name in names:
         try:
@@ -180,10 +187,8 @@ def cmd_search(args) -> int:
         print("error: --implies takes two comma-separated predicates",
               file=sys.stderr)
         return 2
-    for name in (prop_a, prop_b):
-        if name not in PREDICATES:
-            print(f"error: unknown predicate {name!r}", file=sys.stderr)
-            return 2
+    if _unknown_predicate((prop_a, prop_b)):
+        return 2
     found = harness.find_counterexample(prop_a, prop_b, max_n=args.max_n)
     if found is None:
         print(f"no counterexample: {prop_a} implies {prop_b} up to n={args.max_n}")
@@ -201,7 +206,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main``."""
     ap = argparse.ArgumentParser(
         prog="paraposet",
         description="Checks and tables for finite ordered structures "
@@ -212,44 +219,41 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--predicate", action="append",
                    help="predicate name (repeatable; default: all)")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("table", help="print an implication or product table")
     p.add_argument("file")
     p.add_argument("--op", required=True,
                    choices=["i1", "i2", "i3", "i4", "sasaki-impl", "sasaki-prod"])
-    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("amalgam", help="build and classify a pasted family")
     p.add_argument("family")
-    p.add_argument("--classify", action="store_true",
-                   help="exit 3 if predictions and direct checks disagree")
-    p.add_argument("--loops", type=int, metavar="N",
-                   help="list atomic loops of the given order")
-    p.set_defaults(fn=cmd_amalgam)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--classify", action="store_true",
+                      help="exit 3 if predictions and direct checks disagree")
+    mode.add_argument("--loops", type=int, metavar="N",
+                      help="list atomic loops of the given order")
 
     p = sub.add_parser("verify", help="run the exhaustive theorem harness")
     p.add_argument("--theorems", default="all",
                    help="comma-separated theorem ids, or 'all'")
     p.add_argument("--max-n", type=int, default=6)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="hunt for a counterexample to A implies B")
     p.add_argument("--implies", required=True, metavar="A,B")
     p.add_argument("--max-n", type=int, default=6)
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("export", help="write a DOT cover diagram")
     p.add_argument("file")
     p.add_argument("--dot", action="store_true", default=True)
-    p.set_defaults(fn=cmd_export)
     return ap
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    # looked up per call, so a replaced ``cmd_*`` attribute is the one that runs
+    cmd = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return cmd(args)
     except am.PastingViolation as exc:
         # only a family file is pasted: ``amalgam`` names it ``family``
         path = getattr(args, "file", None) or args.family

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from paraposet import amalgam as am, cli, figures, fileformat as ff, harness, render
+from paraposet.ortho import PREDICATES
 from paraposet.poset import PosetError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -160,6 +161,20 @@ def test_cli_amalgam_loops_below_three(capsys):
     assert "loops start at order 3" in captured.err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--classify", "--loops", "3"], "argument --loops: not allowed with argument --classify"),
+    (["--loops", "3", "--classify"], "argument --classify: not allowed with argument --loops"),
+], ids=["classify-first", "loops-first"])
+def test_cli_amalgam_classify_and_loops_are_exclusive(capsys, flags, message):
+    # one run either classifies or lists loops, never half of both
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["amalgam", str(FIXTURES / "square" / "family.poset"), *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"paraposet amalgam: error: {message}"
+
+
 @pytest.mark.parametrize("command", ["check", "amalgam"])
 @pytest.mark.parametrize("block", ["inner.poset", "family.poset"],
                          ids=["family-block", "self-block"])
@@ -291,6 +306,24 @@ def test_cli_search(capsys):
     assert code == 0 and "counterexample" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "fixtures/triangle/family.poset", "--predicate", "bogus"],
+     "error: unknown predicate 'bogus'\n"),
+    # the names are checked before the file is read
+    (["check", "missing.poset", "--predicate", "bogus"],
+     "error: unknown predicate 'bogus'\n"),
+    (["search", "--implies", "a"],
+     "error: --implies takes two comma-separated predicates\n"),
+    (["search", "--implies", "lattice,bogus"], "error: unknown predicate 'bogus'\n"),
+], ids=["check-file", "check-missing-file", "search-one-name", "search-bad-name"])
+def test_cli_rejects_bad_predicate_names(capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_cli_export_family(capsys):
     code = cli.main(["export", str(FIXTURES / "fig5" / "family.poset"), "--dot"])
     out = capsys.readouterr().out
@@ -302,3 +335,52 @@ def test_cli_bad_file(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["check", str(FIXTURES / "does-not-exist.poset")])
     assert err.value.code == 2
+
+
+# One parser serves every ``main`` call in a process; nothing a call
+# parses or replaces may leak into the next.
+
+def test_cli_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_cli_parser_reuse_keeps_calls_apart(capsys):
+    path = str(FIXTURES / "cube.poset")
+    assert cli.main(["check", path, "--predicate", "lattice"]) == 0
+    assert capsys.readouterr().out == "lattice: true\n"
+    assert cli.main(["check", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    assert [line.split(":")[0] for line in lines] == sorted(PREDICATES)
+
+    family = str(FIXTURES / "square" / "family.poset")
+    assert cli.main(["amalgam", family, "--loops", "3"]) == 0
+    assert capsys.readouterr().out.endswith("0 loop(s) of order 3\n")
+    assert cli.main(["amalgam", family]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("elements: ")
+    assert "predicted: " in out and "loop(s)" not in out
+
+
+def test_cli_usage_error_leaves_the_next_call_alone(capsys):
+    path = str(FIXTURES / "fig1a.poset")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "paraposet table: error: the following arguments are required: --op")
+    assert cli.main(["table", path, "--op", "i3"]) == 0
+    assert "{a', b'}" in capsys.readouterr().out
+
+
+def test_cli_runs_a_command_replaced_after_an_earlier_call(capsys, monkeypatch):
+    path = str(FIXTURES / "cube.poset")
+    assert cli.main(["export", path]) == 0
+    assert capsys.readouterr().out.startswith("digraph {")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_export", lambda args: seen.append(args.file) or 5)
+    assert cli.main(["export", path]) == 5
+    assert seen == [path]
+    assert capsys.readouterr().out == ""
