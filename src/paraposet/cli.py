@@ -105,8 +105,13 @@ def cmd_amalgam(args) -> int:
     if not isinstance(obj, am.PastedFamily):
         print(f"error: {args.family}: not a family file", file=sys.stderr)
         return 2
+    # classification pastes every block pair on its own, and a pair can
+    # fail to form an order even when a third block completes the carrier
     try:
         carrier = am.build_amalgam(obj)
+        if args.loops is None:
+            rep = am.classify_amalgam(obj, carrier)
+            cov = am.cover_transfer(obj, carrier)
     except PosetError as exc:
         print(f"error: {args.family}: {exc}", file=sys.stderr)
         return 2
@@ -123,8 +128,6 @@ def cmd_amalgam(args) -> int:
             print(f"loop order={args.loops} blocks=[{blocks}] atoms=[{atoms}]")
         print(f"{len(loops)} loop(s) of order {args.loops}")
         return 0
-    rep = am.classify_amalgam(obj, carrier)
-    cov = am.cover_transfer(obj, carrier)
     print(f"elements: {p.n}")
     print(f"loops: order-3={len(rep.loops3)} order-4={len(rep.loops4)}")
     print(f"predicted: sharply={rep.predicted_sharply} lattice={rep.predicted_lattice}")

@@ -6,11 +6,20 @@ bitmasks. The order relation is stored as one bitmask row per element
 built from cover pairs by transitive closure. The pair bounds are two
 n x n tables of masks, built from the cones once per poset, on first
 use: ``max_lower[x][y]`` = Max L{x,y} and ``min_upper[x][y]`` =
-Min U{x,y}. The meet and join tables (``meets``, ``joins``) are their
-singleton cells, with None where a pair has several maximal lower or
-minimal upper bounds, so ``meet``/``join`` are lookups. At the sizes
-this library targets (a few hundred elements at most) the O(n^3)
-closure and the all-pairs scans below are cheap.
+Min U{x,y}. A build scans each distinct common cone once: comparable
+pairs share one (x <= y gives L{x,y} = down[x]), so the extremal set of
+each cone is memoised by its mask for the length of the build. The
+meet and join tables (``meets``, ``joins``) are their singleton cells,
+with None where a pair has several maximal lower or minimal upper
+bounds, so ``meet``/``join`` are lookups. At the sizes this library
+targets (a few hundred elements at most) the O(n^3) closure and the
+all-pairs scans below are cheap.
+
+Every loop over the elements of a mask goes through ``bits``, which
+returns the ascending index tuple from a process-wide memo of 2^16
+masks. That holds every subset of a poset of up to 16 elements, which
+covers the exhaustive sweeps; the 22-element amalgam carriers have
+2^22 subsets, and the bound caps the memo at about 20 MB.
 
 The LU-distributivity identities read two more n x n tables, the pair
 cones ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``, built once
@@ -22,8 +31,9 @@ identity L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})) at (x, y, z) reads
 
 and the other three, and the n-ary pair, are its order duals and
 mirror images. The one cone left per triple, of an arbitrary mask, is
-memoised per poset. ``_memo`` holds what other modules build from the
-order alone, through ``ortho.cached``.
+memoised per poset, so a repeated cone is one dict lookup (``_Cones``).
+``_memo`` holds what other modules build from the order alone, through
+``ortho.cached``.
 
 The order is immutable after construction and every operation is pure;
 the tables and the cone memo are filled on demand with values that
@@ -33,9 +43,9 @@ threads.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class PosetError(ValueError):
@@ -54,12 +64,24 @@ class BadIndex(PosetError):
     pass
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Iterate the indices set in a bitmask, ascending."""
+@lru_cache(maxsize=1 << 16)
+def bits(mask: int) -> tuple[int, ...]:
+    """The indices set in a bitmask, ascending, as a tuple.
+
+    Results are memoised process-wide, least recently used out first.
+    The bound, 2^16 masks, holds every subset of a 16-element poset, so
+    the exhaustive sweeps (n <= 10) never recompute a mask. The amalgam
+    carriers reach 22 elements, whose 2^22 subsets would not fit; the
+    bound caps the memo at about 20 MB (65,536 tuples of 11 indices on
+    average), while the few hundred masks one command reads stay cached.
+    Callers only iterate the result; it is a tuple, so it can be shared.
+    """
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -82,8 +104,28 @@ SMALL_SUBSET = 3
 def _singletons(table: Sequence[Sequence[int]]) -> tuple:
     """``table`` with each one-element mask replaced by its element and
     every other mask by None."""
-    return tuple(tuple(c.bit_length() - 1 if c and not c & (c - 1) else None
-                       for c in row) for row in table)
+    element = {1 << i: i for i in range(len(table))}.get
+    return tuple(tuple(map(element, row)) for row in table)
+
+
+class _Cones(dict):
+    """``cones[a]``: the intersection of ``rows`` over the bits of mask
+    ``a`` (``full`` for the empty mask), computed on first lookup and
+    kept, so a repeated cone costs one dict lookup."""
+
+    __slots__ = ("rows", "full")
+
+    def __init__(self, rows: Sequence[int], full: int):
+        super().__init__()
+        self.rows = rows
+        self.full = full
+
+    def __missing__(self, a: int) -> int:
+        res, rows = self.full, self.rows
+        for i in bits(a):
+            res &= rows[i]
+        self[a] = res
+        return res
 
 
 class FinitePoset:
@@ -127,8 +169,10 @@ class FinitePoset:
         self.bottom = bottoms[0]
         self.top = tops[0]
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
-        self._lower_memo: dict = {}
-        self._upper_memo: dict = {}
+        # L(a) and U(a) of a mask known to lie in the poset (no
+        # validation), each a lookup in a per-poset cone memo
+        self._lower = _Cones(self.down, self.full).__getitem__
+        self._upper = _Cones(up, self.full).__getitem__
         self._downset_memo: dict = {}
         self._upset_memo: dict = {}
         self._memo: dict = {}
@@ -182,24 +226,6 @@ class FinitePoset:
         """U(A): common upper bounds of A; U(empty) is the whole poset."""
         self._check_subset(a)
         return self._upper(a)
-
-    def _cone(self, memo: dict, rows: Sequence[int], a: int) -> int:
-        """Intersection of ``rows`` over the bits of ``a``, memoised in ``memo``."""
-        res = memo.get(a)
-        if res is None:
-            res = self.full
-            for i in bits(a):
-                res &= rows[i]
-            memo[a] = res
-        return res
-
-    def _lower(self, a: int) -> int:
-        """L(a) for a mask known to lie in the poset."""
-        return self._cone(self._lower_memo, self.down, a)
-
-    def _upper(self, a: int) -> int:
-        """U(a) for a mask known to lie in the poset."""
-        return self._cone(self._upper_memo, self.up, a)
 
     def _span(self, memo: dict, rows: Sequence[int], a: int) -> int:
         """Union of ``rows`` over the bits of ``a``, memoised in ``memo``."""
@@ -263,13 +289,20 @@ class FinitePoset:
         upper bounds)."""
         n = self.n
         table = [[0] * n for _ in range(n)]
+        # pairs often share their common cone (x <= y gives cones[x]),
+        # so each distinct one is scanned once
+        ext_of: dict = {}
         for x in range(n):
+            cone_x = cones[x]
             for y in range(x, n):
-                common = cones[x] & cones[y]
-                ext = 0
-                for b in bits(common):
-                    if rows[b] & common == 1 << b:
-                        ext |= 1 << b
+                common = cone_x & cones[y]
+                ext = ext_of.get(common)
+                if ext is None:
+                    ext = 0
+                    for b in bits(common):
+                        if rows[b] & common == 1 << b:
+                            ext |= 1 << b
+                    ext_of[common] = ext
                 table[x][y] = table[y][x] = ext
         return tuple(map(tuple, table))
 
@@ -354,11 +387,11 @@ class FinitePoset:
         L, down, n = self._lower, self.down, self.n
         # both sides are symmetric in x and y
         for x in range(n):
-            ul_x = ul[x]
+            lu_x, ul_x = lu[x], ul[x]
             for y in range(x, n):
-                lu_xy, ul_y = lu[x][y], ul[y]
-                for z in range(n):
-                    if lu_xy & down[z] != L(ul_x[z] & ul_y[z]):
+                lu_xy = lu_x[y]
+                for d_z, ul_xz, ul_yz in zip(down, ul_x, ul[y]):
+                    if lu_xy & d_z != L(ul_xz & ul_yz):
                         return False
         return True
 

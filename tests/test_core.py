@@ -110,19 +110,64 @@ def _singleton(m):
     return m.bit_length() - 1 if m and m & (m - 1) == 0 else None
 
 
-@given(random_bounded_posets())
-def test_meet_join_tables_match_cones(p):
-    for x in range(p.n):
-        for y in range(p.n):
-            assert p.max_lower[x][y] == p.max_of(p.down[x] & p.down[y])
-            assert p.min_upper[x][y] == p.min_of(p.up[x] & p.up[y])
-            assert p.meets[x][y] == _singleton(p.max_of(p.down[x] & p.down[y]))
-            assert p.joins[x][y] == _singleton(p.min_of(p.up[x] & p.up[y]))
+def _assert_bound_tables_match_cones(p):
+    r = range(p.n)
+    for x in r:
+        for y in r:
+            maxl = p.max_of(p.down[x] & p.down[y])
+            minu = p.min_of(p.up[x] & p.up[y])
+            assert p.max_lower[x][y] == maxl
+            assert p.min_upper[x][y] == minu
+            assert p.meets[x][y] == _singleton(maxl)
+            assert p.joins[x][y] == _singleton(minu)
             assert p.meet(x, y) == p.meets[x][y] and p.join(x, y) == p.joins[x][y]
     assert p.is_lattice == all(
         _singleton(p.max_of(p.down[x] & p.down[y])) is not None
         and _singleton(p.min_of(p.up[x] & p.up[y])) is not None
-        for x in range(p.n) for y in range(x + 1, p.n))
+        for x in r for y in r)
+    assert p.is_distributive == _cone_distributive(p)
+
+
+@given(random_bounded_posets())
+def test_meet_join_tables_match_cones(p):
+    _assert_bound_tables_match_cones(p)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bound_tables_match_cones_on_every_bounded_poset(n):
+    for p in bounded_posets(n):
+        _assert_bound_tables_match_cones(p)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*/family.poset")),
+                         ids=lambda p: p.parent.name)
+def test_bound_tables_match_cones_on_fixture_carriers(path):
+    carrier = amalgam.build_amalgam(fileformat.load(str(path)))
+    _assert_bound_tables_match_cones(carrier.poset)
+
+
+def _bits_reference(mask):
+    # the generator ``bits`` was before it returned memoised tuples
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_matches_the_generator_on_every_12_bit_mask():
+    for mask in range(1 << 12):
+        got = bits(mask)
+        assert type(got) is tuple
+        assert got == tuple(_bits_reference(mask))
+
+
+@given(st.integers(min_value=0, max_value=(1 << 22) - 1))
+def test_bits_matches_the_generator_on_22_bit_masks(mask):
+    assert bits(mask) == tuple(_bits_reference(mask))
+    # the memo is bounded, so carriers of up to 22 elements cannot grow it
+    # towards their 2^22 subsets
+    info = bits.cache_info()
+    assert info.maxsize == 1 << 16 and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("n", range(1, 6))

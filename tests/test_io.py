@@ -161,6 +161,37 @@ def test_cli_amalgam_loops_below_three(capsys):
     assert "loops start at order 3" in captured.err
 
 
+K3B2 = ("elements 0 e1 e2 e3 e4 1\n"
+        "cover 0 e3\ncover 0 e4\ncover e3 e2\ncover e4 e1\ncover e4 e2\n"
+        "cover e1 1\ncover e2 1\n"
+        "inv 0 1\ninv e1 e3\ninv e2 e4\n")
+KLEENE7 = ("elements 0 e1 e2 e3 e4 e5 1\n"
+           "cover 0 e4\ncover 0 e5\ncover e4 e3\ncover e5 e3\ncover e3 e1\n"
+           "cover e3 e2\ncover e1 1\ncover e2 1\n"
+           "inv 0 1\ninv e1 e4\ninv e2 e5\ninv e3 e3\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--classify"]], ids=["report", "classify"])
+def test_cli_amalgam_reports_a_two_block_union_that_is_no_order(tmp_path, capsys, flags):
+    # A and B share an atom of A glued to a coatom of B, so A u B alone
+    # is not transitive; C supplies the missing comparabilities, so the
+    # whole carrier builds and only the two-block step fails
+    for name, body in (("A", K3B2), ("B", K3B2), ("C", KLEENE7)):
+        (tmp_path / f"{name}.poset").write_text(f"name {name}\n{body}")
+    family = tmp_path / "family.poset"
+    family.write_text("name A-B-C\nfamily\n"
+                      "block A A.poset\nblock B B.poset\nblock C C.poset\n"
+                      "identify A:e3 B:e1\nidentify A:e1 B:e3\n"
+                      "identify A:e2 C:e1\nidentify A:e4 C:e4\n"
+                      "identify B:e2 C:e2\nidentify B:e4 C:e5\n")
+    assert am.build_amalgam(ff.load(str(family))).poset.n == 9
+    assert cli.main(["amalgam", str(family), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {family}: glued relation is not a bounded "
+                            "order: order must be transitive\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--classify", "--loops", "3"], "argument --loops: not allowed with argument --classify"),
     (["--loops", "3", "--classify"], "argument --classify: not allowed with argument --loops"),
