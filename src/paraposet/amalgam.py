@@ -1,11 +1,11 @@
 """Gluing families of Kleene lattices into atomic amalgams.
 
-Blocks are glued along {0,1} or along 4-element atomic subalgebras.
-Validation enforces the pasting rules; the builder re-checks the order
-and involution axioms on the glued carrier instead of trusting them,
-and returns the carrier. ``build_amalgam`` is the one place that checks
-that a carrier is paraorthomodular: it raises otherwise, so no consumer
-re-checks it.
+Blocks are glued along {0,1} or along 4-element atomic subalgebras
+{0, a, a', 1}, with a an atom of both blocks. Validation enforces the
+pasting rules; the builder re-checks the order and involution axioms
+on the glued carrier instead of trusting them, and returns the carrier.
+``build_amalgam`` is the one place that checks that a carrier is
+paraorthomodular: it raises otherwise, so no consumer re-checks it.
 
 A family numbers its identification classes once, by first occurrence
 over (block, element), and every consumer reads that numbering. The
@@ -88,8 +88,11 @@ def _paste(blocks: Sequence[OrthoPoset], names: Sequence[str],
                         tuple(class_of), tuple(map(tuple, members)))
 
 
-def _atom_or_coatom(p: FinitePoset, e: int) -> bool:
-    return p.covers_pair(p.bottom, e) or p.covers_pair(e, p.top)
+def _atom_or_coatom(p: FinitePoset, e: int) -> Optional[str]:
+    """'atom', 'coatom' or None; no element of a Kleene block (n >= 6) is both."""
+    if p.covers_pair(p.bottom, e):
+        return "atom"
+    return "coatom" if p.covers_pair(e, p.top) else None
 
 
 def validate_family(blocks: Sequence[OrthoPoset], glue,
@@ -172,10 +175,17 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         ej = {c: fam.class_of[j].index(c) for c in s}
         bi, bj = blocks[i], blocks[j]
         for c in mid:
+            kinds = []
             for k, blk, e in ((i, bi, ei[c]), (j, bj, ej[c])):
-                if not _atom_or_coatom(blk.poset, e):
+                kinds.append(_atom_or_coatom(blk.poset, e))
+                if kinds[-1] is None:
                     raise FamilyError(f"shared element {blk.poset.labels[e]} is "
                                       f"neither atom nor coatom in block {names[k]}")
+            # only atoms are pasted onto atoms (and so coatoms onto coatoms)
+            if kinds[0] != kinds[1]:
+                raise FamilyError(
+                    f"{bad}: {bi.poset.labels[ei[c]]} ({kinds[0]} of {names[i]}) "
+                    f"is glued to {bj.poset.labels[ej[c]]} ({kinds[1]} of {names[j]})")
         for c in s:
             ci = fam.class_of[i][bi.inv[ei[c]]]
             cj = fam.class_of[j][bj.inv[ej[c]]]

@@ -1,8 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds, 1 property fails or a
-counterexample search comes back empty, 2 usage or file errors,
+counterexample search comes back empty, 2 usage or input errors,
 3 a pasting theorem is violated by an amalgam.
+
+``main`` is the one place that turns an exception into an exit code.
+A command with a FILE argument exits 2, with one ``error: FILE: ...``
+line on stderr, when the file is unreadable or malformed, when a
+family does not paste, or when the operation asked for is undefined on
+the structure. ``verify`` and ``search`` read no file, so an exception
+raised there is a program fault and propagates.
 """
 
 from __future__ import annotations
@@ -19,23 +26,14 @@ from .poset import PosetError, bits
 from .relative import SectionedPoset
 
 
-def _load(path: str):
-    try:
-        return fileformat.load(path)
-    except (OSError, fileformat.ParseError, PosetError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _as_ortho(obj, path: str) -> OrthoPoset:
+def _as_ortho(obj) -> OrthoPoset:
     if isinstance(obj, OrthoPoset):
         return obj
     if isinstance(obj, SectionedPoset):
         return OrthoPoset(obj.poset, obj.sections[obj.poset.bottom])
     if isinstance(obj, am.PastedFamily):
         return am.build_amalgam(obj)
-    print(f"error: {path}: no involution declared", file=sys.stderr)
-    raise SystemExit(2)
+    raise PosetError("no involution declared")
 
 
 def _witness(o: OrthoPoset, name: str):
@@ -65,7 +63,7 @@ def cmd_check(args) -> int:
     names = args.predicate or sorted(PREDICATES)
     if _unknown_predicate(names):
         return 2
-    o = _as_ortho(_load(args.file), args.file)
+    o = _as_ortho(fileformat.load(args.file))
     all_ok = True
     for name in names:
         try:
@@ -81,40 +79,26 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
-    obj = _load(args.file)
+    obj = fileformat.load(args.file)
     op = args.op
-    try:
-        if op in ("i3", "i4"):
-            s = obj if isinstance(obj, SectionedPoset) else \
-                relative.sections_from_involution(_as_ortho(obj, args.file))
-            table = relative.impl_I3(s) if op == "i3" else relative.impl_I4(s)
-        else:
-            fn = {"i1": implication.impl_I, "i2": implication.impl_I2,
-                  "sasaki-impl": implication.sasaki_impl,
-                  "sasaki-prod": implication.sasaki_proj}[op]
-            table = fn(_as_ortho(obj, args.file))
-    except PosetError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
+    if op in ("i3", "i4"):
+        s = obj if isinstance(obj, SectionedPoset) else \
+            relative.sections_from_involution(_as_ortho(obj))
+        table = relative.impl_I3(s) if op == "i3" else relative.impl_I4(s)
+    else:
+        fn = {"i1": implication.impl_I, "i2": implication.impl_I2,
+              "sasaki-impl": implication.sasaki_impl,
+              "sasaki-prod": implication.sasaki_proj}[op]
+        table = fn(_as_ortho(obj))
     sys.stdout.write(render.render_table(table))
     return 0
 
 
 def cmd_amalgam(args) -> int:
-    obj = _load(args.family)
+    obj = fileformat.load(args.file)
     if not isinstance(obj, am.PastedFamily):
-        print(f"error: {args.family}: not a family file", file=sys.stderr)
-        return 2
-    # classification pastes every block pair on its own, and a pair can
-    # fail to form an order even when a third block completes the carrier
-    try:
-        carrier = am.build_amalgam(obj)
-        if args.loops is None:
-            rep = am.classify_amalgam(obj, carrier)
-            cov = am.cover_transfer(obj, carrier)
-    except PosetError as exc:
-        print(f"error: {args.family}: {exc}", file=sys.stderr)
-        return 2
+        raise PosetError("not a family file")
+    carrier = am.build_amalgam(obj)
     p = carrier.poset
     if args.loops is not None:
         try:
@@ -128,6 +112,10 @@ def cmd_amalgam(args) -> int:
             print(f"loop order={args.loops} blocks=[{blocks}] atoms=[{atoms}]")
         print(f"{len(loops)} loop(s) of order {args.loops}")
         return 0
+    # both are settled before the first line is printed, so an error
+    # leaves stdout empty
+    rep = am.classify_amalgam(obj, carrier)
+    cov = am.cover_transfer(obj, carrier)
     print(f"elements: {p.n}")
     print(f"loops: order-3={len(rep.loops3)} order-4={len(rep.loops4)}")
     print(f"predicted: sharply={rep.predicted_sharply} lattice={rep.predicted_lattice}")
@@ -202,7 +190,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_export(args) -> int:
-    obj = _load(args.file)
+    obj = fileformat.load(args.file)
     if isinstance(obj, am.PastedFamily):
         obj = am.build_amalgam(obj)
     sys.stdout.write(render.export_dot(obj))
@@ -229,7 +217,7 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["i1", "i2", "i3", "i4", "sasaki-impl", "sasaki-prod"])
 
     p = sub.add_parser("amalgam", help="build and classify a pasted family")
-    p.add_argument("family")
+    p.add_argument("file", metavar="family")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--classify", action="store_true",
                       help="exit 3 if predictions and direct checks disagree")
@@ -255,13 +243,14 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     # looked up per call, so a replaced ``cmd_*`` attribute is the one that runs
     cmd = globals()[f"cmd_{args.command}"]
+    path = getattr(args, "file", None)
     try:
         return cmd(args)
-    except am.PastingViolation as exc:
-        # only a family file is pasted: ``amalgam`` names it ``family``
-        path = getattr(args, "file", None) or args.family
+    except (am.PastingViolation, OSError, fileformat.ParseError, PosetError) as exc:
+        if path is None:
+            raise
         print(f"error: {path}: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, am.PastingViolation) else 2
 
 
 if __name__ == "__main__":

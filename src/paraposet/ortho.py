@@ -176,16 +176,16 @@ def is_regular(o: OrthoPoset) -> bool:
     term raises UndefinedTerm.
     """
     p = o.poset
-    meets = []
-    joins = []
+    meets = joins = 0
     for x in range(p.n):
         m = p.meet(x, o.inv[x])
         j = p.join(x, o.inv[x])
         if m is None or j is None:
             raise UndefinedTerm(p.labels[x], p.labels[o.inv[x]])
-        meets.append(m)
-        joins.append(j)
-    return all(p.leq(m, j) for m in meets for j in joins)
+        meets |= 1 << m
+        joins |= 1 << j
+    # each distinct meet lies below every join
+    return all(joins & ~p.up[m] == 0 for m in bits(meets))
 
 
 def orthomodular_witness(o: OrthoPoset) -> Optional[tuple]:

@@ -1,10 +1,10 @@
 import pathlib
 import time
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from paraposet import figures, fileformat
+from paraposet import figures, fileformat, universe
 from paraposet import amalgam as am
 from paraposet import ortho as O
 from paraposet.poset import FinitePoset, bits
@@ -228,3 +228,33 @@ def test_classification_speed():
                 figures.greechie_chain()):
         am.classify_amalgam(fam)
     assert time.perf_counter() - t0 < 5.0
+
+
+def _kleene_atoms():
+    """(block, atom) over the 13 Kleene lattices with 6 <= n <= 8."""
+    blocks = [o for n in range(6, 9) for o in universe.ortho_posets(n)
+              if O.is_kleene_lattice(o)]
+    assert len(blocks) == 13
+    atoms = [(b, a) for b in blocks for a in range(b.n)
+             if b.poset.covers_pair(b.poset.bottom, a)]
+    assert len(atoms) == 21
+    return atoms
+
+
+@pytest.mark.parametrize("onto, accepted", [("atom", 151), ("coatom", 0)])
+def test_every_two_block_gluing_that_validates_builds_and_classifies(onto, accepted):
+    # {a, a'} of one block glued to {b, b'} of another (or of a copy of
+    # the same one), a onto b or a onto the coatom b'; unordered pairs
+    count = 0
+    for (A, a), (B, b) in combinations_with_replacement(_kleene_atoms(), 2):
+        c = b if onto == "atom" else B.inv[b]
+        glue = [[(0, a), (1, c)], [(0, A.inv[a]), (1, B.inv[c])]]
+        try:
+            fam = am.validate_family([A, B], glue, names=("A", "B"))
+        except am.FamilyError:
+            continue
+        count += 1
+        carrier = am.build_amalgam(fam)
+        assert am.classify_amalgam(fam, carrier).agree
+        assert am.cover_transfer(fam, carrier).ok
+    assert count == accepted

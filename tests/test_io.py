@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -171,11 +172,10 @@ KLEENE7 = ("elements 0 e1 e2 e3 e4 e5 1\n"
            "inv 0 1\ninv e1 e4\ninv e2 e5\ninv e3 e3\n")
 
 
-@pytest.mark.parametrize("flags", [[], ["--classify"]], ids=["report", "classify"])
-def test_cli_amalgam_reports_a_two_block_union_that_is_no_order(tmp_path, capsys, flags):
-    # A and B share an atom of A glued to a coatom of B, so A u B alone
-    # is not transitive; C supplies the missing comparabilities, so the
-    # whole carrier builds and only the two-block step fails
+def _three_block_family(tmp_path):
+    # A:e3 (an atom) is glued to B:e1 (a coatom), so A u B alone is not
+    # transitive; C supplies the missing comparabilities, so without the
+    # atom-to-atom rule the whole carrier would build
     for name, body in (("A", K3B2), ("B", K3B2), ("C", KLEENE7)):
         (tmp_path / f"{name}.poset").write_text(f"name {name}\n{body}")
     family = tmp_path / "family.poset"
@@ -184,12 +184,22 @@ def test_cli_amalgam_reports_a_two_block_union_that_is_no_order(tmp_path, capsys
                       "identify A:e3 B:e1\nidentify A:e1 B:e3\n"
                       "identify A:e2 C:e1\nidentify A:e4 C:e4\n"
                       "identify B:e2 C:e2\nidentify B:e4 C:e5\n")
-    assert am.build_amalgam(ff.load(str(family))).poset.n == 9
-    assert cli.main(["amalgam", str(family), *flags]) == 2
+    return family
+
+
+@pytest.mark.parametrize("argv", [["amalgam"], ["amalgam", "--classify"], ["check"],
+                                  ["export"]],
+                         ids=["report", "classify", "check", "export"])
+def test_cli_amalgam_reports_a_two_block_union_that_is_no_order(tmp_path, capsys, argv):
+    # the family is rejected when the file loads, by every command alike
+    family = _three_block_family(tmp_path)
+    with pytest.raises(am.FamilyError):
+        ff.load(str(family))
+    assert cli.main([argv[0], str(family), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {family}: glued relation is not a bounded "
-                            "order: order must be transitive\n")
+    assert captured.err == (f"error: {family}: bad intersection of blocks A and B: "
+                            "e1 (coatom of A) is glued to e3 (atom of B)\n")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -216,12 +226,79 @@ def test_family_block_without_global_involution(tmp_path, capsys, command, block
         (tmp_path / ("inner.poset" if name == "family.poset" else name)).write_text(text)
     family = tmp_path / "family.poset"
     family.write_text(f"name outer\nfamily\nblock K1 K1.poset\nblock A {block}\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, str(family)])
-    assert exc.value.code == 2
+    assert cli.main([command, str(family)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {family}: block A must carry a global involution\n"
+
+
+def _bad_input(kind, tmp_path, monkeypatch):
+    """A FILE argument that no file command can build."""
+    if kind == "missing":
+        return tmp_path / "missing.poset"
+    if kind == "malformed":
+        path = tmp_path / "bad.poset"
+        path.write_text("elements 0 1\nbogus 0 1\n")
+        return path
+    if kind == "no-involution":
+        for name in ("K1.poset", "K2.poset", "family.poset"):
+            text = (FIXTURES / "chain" / name).read_text()
+            (tmp_path / ("inner.poset" if name == "family.poset" else name)).write_text(text)
+        path = tmp_path / "family.poset"
+        path.write_text("name outer\nfamily\nblock K1 K1.poset\nblock A inner.poset\n")
+        return path
+    if kind == "atom-to-coatom":
+        for name in ("A", "B"):
+            (tmp_path / f"{name}.poset").write_text(f"name {name}\n{K3B2}")
+        path = tmp_path / "family.poset"
+        path.write_text("name A-B\nfamily\nblock A A.poset\nblock B B.poset\n"
+                        "identify A:e3 B:e1\nidentify A:e1 B:e3\n")
+        return path
+
+    def no_order(fam):
+        raise am.FamilyError("glued relation is not a bounded order")
+    monkeypatch.setattr(am, "build_amalgam", no_order)
+    return FIXTURES / "triangle" / "family.poset"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["table", "--op", "i1"], ["amalgam"], ["amalgam", "--classify"],
+    ["export"],
+], ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("kind", ["missing", "malformed", "no-involution",
+                                  "atom-to-coatom", "build-fails"])
+def test_file_commands_exit_2_on_an_input_they_cannot_build(
+        tmp_path, capsys, monkeypatch, kind, argv):
+    path = _bad_input(kind, tmp_path, monkeypatch)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_check_on_a_family_that_does_not_paste_prints_no_traceback(tmp_path, flags):
+    family = _three_block_family(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, *flags, "-m", "paraposet.cli", "check",
+                          str(family)], env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith(f"error: {family}: ")
+
+
+def test_verify_lets_a_theorem_fault_propagate(monkeypatch):
+    # verify reads no file: a PosetError inside a theorem is a program
+    # fault, not an input error with exit 2
+    def boom(item):
+        raise PosetError("theorem fault")
+    monkeypatch.setitem(harness.THEOREMS, "th1",
+                        dataclasses.replace(harness.THEOREMS["th1"], check=boom))
+    with pytest.raises(PosetError, match="theorem fault"):
+        cli.main(["verify", "--theorems", "th1", "--max-n", "4"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,9 +440,7 @@ def test_cli_export_family(capsys):
 
 
 def test_cli_bad_file(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["check", str(FIXTURES / "does-not-exist.poset")])
-    assert err.value.code == 2
+    assert cli.main(["check", str(FIXTURES / "does-not-exist.poset")]) == 2
 
 
 # One parser serves every ``main`` call in a process; nothing a call

@@ -1,8 +1,12 @@
+import pathlib
+
 import pytest
 
-from paraposet import figures
+from paraposet import amalgam as am, figures, fileformat, universe
 from paraposet import ortho as O
 from paraposet.poset import PosetError
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_validate_involution_rejects_monotone():
@@ -98,3 +102,32 @@ def test_predicate_registry_consistent():
     assert set(O.PREDICATES) >= {
         "lattice", "distributive", "orthogonal", "paraorthomodular",
         "sharply-paraorthomodular", "orthomodular", "kleene-lattice"}
+
+
+def _regular_pairwise(o):
+    # the definition: x ^ x' <= y v y' for every pair x, y
+    p = o.poset
+    terms = []
+    for x in range(p.n):
+        m, j = p.meet(x, o.inv[x]), p.join(x, o.inv[x])
+        if m is None or j is None:
+            return "undefined"
+        terms.append((m, j))
+    return all(p.leq(m, j) for m, _ in terms for _, j in terms)
+
+
+def _regular(o):
+    try:
+        return O.is_regular(o)
+    except O.UndefinedTerm:
+        return "undefined"
+
+
+def test_regularity_matches_the_pairwise_definition():
+    structures = [o for n in range(2, 9) for o in universe.ortho_posets(n)]
+    structures += [am.build_amalgam(fileformat.load(str(path)))
+                   for path in sorted(FIXTURES.glob("*/family.poset"))]
+    verdicts = [_regular(o) for o in structures]
+    assert verdicts == [_regular_pairwise(o) for o in structures]
+    # each outcome occurs, so the comparison is not vacuous
+    assert {True, False, "undefined"} <= set(verdicts)
