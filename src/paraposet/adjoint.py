@@ -26,7 +26,10 @@ From the masks, one backtracker (``universe.involutions`` with the
 masks as allowed partners) lists the involutions that fit G and those
 that fit H, once per lattice. A pair is then two set lookups: the
 identities hold for ``inv`` when it fits G, and the Sasaki pair is
-adjoint when it fits H.
+adjoint when it fits H. ``omidentity_equiv`` first checks that ``inv``
+is an involution (``require_involution``); the harness checks each
+involution once per size instead, and reads the verdicts without the
+check through ``_omidentity_verdicts``.
 """
 
 from __future__ import annotations
@@ -153,6 +156,20 @@ def _omidentity_fits(p: FinitePoset) -> Tuple[FrozenSet[Tuple[int, ...]],
     return frozenset(involutions(p.n, g)), frozenset(involutions(p.n, h))
 
 
+def require_involution(n: int, inv: Tuple[int, ...]) -> None:
+    """Raise AssertionError unless ``inv`` is a self-inverse permutation of 0..n-1."""
+    ids = list(range(n))
+    if sorted(inv) != ids or [inv[a] for a in inv] != ids:
+        raise AssertionError(f"not an involution: {inv}")
+
+
+def _omidentity_verdicts(p: FinitePoset, inv: Tuple[int, ...]) -> Tuple[bool, bool, bool]:
+    """``omidentity_equiv`` on an involution the caller has validated."""
+    fits_g, fits_h = cached(p, _omidentity_fits)
+    oi, adj = inv in fits_g, inv in fits_h
+    return oi, adj, oi == adj
+
+
 def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bool]:
     """Both orthomodular identities against two-sided Sasaki adjointness.
 
@@ -160,13 +177,8 @@ def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bo
     to be a self-map of the n elements with inv[inv[x]] == x.
     """
     inv = tuple(inv)
-    ids = list(range(p.n))
-    # a permutation of the elements that is its own inverse
-    if sorted(inv) != ids or [inv[a] for a in inv] != ids:
-        raise AssertionError(f"not an involution: {inv}")
-    fits_g, fits_h = cached(p, _omidentity_fits)
-    oi, adj = inv in fits_g, inv in fits_h
-    return oi, adj, oi == adj
+    require_involution(p.n, inv)
+    return _omidentity_verdicts(p, inv)
 
 
 def sasom_equiv(o: OrthoPoset) -> Tuple[bool, bool, bool]:

@@ -231,8 +231,14 @@ def emit(obj: Union[Structure, StructureFile], basedir: str = ".") -> str:
 
 
 def _read(path: str) -> StructureFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse(text)
 
 
 def load(path: str) -> Structure:

@@ -7,7 +7,9 @@ maximal point above each of its down-sets, and a child is kept when its
 canonical key is new. Every poset on k+1 points arises from one on k
 points this way, by deleting a maximal point (McKay, "Isomorph-free
 exhaustive generation", 1998; Brinkmann & McKay, "Posets on up to 16
-points", 2002). The key minimises the relation matrix over the
+points", 2002). Each level is memoised and extends the one below it,
+so a process builds every level once, however many sizes it
+enumerates. The key minimises the relation matrix over the
 degree-preserving relabellings: points are blocked by (up-degree,
 down-degree) and only permuted within their block. The keys are
 yielded in sorted order, so identical specs always produce identical
@@ -29,6 +31,7 @@ them are orthoisomorphic exactly when their keys are equal.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, groupby, permutations, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -36,23 +39,24 @@ from .poset import FinitePoset, bits
 from .ortho import OrthoPoset, cached
 
 
-def _middle_posets(m: int) -> List[Tuple[int, ...]]:
-    """Strict partial orders on m points, one canonical key per class.
+@lru_cache(maxsize=None)
+def _middle_posets(m: int) -> Tuple[Tuple[int, ...], ...]:
+    """Strict partial orders on m points, one canonical key per class, sorted.
 
-    A key is a tuple of strict-up masks. Level k+1 extends every level-k
-    key by a maximal point above each down-set: the masks that no point
-    outside them lies below.
+    A key is a tuple of strict-up masks. Level m extends every key of
+    the memoised level m-1 by a maximal point above each down-set: the
+    masks that no point outside them lies below.
     """
-    level = {()}
-    for k in range(m):
-        children = set()
-        for up in level:
-            for mask in range(1 << k):
-                if all(up[i] & mask == 0 for i in range(k) if not mask >> i & 1):
-                    child = tuple(row | (mask >> i & 1) << k for i, row in enumerate(up))
-                    children.add(_canon_middle(child + (0,)))
-        level = children
-    return sorted(level)
+    if m == 0:
+        return ((),)
+    k = m - 1
+    children = set()
+    for up in _middle_posets(k):
+        for mask in range(1 << k):
+            if all(up[i] & mask == 0 for i in range(k) if not mask >> i & 1):
+                child = tuple(row | (mask >> i & 1) << k for i, row in enumerate(up))
+                children.add(_canon_middle(child + (0,)))
+    return tuple(sorted(children))
 
 
 def _canon_middle(up: Tuple[int, ...],

@@ -123,6 +123,43 @@ def test_om_identity_fit_sets_match_the_masks():
     assert sizes[0, 0] and sizes[1, 1] and any(a > 1 for a, b in sizes)
 
 
+def test_om_identity_verdicts_match_the_validating_entry():
+    # the harness's per-pair helper skips only the validation
+    pairs = 0
+    for n in range(2, 9):
+        invs = list(U.involutions(n))
+        for p in U.bounded_posets(n):
+            if p.is_lattice:
+                for inv in invs:
+                    assert A._omidentity_verdicts(p, inv) == A.omidentity_equiv(p, inv)
+                    pairs += 1
+    assert pairs == 183200
+    cube = figures.boolean_cube().poset
+    for inv in U.involutions(cube.n):
+        assert A._omidentity_verdicts(cube, inv) == A.omidentity_equiv(cube, inv)
+
+
+def test_harness_validates_each_involution_once_per_size(monkeypatch):
+    checked = Counter()
+    require = A.require_involution
+
+    def counted(n, inv):
+        checked[n, inv] += 1
+        return require(n, inv)
+
+    monkeypatch.setattr(A, "require_involution", counted)
+    [res] = H.run_harness(6, ["omidentity"])
+    assert res.ok
+    assert checked == Counter({(n, inv): 1 for n in range(2, 7)
+                               for inv in U.involutions(n)})
+
+
+def test_harness_rejects_a_malformed_involution(monkeypatch):
+    monkeypatch.setattr(H, "involutions", lambda n: iter([(0,) * n]))
+    with pytest.raises(AssertionError, match=r"not an involution: \(0, 0\)"):
+        H.run_harness(2, ["omidentity"])
+
+
 def test_om_identity_masks_built_once_per_lattice(monkeypatch):
     built = Counter()
     fitted = Counter()
@@ -204,21 +241,33 @@ def test_boolean_poset_bridge():
     assert A.adjibp_check(figures.fig2a()) in (None, True)
 
 
-def test_involution_check_survives_optimisation():
-    # under python -O a bare assert would vanish and the call return verdicts
+def _run_optimised(code):
+    """Run ``code`` in a fresh interpreter under ``python -O``."""
     root = pathlib.Path(__file__).resolve().parent.parent
-    code = ("if __debug__: raise SystemExit('not optimised')\n"
-            "from paraposet.adjoint import omidentity_equiv\n"
-            "from paraposet.poset import FinitePoset\n"
-            "p = FinitePoset.from_covers('0ab1', ['0a', '0b', 'a1', 'b1'])\n"
-            "omidentity_equiv(p, (1, 2, 3, 0))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True)
+    code = "if __debug__: raise SystemExit('not optimised')\n" + code
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_involution_check_survives_optimisation():
+    # under python -O a bare assert would vanish and the call return verdicts
+    res = _run_optimised("from paraposet.adjoint import omidentity_equiv\n"
+                         "from paraposet.poset import FinitePoset\n"
+                         "p = FinitePoset.from_covers('0ab1', ['0a', '0b', 'a1', 'b1'])\n"
+                         "omidentity_equiv(p, (1, 2, 3, 0))\n")
     assert res.returncode == 1
     assert "AssertionError: not an involution" in res.stderr
+
+
+def test_harness_involution_check_survives_optimisation():
+    res = _run_optimised("from paraposet import harness\n"
+                         "harness.involutions = lambda n: iter([(0,) * n])\n"
+                         "harness.run_harness(3, ['omidentity'])\n")
+    assert res.returncode == 1
+    assert "AssertionError: not an involution: (0, 0)" in res.stderr
 
 
 # -- le1/le2 tables against the subset relations -----------------------

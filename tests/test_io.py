@@ -240,6 +240,16 @@ def _bad_input(kind, tmp_path, monkeypatch):
         path = tmp_path / "bad.poset"
         path.write_text("elements 0 1\nbogus 0 1\n")
         return path
+    if kind == "not-utf8":
+        path = tmp_path / "bad.poset"
+        path.write_bytes(b"\xff\xfeelements 0 1\n")
+        return path
+    if kind == "block-not-utf8":
+        (tmp_path / "K1.poset").write_text((FIXTURES / "chain" / "K1.poset").read_text())
+        (tmp_path / "bad.poset").write_bytes(b"name bad\nelements 0 \xff 1\n")
+        path = tmp_path / "family.poset"
+        path.write_text("name outer\nfamily\nblock K1 K1.poset\nblock A bad.poset\n")
+        return path
     if kind == "no-involution":
         for name in ("K1.poset", "K2.poset", "family.poset"):
             text = (FIXTURES / "chain" / name).read_text()
@@ -265,8 +275,8 @@ def _bad_input(kind, tmp_path, monkeypatch):
     ["check"], ["table", "--op", "i1"], ["amalgam"], ["amalgam", "--classify"],
     ["export"],
 ], ids=lambda argv: " ".join(argv))
-@pytest.mark.parametrize("kind", ["missing", "malformed", "no-involution",
-                                  "atom-to-coatom", "build-fails"])
+@pytest.mark.parametrize("kind", ["missing", "malformed", "not-utf8", "block-not-utf8",
+                                  "no-involution", "atom-to-coatom", "build-fails"])
 def test_file_commands_exit_2_on_an_input_they_cannot_build(
         tmp_path, capsys, monkeypatch, kind, argv):
     path = _bad_input(kind, tmp_path, monkeypatch)
@@ -288,6 +298,31 @@ def test_check_on_a_family_that_does_not_paste_prints_no_traceback(tmp_path, fla
     assert (res.returncode, res.stdout) == (2, "")
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith(f"error: {family}: ")
+
+
+def test_non_utf8_input_names_its_line(tmp_path):
+    path = tmp_path / "bad.poset"
+    path.write_bytes(b"name bad\nelements 0 \xff 1\n")
+    with pytest.raises(ff.ParseError, match=r"^line 2: not UTF-8 text: .* at byte 20$"):
+        ff.load(str(path))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+@pytest.mark.parametrize("argv", [
+    ["check"], ["table", "--op", "i1"], ["amalgam", "--classify"], ["export"],
+], ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("kind", ["not-utf8", "block-not-utf8"])
+def test_non_utf8_input_prints_no_traceback(tmp_path, monkeypatch, kind, argv, flags):
+    path = _bad_input(kind, tmp_path, monkeypatch)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, *flags, "-m", "paraposet.cli", argv[0],
+                          str(path), *argv[1:]], env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.splitlines()
+    assert line.startswith(f"error: {path}: line ")
 
 
 def test_verify_lets_a_theorem_fault_propagate(monkeypatch):

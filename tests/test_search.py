@@ -55,6 +55,42 @@ def test_middle_posets_match_leaf_filter(m):
             assert all(up[j] & ~up[i] == 0 for j in bits(up[i]))
 
 
+def _counted_canon(monkeypatch):
+    calls = []
+    canon = U._canon_middle
+
+    def counted(up, inv=None):
+        calls.append(len(up))
+        return canon(up, inv)
+
+    monkeypatch.setattr(U, "_canon_middle", counted)
+    return calls
+
+
+def test_middle_levels_built_once_per_process(monkeypatch):
+    calls = _counted_canon(monkeypatch)
+    U._middle_posets.cache_clear()
+    for n in range(2, 8):
+        for _ in range(2):
+            assert sum(1 for _ in U.bounded_posets(n))
+    swept = len(calls)
+    U._middle_posets.cache_clear()
+    calls.clear()
+    U._middle_posets(5)
+    assert swept == len(calls) > 0
+
+
+def test_middle_levels_are_shared_immutable_tuples():
+    U._middle_posets.cache_clear()
+    top = U._middle_posets(5)
+    below = U._middle_posets(3)
+    assert type(top) is tuple and type(below) is tuple
+    assert all(type(key) is tuple for key in top)
+    U._middle_posets.cache_clear()
+    assert U._middle_posets(3) == below
+    assert list(below) == sorted(below)
+
+
 def _relabel(up, new):
     out = [0] * len(up)
     for i, row in enumerate(up):

@@ -90,7 +90,7 @@ def _lines(monkeypatch, tid, item):
 
 
 def _omidentity(mp):
-    mp.setattr(A, "omidentity_equiv", lambda p, inv: (True, False, False))
+    mp.setattr(A, "_omidentity_verdicts", lambda p, inv: (True, False, False))
     return b2().poset, (3, 2, 1, 0)
 
 
