@@ -17,17 +17,28 @@ implication y' v (y ^ z) read only inv[y], and so does their
 adjointness at y over every (x, z). So two masks per element, built
 once per lattice, hold the admissible values: ``G[x]`` those a for
 which both identities hold at x when inv[x] = a, and ``H[y]`` those b
-for which adjointness holds at y when inv[y] = b. With b fixed, f(x) =
-y ^ (x v b) and g(z) = b v (y ^ z) are monotone, so f is left adjoint
-to g exactly when the unit x <= g(f(x)) holds for every x and the
-counit f(g(z)) <= z for every z: each b costs O(n) with early exit.
+for which adjointness holds at y when inv[y] = b. Both are read from
+two preimage tables, built in O(n^2): ``jpre[x][u]``, the m with
+x v m = u, and ``mpre[x][d]``, the m with x ^ m = d. The first
+identity holds at x for a when x v (u ^ a) = u for every u >= x, that
+is when u ^ a lies in jpre[x][u], so G[x] is the intersection over
+u >= x of the union of mpre[u][m] over m in jpre[x][u]; the second
+identity is its dual over the d <= x. With b fixed, f(x) = y ^ (x v b)
+and g(z) = b v (y ^ z) are monotone, so f is left adjoint to g exactly
+when the unit x <= g(f(x)) holds for every x and the counit
+f(g(z)) <= z for every z. The unit reads x only through v = x v b, so
+it holds when each class jpre[b][v] lies below b v (y ^ v); the
+counit reads z only through w = y ^ z, so it holds when each class
+mpre[y][w] lies above y ^ (b v w). Each b costs one subset test per
+v >= b and per w <= y, with early exit.
 
 From the masks, one backtracker (``universe.involutions`` with the
 masks as allowed partners) lists the involutions that fit G and those
-that fit H, once per lattice. A pair is then two set lookups: the
-identities hold for ``inv`` when it fits G, and the Sasaki pair is
-adjoint when it fits H. ``omidentity_equiv`` first checks that ``inv``
-is an involution (``require_involution``); the harness checks each
+that fit H, once per lattice, into one dict from each of them to its
+two verdicts. A pair is then one lookup: an involution the dict lacks
+fits neither mask, so the identities fail and the Sasaki pair is not
+adjoint. ``omidentity_equiv`` first checks that ``inv`` is an
+involution (``require_involution``); the harness checks each
 involution once per size instead, and reads the verdicts without the
 check through ``_omidentity_verdicts``.
 """
@@ -35,9 +46,9 @@ check through ``_omidentity_verdicts``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .poset import FinitePoset, bits, mask_of
+from .poset import FinitePoset, bits
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
                     is_orthogonal_poset, is_orthomodular, is_weakly_boolean)
 from .implication import (NotALattice, SetValuedTable,
@@ -124,36 +135,67 @@ def lemma_AB_equiv(o: OrthoPoset) -> bool:
 
 # -- lattice-side results (plain involutions allowed) -----------------
 
+def _union(rows: Sequence[int], ms: int) -> int:
+    """The union of ``rows[m]`` over the m in the mask ``ms``."""
+    out = 0
+    for m in bits(ms):
+        out |= rows[m]
+    return out
+
+
 def _omidentity_masks(p: FinitePoset) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """``(G, H)`` of a lattice: per element, the mask of its admissible involutes.
 
-    The joins x v y over all y are the u >= x and the meets x ^ y are
-    the d <= x, so G[x] tests a on those alone. H[y] tests b by the unit
-    x <= b v (y ^ (x v b)) over all x and the counit
-    y ^ (b v (y ^ z)) <= z over all z.
+    G[x] keeps a when x v (u ^ a) = u for every u >= x and
+    x ^ (d v a) = d for every d <= x. H[y] keeps b when the unit
+    x <= b v (y ^ (x v b)) holds for every x and the counit
+    y ^ (b v (y ^ z)) <= z for every z. Both read the preimage tables
+    ``jpre`` and ``mpre`` (see the module docstring).
     """
     if not p.is_lattice:
         raise NotALattice("Sasaki lattice operators need a lattice")
     n, meets, joins, up, down = p.n, p.meets, p.joins, p.up, p.down
     r = range(n)
-    g = tuple(
-        mask_of(a for a in r
-                if all(joins[x][meets[u][a]] == u for u in bits(up[x]))
-                and all(meets[x][joins[d][a]] == d for d in bits(down[x])))
-        for x in r)
-    h = tuple(
-        mask_of(b for b, jb in enumerate(joins)
-                if all(up[x] >> jb[my[jb[x]]] & 1 for x in r)
-                and all(up[my[jb[my[z]]]] >> z & 1 for z in r))
-        for my in meets)
-    return g, h
+    jpre = [[0] * n for _ in r]
+    mpre = [[0] * n for _ in r]
+    for x in r:
+        jx, mx, jp, mp = joins[x], meets[x], jpre[x], mpre[x]
+        for m in r:
+            jp[jx[m]] |= 1 << m
+            mp[mx[m]] |= 1 << m
+    g = []
+    for x in r:
+        gx = (1 << n) - 1
+        for u in bits(up[x]):
+            gx &= _union(mpre[u], jpre[x][u])
+        for d in bits(down[x]):
+            gx &= _union(jpre[d], mpre[x][d])
+        g.append(gx)
+    h = []
+    for y, my in enumerate(meets):
+        mpy, hy = mpre[y], 0
+        for b, jb in enumerate(joins):
+            jpb = jpre[b]
+            for v in bits(up[b]):
+                if jpb[v] & ~down[jb[my[v]]]:
+                    break
+            else:
+                for w in bits(down[y]):
+                    if mpy[w] & ~up[my[jb[w]]]:
+                        break
+                else:
+                    hy |= 1 << b
+        h.append(hy)
+    return tuple(g), tuple(h)
 
 
-def _omidentity_fits(p: FinitePoset) -> Tuple[FrozenSet[Tuple[int, ...]],
-                                              FrozenSet[Tuple[int, ...]]]:
-    """The involutions of a lattice that fit G, and those that fit H."""
+def _omidentity_fits(p: FinitePoset) -> Dict[Tuple[int, ...], Tuple[bool, bool]]:
+    """``{inv: (fits G, fits H)}`` over the involutions that fit G or H."""
     g, h = cached(p, _omidentity_masks)
-    return frozenset(involutions(p.n, g)), frozenset(involutions(p.n, h))
+    fits = dict.fromkeys(involutions(p.n, g), (True, False))
+    for inv in involutions(p.n, h):
+        fits[inv] = (inv in fits, True)
+    return fits
 
 
 def require_involution(n: int, inv: Tuple[int, ...]) -> None:
@@ -165,8 +207,7 @@ def require_involution(n: int, inv: Tuple[int, ...]) -> None:
 
 def _omidentity_verdicts(p: FinitePoset, inv: Tuple[int, ...]) -> Tuple[bool, bool, bool]:
     """``omidentity_equiv`` on an involution the caller has validated."""
-    fits_g, fits_h = cached(p, _omidentity_fits)
-    oi, adj = inv in fits_g, inv in fits_h
+    oi, adj = cached(p, _omidentity_fits).get(inv, (False, False))
     return oi, adj, oi == adj
 
 

@@ -140,10 +140,18 @@ def cmd_amalgam(args) -> int:
     return 3
 
 
-def _verify_problem(max_n: int, ids) -> str:
-    """Why a verify run would check nothing or count a theorem twice, or ''."""
+def _max_n_problem(max_n: int) -> str:
+    """Why a sweep up to ``max_n`` would check nothing, or ''."""
     if max_n < 2:
         return f"--max-n {max_n} checks nothing: structures start at n = 2"
+    return ""
+
+
+def _verify_problem(max_n: int, ids) -> str:
+    """Why a verify run would check nothing or count a theorem twice, or ''."""
+    problem = _max_n_problem(max_n)
+    if problem:
+        return problem
     if ids == []:
         return "--theorems names no theorem"
     try:
@@ -179,6 +187,10 @@ def cmd_search(args) -> int:
               file=sys.stderr)
         return 2
     if _unknown_predicate((prop_a, prop_b)):
+        return 2
+    problem = _max_n_problem(args.max_n)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     found = harness.find_counterexample(prop_a, prop_b, max_n=args.max_n)
     if found is None:

@@ -82,7 +82,7 @@ def test_om_identity_masks_match_reference():
 def test_om_identity_masks_match_their_definition():
     # the verdicts alone would not see a dropped clause: on every lattice
     # with n <= 8 the two identities fail for the same involutions
-    lattices = [p for n in range(2, 8) for p in U.bounded_posets(n) if p.is_lattice]
+    lattices = [p for n in range(2, 9) for p in U.bounded_posets(n) if p.is_lattice]
     for p in lattices + [figures.boolean_cube().poset]:
         meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
         g = [sum(1 << a for a in r if all(
@@ -116,9 +116,12 @@ def test_om_identity_fit_sets_match_the_masks():
             return frozenset(inv for inv in invs
                              if all(masks[x] >> a & 1 for x, a in enumerate(inv)))
 
+        fits_g, fits_h = fitting(g), fitting(h)
         fits = A._omidentity_fits(p)
-        assert fits == (fitting(g), fitting(h)), p.up
-        sizes[len(fits[0]), len(fits[1])] += 1
+        # keyed by exactly the involutions that fit a mask, each with both verdicts
+        assert fits.keys() == fits_g | fits_h, p.up
+        assert all(v == (inv in fits_g, inv in fits_h) for inv, v in fits.items()), p.up
+        sizes[len(fits_g), len(fits_h)] += 1
     # lattices with no fitting involution, with one, and with several
     assert sizes[0, 0] and sizes[1, 1] and any(a > 1 for a, b in sizes)
 

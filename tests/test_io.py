@@ -458,7 +458,13 @@ def test_cli_search(capsys):
     (["search", "--implies", "a"],
      "error: --implies takes two comma-separated predicates\n"),
     (["search", "--implies", "lattice,bogus"], "error: unknown predicate 'bogus'\n"),
-], ids=["check-file", "check-missing-file", "search-one-name", "search-bad-name"])
+    # a search that would check nothing is refused, as verify refuses one
+    (["search", "--implies", "orthomodular,paraorthomodular", "--max-n", "1"],
+     "error: --max-n 1 checks nothing: structures start at n = 2\n"),
+    (["search", "--implies", "orthomodular,paraorthomodular", "--max-n", "-5"],
+     "error: --max-n -5 checks nothing: structures start at n = 2\n"),
+], ids=["check-file", "check-missing-file", "search-one-name", "search-bad-name",
+        "search-max-n-1", "search-max-n-negative"])
 def test_cli_rejects_bad_predicate_names(capsys, monkeypatch, argv, message):
     monkeypatch.chdir(ROOT)
     assert cli.main(argv) == 2
