@@ -3,11 +3,21 @@
 The element-level conditions (A)/(B) only make sense where both cells
 are singletons; non-singleton cells are counted as not applicable
 instead of being coerced. The subscripted variants work on arbitrary
-set-valued cells through the le1/le2 relations, read as bit tests from
-the unions of the order rows over each cell. The two condition
-reports the statements share (the Sasaki pair, and the Sasaki product
-with the cone implication) and the residuation of the cone implication
-are built once per structure, through :func:`implication.cached`.
+set-valued cells through the le1/le2 relations. Each (x, y) pair reads
+all z at once, as masks: le2 is the up-set of the product cell (x, y),
+the z with prod(x, y) le2 {z}; le1 is the implication table's le1 row
+``imp.le1[y][x]``, the z with {x} le1 imp(y, z); and ``single[y]`` is
+the z whose implication cell imp(y, z) is a singleton. A condition
+fails at (x, y) when its mask, such as ``le2 & ~le1`` for the
+subscripted (A), is nonzero, and its witness is the lowest such z, the
+first failing triple in (x, y, z) order. Residuation reads the same
+le1 row as the candidate set of (x, y), and the product is adjoint
+exactly when the up-set of each least candidate equals its candidate
+set. The two condition reports the statements share (the Sasaki pair,
+and the Sasaki product with the cone implication) and the residuation
+of the cone implication are built once per structure, through
+:func:`implication.cached`; the cone implication's le1 rows are built
+once per table and serve both.
 
 The lattice-side statement, ``omidentity_equiv``, takes any involution
 of a lattice and reads each of its entries on its own. The orthomodular
@@ -46,7 +56,7 @@ check through ``_omidentity_verdicts``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits
 from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
@@ -70,51 +80,45 @@ class AdjointnessReport:
     not_applicable: int = 0
 
 
-def _cell_unions(span: Callable[[int], int], t: SetValuedTable) -> list:
-    """``out[x][y]``: ``span`` of the cell t(x, y).
-
-    With ``FinitePoset._upset``, z is in ``out[x][y]`` exactly when
-    t(x, y) le2 {z}; with ``_downset``, x is in ``out[y][z]`` exactly
-    when {x} le1 t(y, z).
-    """
-    return [[span(c) for c in cells] for cells in t.cells]
+def _low(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def check_conditions(o: OrthoPoset, prod: SetValuedTable,
                      imp: SetValuedTable) -> AdjointnessReport:
     """Evaluate (A), (B) and their subscripted variants over all triples."""
     p = o.poset
-    rep = AdjointnessReport()
-    up = p.up
-    upcov = _cell_unions(p._upset, prod)
-    downcov = _cell_unions(p._downset, imp)
-    for x in range(p.n):
-        for y in range(p.n):
-            pc = prod.cells[x][y]
-            up_pc = up[pc.bit_length() - 1]
-            up_xy, imp_y, downcov_y = upcov[x][y], imp.cells[y], downcov[y]
-            for z in range(p.n):
-                ic = imp_y[z]
-                if pc & (pc - 1) == 0 and ic & (ic - 1) == 0:
-                    pe_z = up_pc >> z & 1
-                    x_ie = up[x] >> (ic.bit_length() - 1) & 1
-                    if pe_z and not x_ie and rep.holds_A:
-                        rep.holds_A = False
-                        rep.witness_A = (x, y, z)
-                    if x_ie and not pe_z and rep.holds_B:
-                        rep.holds_B = False
-                        rep.witness_B = (x, y, z)
-                else:
-                    rep.not_applicable += 1
-                le2 = up_xy >> z & 1
-                le1 = downcov_y[z] >> x & 1
-                if le2 and not le1 and rep.holds_A21:
-                    rep.holds_A21 = False
-                    rep.witness_A21 = (x, y, z)
-                if le1 and not le2 and rep.holds_B12:
-                    rep.holds_B12 = False
-                    rep.witness_B12 = (x, y, z)
-    return rep
+    n = p.n
+    up, upset, le1_rows = p.up, p._upset, imp.le1
+    single = [0] * n
+    for y, cells in enumerate(imp.cells):
+        for z, c in enumerate(cells):
+            if c and c & (c - 1) == 0:
+                single[y] |= 1 << z
+    # the z whose implication cell is not a singleton, per y
+    skipped = [n - bin(m).count("1") for m in single]
+    w_a = w_b = w_a21 = w_b12 = None
+    not_applicable = 0
+    for x, cells in enumerate(prod.cells):
+        for y, pc in enumerate(cells):
+            le1 = le1_rows[y][x]
+            if pc and pc & (pc - 1) == 0:
+                le2 = up[pc.bit_length() - 1]
+                not_applicable += skipped[y]
+                if w_a is None and (a := le2 & ~le1 & single[y]):
+                    w_a = (x, y, _low(a))
+                if w_b is None and (b := le1 & ~le2 & single[y]):
+                    w_b = (x, y, _low(b))
+            else:
+                le2 = upset(pc)
+                not_applicable += n
+            if w_a21 is None and (a := le2 & ~le1):
+                w_a21 = (x, y, _low(a))
+            if w_b12 is None and (b := le1 & ~le2):
+                w_b12 = (x, y, _low(b))
+    return AdjointnessReport(w_a is None, w_b is None, w_a21 is None, w_b12 is None,
+                             w_a, w_b, w_a21, w_b12, not_applicable)
 
 
 def _sasaki_conditions(o: OrthoPoset) -> AdjointnessReport:
@@ -270,31 +274,26 @@ class ResiduationResult:
 def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
     """Try to build the product adjoint to ``imp``.
 
-    For each (x, y) the candidate set is every z with x le1 imp(y, z);
-    the product cell is its least element, and a pair without one is
-    reported as the ``failure``.
+    For each (x, y) the candidate set is every z with x le1 imp(y, z),
+    the le1 row ``imp.le1[y][x]``; the product cell is its least
+    element, and a pair without one is reported as the ``failure``. The
+    product is adjoint when every cell's up-set is its candidate set.
     """
     p = o.poset
-    downcov = _cell_unions(p._downset, imp)
+    up, le1 = p.up, imp.le1
+    adjoint = True
     cells = []
     for x in range(p.n):
         row = []
-        for y in range(p.n):
-            cand = 0
-            for z in range(p.n):
-                if downcov[y][z] >> x & 1:
-                    cand |= 1 << z
+        for y, le1_y in enumerate(le1):
+            cand = le1_y[x]
             least = p.min_of(cand)
             if least == 0 or least & (least - 1):
                 return ResiduationResult(None, failure=(x, y))
+            adjoint = adjoint and up[least.bit_length() - 1] == cand
             row.append(least)
         cells.append(tuple(row))
-    prod = SetValuedTable(p, tuple(cells))
-    adjoint = all(
-        p.leq(prod.element(x, y), z) == bool(downcov[y][z] >> x & 1)
-        for x in range(p.n) for y in range(p.n) for z in range(p.n)
-    )
-    return ResiduationResult(prod, adjoint=adjoint)
+    return ResiduationResult(SetValuedTable(p, tuple(cells)), adjoint=adjoint)
 
 
 def cone_adjoint(o: OrthoPoset) -> Optional[SetValuedTable]:

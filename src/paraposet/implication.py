@@ -9,12 +9,23 @@ meeting the hypotheses). The checks read their tables through
 :func:`cached`, so each table is built once per structure however many
 statements are checked on it; the public builders themselves always
 build afresh.
+
+The checks test a whole z-range of a relation at once, as one bitmask
+per (x, y) pair. A table keeps its le1 rows, built once on first use:
+``le1[y][x]`` is the mask of the z with {x} le1 t(y, z), that is the z
+whose cell t(y, z) has a member in up[x]. First-argument antitonicity
+packs each row into one integer with n bits per z: the row
+``R[y] = sum of t(y, z) << z*n`` and its down-set ``D[x]`` packed the
+same way. Then t(y, z) le1 t(x, z) holds for every z exactly when
+``R[y] & ~D[x] == 0``, and each failing z is one n-bit block of the
+difference, read lowest first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from functools import cached_property
+from typing import Iterator, List, Tuple
 
 from .poset import FinitePoset, PosetError, bits
 from .ortho import (OrthoPoset, cached, is_complementation, is_paraorthomodular,
@@ -47,6 +58,8 @@ class SetValuedTable:
 
     def lift(self, a: int, y: int) -> int:
         """Union extension to the pair (A, {y}): union of the cells (x, y), x in A."""
+        if a and a & (a - 1) == 0:
+            return self.cells[a.bit_length() - 1][y]
         out = 0
         for x in bits(a):
             out |= self.cells[x][y]
@@ -54,13 +67,28 @@ class SetValuedTable:
 
     def element(self, x: int, y: int) -> int:
         c = self.cells[x][y]
-        if c & (c - 1):
+        if c == 0 or c & (c - 1):
             raise PosetError("cell is not a singleton")
         return c.bit_length() - 1
 
+    @cached_property
+    def le1(self) -> Tuple[Tuple[int, ...], ...]:
+        """``le1[y][x]``: the mask of the z with {x} le1 t(y, z)."""
+        out = []
+        for row in self.cells:
+            cols = []
+            for up_x in self.poset.up:
+                m = 0
+                for z, c in enumerate(row):
+                    if c & up_x:
+                        m |= 1 << z
+                cols.append(m)
+            out.append(tuple(cols))
+        return tuple(out)
+
 
 def _require_orthogonal(o: OrthoPoset) -> None:
-    w = orthogonality_witness(o)
+    w = cached(o, orthogonality_witness)
     if w is not None:
         raise NotOrthogonal(w)
 
@@ -69,6 +97,10 @@ def _image(p: FinitePoset, op: str, a: int, mask: int, error=JoinMissing) -> int
     """The mask of the a v b (``op`` "join") or a ^ b ("meet") over the b
     in ``mask``; a missing one raises ``error``."""
     row = (p.joins if op == "join" else p.meets)[a]
+    if mask and mask & (mask - 1) == 0:
+        c = row[mask.bit_length() - 1]
+        if c is not None:
+            return 1 << c
     out = 0
     for b in bits(mask):
         c = row[b]
@@ -151,23 +183,55 @@ class TheoremReport:
                 self.violations_elementwise.append((clause, *elems))
 
 
-def antitone_first_arg(t: SetValuedTable) -> bool:
-    """x <= y forces t(y, z) <= t(x, z); the cells must be singletons."""
+def _antitone_failures(t: SetValuedTable) -> Iterator[Tuple[int, int, int]]:
+    """The (x, y, z) with x <= y and t(y, z) not le1 t(x, z), in (x, y, z) order.
+
+    Reads the packed rows ``R[y]`` and down-sets ``D[x]`` (see the
+    module docstring): the failing z of a pair x <= y are the nonzero
+    n-bit blocks of ``R[y] & ~D[x]``.
+    """
     p = t.poset
-    for x in range(p.n):
+    n, down = p.n, p._downset
+    rows, downs = [], []
+    for cells in t.cells:
+        r = d = 0
+        for c in reversed(cells):
+            r = r << n | c
+            d = d << n | down(c)
+        rows.append(r)
+        downs.append(d)
+    for x, dx in enumerate(downs):
         for y in bits(p.up[x]):
-            for z in range(p.n):
-                if not p.leq(t.element(y, z), t.element(x, z)):
-                    return False
-    return True
+            bad = rows[y] & ~dx
+            while bad:
+                z = ((bad & -bad).bit_length() - 1) // n
+                yield x, y, z
+                bad &= -1 << (z + 1) * n
+
+
+def antitone_first_arg(t: SetValuedTable) -> bool:
+    """x <= y forces t(y, z) <= t(x, z); the cells must be singletons.
+
+    Every cell is checked to be a singleton, raising PosetError
+    otherwise, before any two cells are compared.
+    """
+    if not all(c and c & (c - 1) == 0 for row in t.cells for c in row):
+        raise PosetError("cell is not a singleton")
+    return next(_antitone_failures(t), None) is None
 
 
 def unit_law(t: SetValuedTable) -> bool:
     """t(x, y) = {1} forces x <= y."""
     p = t.poset
     one = 1 << p.top
-    return all(p.leq(x, y) for x in range(p.n) for y in range(p.n)
-               if t.cell(x, y) == one)
+    for up_x, row in zip(p.up, t.cells):
+        ones = 0
+        for y, c in enumerate(row):
+            if c == one:
+                ones |= 1 << y
+        if ones & ~up_x:
+            return False
+    return True
 
 
 def check_th1(o: OrthoPoset) -> TheoremReport:
@@ -175,50 +239,49 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
     t = cached(o, impl_I)
     p = o.poset
     rep = TheoremReport("th1")
-    n = p.n
-    for x in range(n):
-        xi = o.inv[x]
-        for y in range(n):
-            yi = o.inv[y]
-            cell = t.cell(x, y)
+    violations, identity, lift = rep.violations, rep.identity, t.lift
+    inv, up, meets = o.inv, p.up, p.meets
+    max_lower, min_upper = p.max_lower, p.min_upper
+    one = 1 << p.top
+    complemented = is_complementation(o)
+    for x, row in enumerate(t.cells):
+        xi, up_x = inv[x], up[x]
+        for y, cell in enumerate(row):
+            yi, up_y = inv[y], up[y]
             # (i) y below every member
-            if cell & ~p.up[y]:
-                rep.violations.append(("i", x, y))
+            if cell & ~up_y:
+                violations.append(("i", x, y))
             # (iii) case formulas
-            if p.leq(x, y):
-                rep.identity(p, "iii-le", cell, _image(p, "join", y, 1 << yi), x, y)
-                if is_complementation(o) and cell != 1 << p.top:
-                    rep.violations.append(("iii-compl", x, y))
-            if p.leq(x, yi):
-                m = p.meet(xi, yi)
+            if up_x >> y & 1:
+                identity(p, "iii-le", cell, _image(p, "join", y, 1 << yi), x, y)
+                if complemented and cell != one:
+                    violations.append(("iii-compl", x, y))
+            if up_x >> yi & 1:
+                m = meets[xi][yi]
                 if m is None:
-                    rep.violations.append(("iii-perp", x, y))
+                    violations.append(("iii-perp", x, y))
                 else:
-                    rep.identity(p, "iii-perp", cell, _image(p, "join", y, 1 << m), x, y)
-            if p.leq(y, x):
-                rep.identity(p, "iii-ge", cell, _image(p, "join", y, 1 << xi), x, y)
+                    identity(p, "iii-perp", cell, _image(p, "join", y, 1 << m), x, y)
+            if up_y >> x & 1:
+                identity(p, "iii-ge", cell, _image(p, "join", y, 1 << xi), x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
-            lhs = t.lift(cell, y)
+            lhs = lift(cell, y)
             try:
-                low = _image(p, "meet", yi, p.min_upper[x][y])
+                low = _image(p, "meet", yi, min_upper[x][y])
             except JoinMissing:
-                rep.violations.append(("iv", x, y))
+                violations.append(("iv", x, y))
             else:
-                rep.identity(p, "iv", lhs, _image(p, "join", y, low), x, y)
+                identity(p, "iv", lhs, _image(p, "join", y, low), x, y)
             # (v) triple implication against y v (y' ^ (y v Max L(x', y')))
-            high = _image(p, "join", y, p.max_lower[xi][yi])
+            high = _image(p, "join", y, max_lower[xi][yi])
             try:
                 low = _image(p, "meet", yi, high)
             except JoinMissing:
-                rep.violations.append(("v", x, y))
+                violations.append(("v", x, y))
             else:
-                rep.identity(p, "v", t.lift(lhs, y), _image(p, "join", y, low), x, y)
+                identity(p, "v", lift(lhs, y), _image(p, "join", y, low), x, y)
     # (ii) antitone in the first argument, up to le1
-    for x in range(n):
-        for y in bits(p.up[x]):
-            for z in range(n):
-                if t.cell(y, z) & ~p._downset(t.cell(x, z)):
-                    rep.violations.append(("ii", x, y, z))
+    violations.extend(("ii", *w) for w in _antitone_failures(t))
     return rep
 
 

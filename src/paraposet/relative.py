@@ -138,24 +138,27 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
     t = cached(s, impl_I3)
     p = s.poset
     rep = TheoremReport("th2")
+    violations, identity, lift = rep.violations, rep.identity, t.lift
+    up, joins, min_upper, sec = p.up, p.joins, p.min_upper, s.sections
     one = 1 << p.top
-    for x in range(p.n):
-        for y in range(p.n):
-            cell = t.cell(x, y)
-            if cell & ~p.up[y]:
-                rep.violations.append(("i", x, y))
-            if (cell == one) != p.leq(x, y):
-                rep.violations.append(("ii", x, y))
-            if p.leq(x, y) and cell != one:
-                rep.violations.append(("iii-le", x, y))
-            j = p.join(x, y)
-            if j is not None and cell != 1 << s.sections[y][j]:
-                rep.violations.append(("iii-join", x, y))
-            if p.leq(y, x) and cell != 1 << s.sections[y][x]:
-                rep.violations.append(("iii-ge", x, y))
-            lhs = t.lift(cell, y)
-            rep.identity(p, "iv", lhs, p.min_upper[x][y], x, y)
-            rep.identity(p, "v", t.lift(lhs, y), cell, x, y)
+    for x, row in enumerate(t.cells):
+        up_x, joins_x = up[x], joins[x]
+        for y, cell in enumerate(row):
+            le = up_x >> y & 1
+            if cell & ~up[y]:
+                violations.append(("i", x, y))
+            if (cell == one) != le:
+                violations.append(("ii", x, y))
+            if le and cell != one:
+                violations.append(("iii-le", x, y))
+            j = joins_x[y]
+            if j is not None and cell != 1 << sec[y][j]:
+                violations.append(("iii-join", x, y))
+            if up[y] >> x & 1 and cell != 1 << sec[y][x]:
+                violations.append(("iii-ge", x, y))
+            lhs = lift(cell, y)
+            identity(p, "iv", lhs, min_upper[x][y], x, y)
+            identity(p, "v", lift(lhs, y), cell, x, y)
     return rep
 
 

@@ -1,15 +1,19 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
-from paraposet import figures
+from paraposet import figures, fileformat
 from paraposet import harness as H
 from paraposet import adjoint as A
+from paraposet import amalgam as AM
 from paraposet import implication as I
+from paraposet import ortho as O
+from paraposet import relative as R
 from paraposet import universe as U
 from paraposet.poset import FinitePoset, PosetError, bits
 
@@ -321,11 +325,31 @@ def _subset_rel_residuate(o, imp):
     return A.ResiduationResult(prod, adjoint=adjoint)
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _ortho_structures():
+    """Every ortho structure with n <= 7, the figures (fig2b has
+    non-singleton cells) and the amalgam carriers of the fixtures."""
+    out = [o for n in range(2, 8) for o in U.ortho_posets(n)]
+    out += [figures.fig2a(), figures.fig2b(), figures.fig3(), figures.fig4(),
+            figures.fig5(), figures.fig8(), figures.boolean_cube()]
+    for d in ("chain", "fig5", "pentagon", "square", "triangle"):
+        out.append(AM.build_amalgam(fileformat.load(str(FIXTURES / d / "family.poset"))))
+    return out
+
+
+def _sectioned_structures():
+    """Every sectioned structure with n <= 7 and the sectioned figures."""
+    out = [s for n in range(2, 8) for s in U.sectioned_posets(n)]
+    return out + [figures.fig1a_sections(), figures.fig7_sections(),
+                  figures.fig8_sections(),
+                  R.sections_from_involution(figures.boolean_cube())]
+
+
 def test_conditions_match_subset_relations():
-    # every ortho structure with n <= 6, plus fig2b for non-singleton cells
-    structures = [o for n in range(2, 7) for o in U.ortho_posets(n)]
     reports = []
-    for o in structures + [figures.fig2b()]:
+    for o in _ortho_structures():
         try:
             pairs = [(I.sasaki_proj(o), I.sasaki_impl(o)),
                      (I.sasaki_proj(o), I.impl_I(o))]
@@ -342,3 +366,228 @@ def test_conditions_match_subset_relations():
     assert any(r.witness_A21 for r in reports)
     assert any(r.witness_B12 for r in reports)
     assert any(r.holds_A21 and r.holds_B12 for r in reports)
+
+
+# -- per-triple references for the bit-parallel theorem kernels --------
+
+def _image_reference(p, op, a, mask):
+    row = p.joins[a] if op == "join" else p.meets[a]
+    out = 0
+    for b in bits(mask):
+        if row[b] is None:
+            raise I.JoinMissing(f"{op} of {p.labels[a]} and {p.labels[b]} missing")
+        out |= 1 << row[b]
+    return out
+
+
+def _lift_reference(t, a, y):
+    out = 0
+    for x in bits(a):
+        out |= t.cell(x, y)
+    return out
+
+
+def _check_th1_reference(o):
+    t = I.cached(o, I.impl_I)
+    p = o.poset
+    rep = I.TheoremReport("th1")
+    n = p.n
+    for x in range(n):
+        xi = o.inv[x]
+        for y in range(n):
+            yi = o.inv[y]
+            cell = t.cell(x, y)
+            if cell & ~p.up[y]:
+                rep.violations.append(("i", x, y))
+            if p.leq(x, y):
+                rep.identity(p, "iii-le", cell, _image_reference(p, "join", y, 1 << yi), x, y)
+                if O.is_complementation(o) and cell != 1 << p.top:
+                    rep.violations.append(("iii-compl", x, y))
+            if p.leq(x, yi):
+                m = p.meet(xi, yi)
+                if m is None:
+                    rep.violations.append(("iii-perp", x, y))
+                else:
+                    rep.identity(p, "iii-perp", cell,
+                                 _image_reference(p, "join", y, 1 << m), x, y)
+            if p.leq(y, x):
+                rep.identity(p, "iii-ge", cell, _image_reference(p, "join", y, 1 << xi), x, y)
+            lhs = _lift_reference(t, cell, y)
+            try:
+                low = _image_reference(p, "meet", yi, p.min_upper[x][y])
+            except I.JoinMissing:
+                rep.violations.append(("iv", x, y))
+            else:
+                rep.identity(p, "iv", lhs, _image_reference(p, "join", y, low), x, y)
+            high = _image_reference(p, "join", y, p.max_lower[xi][yi])
+            try:
+                low = _image_reference(p, "meet", yi, high)
+            except I.JoinMissing:
+                rep.violations.append(("v", x, y))
+            else:
+                rep.identity(p, "v", _lift_reference(t, lhs, y),
+                             _image_reference(p, "join", y, low), x, y)
+    for x in range(n):
+        for y in bits(p.up[x]):
+            for z in range(n):
+                if not p.subset_rel(t.cell(y, z), t.cell(x, z), "le1"):
+                    rep.violations.append(("ii", x, y, z))
+    return rep
+
+
+def _check_th2_reference(s):
+    t = I.cached(s, R.impl_I3)
+    p = s.poset
+    rep = I.TheoremReport("th2")
+    one = 1 << p.top
+    for x in range(p.n):
+        for y in range(p.n):
+            cell = t.cell(x, y)
+            if cell & ~p.up[y]:
+                rep.violations.append(("i", x, y))
+            if (cell == one) != p.leq(x, y):
+                rep.violations.append(("ii", x, y))
+            if p.leq(x, y) and cell != one:
+                rep.violations.append(("iii-le", x, y))
+            j = p.join(x, y)
+            if j is not None and cell != 1 << s.sections[y][j]:
+                rep.violations.append(("iii-join", x, y))
+            if p.leq(y, x) and cell != 1 << s.sections[y][x]:
+                rep.violations.append(("iii-ge", x, y))
+            lhs = _lift_reference(t, cell, y)
+            rep.identity(p, "iv", lhs, p.min_upper[x][y], x, y)
+            rep.identity(p, "v", _lift_reference(t, lhs, y), cell, x, y)
+    return rep
+
+
+def _antitone_reference(t):
+    p = t.poset
+    for x in range(p.n):
+        for y in bits(p.up[x]):
+            for z in range(p.n):
+                if not p.leq(t.element(y, z), t.element(x, z)):
+                    return False
+    return True
+
+
+def _unit_law_reference(t):
+    p = t.poset
+    return all(p.leq(x, y) for x in range(p.n) for y in range(p.n)
+               if t.cell(x, y) == 1 << p.top)
+
+
+def _perturbed(t, rng, singleton=False):
+    """``t`` with one cell, drawn by ``rng``, set to another nonempty mask,
+    or to another singleton."""
+    n = t.poset.n
+    x, y = rng.randrange(n), rng.randrange(n)
+    cell = t.cell(x, y)
+    while cell == t.cell(x, y):
+        cell = 1 << rng.randrange(n) if singleton else rng.randrange(1, 1 << n)
+    cells = [list(row) for row in t.cells]
+    cells[x][y] = cell
+    return I.SetValuedTable(t.poset, tuple(map(tuple, cells)))
+
+
+def _orthogonal_structures():
+    return [o for o in _ortho_structures() if O.is_orthogonal_poset(o)]
+
+
+def _cone_kernels(o):
+    """Every kernel that reads the cone implication, with its reference."""
+    imp = I.cached(o, I.impl_I)
+    prod = I.sasaki_proj(o)
+    return ((I.check_th1(o), _check_th1_reference(o)),
+            (A.check_conditions(o, prod, imp), _subset_rel_conditions(o, prod, imp)),
+            (A.residuate(o, imp), _subset_rel_residuate(o, imp)),
+            (I.unit_law(imp), _unit_law_reference(imp)))
+
+
+def test_cone_kernels_match_per_triple_references():
+    for o in _orthogonal_structures():
+        for got, want in _cone_kernels(o):
+            assert got == want, o
+
+
+def test_cone_kernels_match_references_on_perturbed_tables():
+    # the real tables report no th1 violation, so only a changed cell
+    # shows that the violation lists and their order survive
+    rng = random.Random(1)
+    clauses, reports, laws = Counter(), 0, Counter()
+    for o in _orthogonal_structures():
+        table = I.cached(o, I.impl_I)
+        for _ in range(4):
+            o._memo[I.impl_I] = _perturbed(table, rng)
+            kernels = _cone_kernels(o)
+            for got, want in kernels:
+                assert got == want, o
+            th1 = kernels[0][0]
+            clauses.update({v[0] for v in th1.violations})
+            reports += len(th1.violations) > 1 and len(th1.violations_elementwise) > 1
+            laws[kernels[3][0]] += 1
+        o._memo[I.impl_I] = table
+    assert set(clauses) >= {"i", "ii", "iii-le", "iii-compl", "iii-ge", "iv", "v"}
+    assert reports > 100 and laws[True] and laws[False]
+
+
+def test_antitone_matches_reference_on_lattice_tables():
+    rng = random.Random(2)
+    verdicts = Counter()
+    for o in _orthogonal_structures():
+        if not o.poset.is_lattice:
+            continue
+        table = I.cached(o, I.impl_I2)
+        for t in [table] + [_perturbed(table, rng, singleton=True) for _ in range(4)]:
+            got = I.antitone_first_arg(t)
+            assert got == _antitone_reference(t), o
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _section_kernels(s):
+    imp = I.cached(s, R.impl_I3)
+    return ((R.check_th2(s), _check_th2_reference(s)),
+            (I.unit_law(imp), _unit_law_reference(imp)))
+
+
+def test_section_kernels_match_per_triple_references():
+    rng = random.Random(3)
+    clauses, reports, verdicts = Counter(), 0, Counter()
+    for s in _sectioned_structures():
+        table = I.cached(s, R.impl_I3)
+        for t in [table] + [_perturbed(table, rng) for _ in range(4)]:
+            s._memo[R.impl_I3] = t
+            kernels = _section_kernels(s)
+            for got, want in kernels:
+                assert got == want, s
+            th2 = kernels[0][0]
+            clauses.update({v[0] for v in th2.violations})
+            reports += len(th2.violations) > 1 and len(th2.violations_elementwise) > 1
+        s._memo[R.impl_I3] = table
+        try:
+            i4 = I.cached(s, R.impl_I4)
+        except R.NotJoinSemilattice:
+            continue
+        for t in [i4] + [_perturbed(i4, rng, singleton=True) for _ in range(4)]:
+            got = I.antitone_first_arg(t)
+            assert got == _antitone_reference(t), s
+            verdicts[got] += 1
+    assert set(clauses) >= {"i", "ii", "iii-le", "iii-join", "iii-ge", "iv", "v"}
+    assert reports > 100 and verdicts[True] and verdicts[False]
+
+
+def test_empty_cell_is_not_a_singleton():
+    # a table of empty cells on the cube
+    cube = figures.boolean_cube()
+    n = cube.n
+    t = I.SetValuedTable(cube.poset, ((0,) * n,) * n)
+    with pytest.raises(PosetError, match="cell is not a singleton"):
+        t.element(0, 0)
+    with pytest.raises(PosetError, match="cell is not a singleton"):
+        I.antitone_first_arg(t)
+    # one empty cell among singletons: every cell is checked before any
+    # two are compared, so the verdict never hides it
+    cells = [list(row) for row in I.impl_I2(cube).cells]
+    cells[n - 1][n - 1] = 0
+    with pytest.raises(PosetError, match="cell is not a singleton"):
+        I.antitone_first_arg(I.SetValuedTable(cube.poset, tuple(map(tuple, cells))))

@@ -194,4 +194,23 @@ def test_failed_builds_are_not_cached():
             A.lemma_AB_equiv(o)
         with pytest.raises(I.NotOrthogonal):
             A.th3_check(o)
-    assert o._memo == {}
+    # the memo keeps the orthogonality witness the builds read, and no table
+    assert o._memo == {O.orthogonality_witness: (1, 2)}
+
+
+def test_orthogonality_witness_built_once_per_structure(monkeypatch):
+    # the table builders read the witness that the hypotheses read
+    builds = _count_builds(monkeypatch, "orthogonality_witness", (O, I))
+    # fig1a is not orthogonal, so there every table build raises
+    structures = [o for n in range(2, 6) for o in U.ortho_posets(n)]
+    structures += [figures.fig1a(), figures.fig2b()]
+    tables = (I.impl_I, I.sasaki_proj, I.sasaki_impl)
+    for o in structures:
+        _run_theorems(o, "ortho")
+        for build in tables:
+            try:
+                I.cached(o, build)
+            except I.NotOrthogonal:
+                assert build not in o._memo
+    assert builds == structures
+    assert not O.is_orthogonal_poset(structures[-2])
