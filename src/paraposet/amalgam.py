@@ -168,7 +168,7 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         if len(s) == 3:
             raise FamilyError(f"blocks {names[i]} and {names[j]} "
                               "share a 3-element subalgebra")
-        if len(s) != 4 or zero not in s or one not in s:
+        if len(s) != 4:
             raise FamilyError(f"{bad}: shared set of size {len(s)}")
         mid = sorted(s - {zero, one})
         ei = {c: fam.class_of[i].index(c) for c in s}

@@ -30,7 +30,7 @@ def _as_ortho(obj) -> OrthoPoset:
     if isinstance(obj, OrthoPoset):
         return obj
     if isinstance(obj, SectionedPoset):
-        return OrthoPoset(obj.poset, obj.sections[obj.poset.bottom])
+        return obj.ortho
     if isinstance(obj, am.PastedFamily):
         return am.build_amalgam(obj)
     raise PosetError("no involution declared")

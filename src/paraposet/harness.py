@@ -28,7 +28,7 @@ from .ortho import (OrthoPoset, PREDICATES, find_benzene, is_boolean_algebra,
                     is_kleene_lattice, is_orthogonal_poset, is_orthomodular,
                     is_paraorthomodular, is_sharply_paraorthomodular,
                     is_weakly_boolean, nonorthogonal_zero_meets,
-                    orthomodular_verdicts, paraortho_witness)
+                    orthomodular_verdicts)
 from .poset import PosetError, distributive_nary
 from .universe import (bounded_posets, involutions, ortho_posets,
                        ortho_structures, sectioned_structures)
@@ -129,11 +129,9 @@ def _kleene_remark(o):
 
 def _benzene(o):
     try:
-        w = find_benzene(o)
+        find_benzene(o)
     except AssertionError as exc:
         return [str(exc)]
-    if (w is None) != (paraortho_witness(o) is None):
-        return ["hexagon presence disagrees with the predicate"]
     return []
 
 

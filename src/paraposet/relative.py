@@ -55,6 +55,11 @@ class SectionedPoset:
     def n(self) -> int:
         return self.poset.n
 
+    @property
+    def ortho(self) -> OrthoPoset:
+        """The poset with its global involution ^0, the section on [0,1]."""
+        return OrthoPoset(self.poset, self.sections[self.poset.bottom])
+
     def __repr__(self) -> str:
         return f"SectionedPoset({self.poset.name or self.poset.n})"
 
@@ -170,7 +175,7 @@ def para_via_I3(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     t = cached(s, impl_I3)
     p = s.poset
     g = s.sections[p.bottom]
-    direct = paraortho_witness(OrthoPoset(p, g)) is None
+    direct = paraortho_witness(s.ortho) is None
     law = all(
         x == g[y]
         for x in range(p.n) for y in range(p.n)

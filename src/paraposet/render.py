@@ -18,12 +18,11 @@ def export_dot(structure) -> str:
     The involute of each node, when a global involution is present,
     is recorded as a node attribute so the diagram stays a plain graph.
     """
+    if isinstance(structure, SectionedPoset):
+        structure = structure.ortho
     inv = None
     if isinstance(structure, OrthoPoset):
         inv = structure.inv
-        p = structure.poset
-    elif isinstance(structure, SectionedPoset):
-        inv = structure.sections[structure.poset.bottom]
         p = structure.poset
     else:
         p = structure

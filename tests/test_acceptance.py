@@ -4,7 +4,6 @@ Each test prints a single pass/fail line directly to the terminal so a
 plain pytest run doubles as the acceptance report.
 """
 
-import pathlib
 import time
 
 import pytest
@@ -17,7 +16,8 @@ from paraposet import relative as R
 from paraposet.poset import bits
 from paraposet.universe import ortho_posets, is_orthoisomorphic
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+import gallery
+from gallery import FIXTURES
 
 
 @pytest.fixture
@@ -51,14 +51,11 @@ def test_figure_gallery(report):
     }
     ok = True
     for name, want in expected.items():
-        obj = ff.load(str(FIXTURES / f"{name}.poset"))
-        o = obj if isinstance(obj, O.OrthoPoset) else O.OrthoPoset(
-            obj.poset, obj.sections[obj.poset.bottom])
-        ok = ok and _profile(o) == want
-    b2 = figures.fig2b()
+        ok = ok and _profile(gallery.ortho(name)) == want
+    b2 = gallery.ortho("fig2b")
     ok = ok and O.orthomodular_witness(b2) == (
         b2.poset.index("b"), b2.poset.index("d'"))
-    f7 = figures.fig7()
+    f7 = gallery.ortho("fig7")
     ok = ok and O.paraortho_witness(f7) == (
         f7.poset.index("a"), f7.poset.index("b'"))
     ok = ok and time.perf_counter() - t0 < 1.0
@@ -67,7 +64,7 @@ def test_figure_gallery(report):
 
 def test_section_implication_table(report):
     from test_relative import EXPECTED_I3_FIG1A, labels_of
-    s = ff.load(str(FIXTURES / "fig1a.poset"))
+    s = gallery.load("fig1a")
     p = s.poset
     t = R.impl_I3(s)
     ok = all(
@@ -82,7 +79,7 @@ def test_amalgam_theorems(report):
     tri_carrier = am.build_amalgam(tri_fam)
     tri = am.classify_amalgam(tri_fam, tri_carrier)
     sq = am.classify_amalgam(figures.greechie_cycle(4))
-    ch = am.classify_amalgam(figures.greechie_chain())
+    ch = am.classify_amalgam(gallery.load("chain/family"))
     ok = (O.is_paraorthomodular(tri_carrier) and not tri.direct_sharply
           and tri.join_witness is not None and tri.agree)
     ok = ok and (sq.direct_sharply and not sq.direct_lattice and sq.agree)
@@ -106,12 +103,12 @@ def test_known_separations(report):
                                         max_n=6)
     ok = found is not None
     # the canonical six-element witness is reachable by the same sweep
-    target = figures.fig1a()
+    target = gallery.ortho("fig1a")
     ok = ok and any(
         O.is_paraorthomodular(o) and not O.is_orthomodular(o)
         and is_orthoisomorphic(o, target)
         for o in ortho_posets(6))
-    b2 = ff.load(str(FIXTURES / "fig2b.poset"))
+    b2 = gallery.load("fig2b")
     ok = ok and b2.n == 10
     ok = ok and O.is_sharply_paraorthomodular(b2) and not b2.poset.is_lattice
     ok = ok and harness.find_counterexample("orthomodular", "paraorthomodular",
@@ -120,7 +117,7 @@ def test_known_separations(report):
 
 
 def test_cover_anomaly(report):
-    fam = figures.fig5_family()
+    fam = gallery.load("fig5/family")
     carrier = am.build_amalgam(fam)
     rep = am.cover_transfer(fam, carrier)
     p = carrier.poset

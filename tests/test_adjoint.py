@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from paraposet import figures, fileformat
+from paraposet import figures
 from paraposet import harness as H
 from paraposet import adjoint as A
 from paraposet import amalgam as AM
@@ -16,6 +16,8 @@ from paraposet import ortho as O
 from paraposet import relative as R
 from paraposet import universe as U
 from paraposet.poset import FinitePoset, PosetError, bits
+
+import gallery
 
 
 def test_cube_full_adjoint_pair():
@@ -26,20 +28,20 @@ def test_cube_full_adjoint_pair():
 
 
 def test_fig2a_sasaki_pair_fails():
-    o = figures.fig2a()
+    o = gallery.ortho("fig2a")
     rep = A.check_conditions(o, I.sasaki_proj(o), I.sasaki_impl(o))
     assert not rep.holds_A and not rep.holds_B
     assert rep.witness_A is not None
 
 
 def test_forward_backward_equivalence():
-    for builder in (figures.fig2a, figures.fig2b, figures.fig3,
-                    figures.boolean_cube, figures.fig4):
-        assert A.lemma_AB_equiv(builder())
+    for o in (gallery.ortho("fig2a"), gallery.ortho("fig2b"), gallery.ortho("fig3"),
+              figures.boolean_cube(), gallery.ortho("fig4")):
+        assert A.lemma_AB_equiv(o)
 
 
 def test_om_identities_match_adjointness():
-    f4 = figures.fig4()
+    f4 = gallery.ortho("fig4")
     assert A.omidentity_equiv(f4.poset, f4.inv) == (False, False, True)
     cube = figures.boolean_cube()
     assert A.omidentity_equiv(cube.poset, cube.inv) == (True, True, True)
@@ -206,15 +208,15 @@ def test_om_identity_masks_built_once_per_lattice(monkeypatch):
 
 def test_subscripted_adjointness_is_orthomodularity():
     assert A.sasom_equiv(figures.boolean_cube()) == (True, True, True)
-    assert A.sasom_equiv(figures.fig2a()) == (False, False, True)
+    assert A.sasom_equiv(gallery.ortho("fig2a")) == (False, False, True)
 
 
 def test_mixed_pair_condition_forces_orthomodularity():
-    for builder in (figures.fig2a, figures.fig3, figures.boolean_cube):
-        rep = A.th3_check(builder())
+    for o in (gallery.ortho("fig2a"), gallery.ortho("fig3"), figures.boolean_cube()):
+        rep = A.th3_check(o)
         assert rep.consistent
-    for builder in (figures.fig2a, figures.fig2b, figures.boolean_cube):
-        rep = A.posth3_check(builder())
+    for o in (gallery.ortho("fig2a"), gallery.ortho("fig2b"), figures.boolean_cube()):
+        rep = A.posth3_check(o)
         assert rep.consistent
 
 
@@ -237,15 +239,15 @@ def test_adjoint_consequences_on_cube():
 
 def test_adjoint_exists_exactly_for_boolean_algebras():
     assert A.adjebp_equiv(figures.boolean_cube()) == (True, True, True)
-    for builder in (figures.fig2a, figures.fig2b, figures.fig3, figures.fig4):
-        boolean, adjoint, agree = A.adjebp_equiv(builder())
+    for name in ("fig2a", "fig2b", "fig3", "fig4"):
+        boolean, adjoint, agree = A.adjebp_equiv(gallery.ortho(name))
         assert agree and not boolean
 
 
 def test_boolean_poset_bridge():
     verdict = A.adjibp_check(figures.boolean_cube())
     assert verdict in (None, True)
-    assert A.adjibp_check(figures.fig2a()) in (None, True)
+    assert A.adjibp_check(gallery.ortho("fig2a")) in (None, True)
 
 
 def _run_optimised(code):
@@ -325,25 +327,23 @@ def _subset_rel_residuate(o, imp):
     return A.ResiduationResult(prod, adjoint=adjoint)
 
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
 def _ortho_structures():
     """Every ortho structure with n <= 7, the figures (fig2b has
     non-singleton cells) and the amalgam carriers of the fixtures."""
     out = [o for n in range(2, 8) for o in U.ortho_posets(n)]
-    out += [figures.fig2a(), figures.fig2b(), figures.fig3(), figures.fig4(),
-            figures.fig5(), figures.fig8(), figures.boolean_cube()]
+    out += [gallery.ortho(name)
+            for name in ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig8")]
+    out.append(figures.boolean_cube())
     for d in ("chain", "fig5", "pentagon", "square", "triangle"):
-        out.append(AM.build_amalgam(fileformat.load(str(FIXTURES / d / "family.poset"))))
+        out.append(AM.build_amalgam(gallery.load(f"{d}/family")))
     return out
 
 
 def _sectioned_structures():
     """Every sectioned structure with n <= 7 and the sectioned figures."""
     out = [s for n in range(2, 8) for s in U.sectioned_posets(n)]
-    return out + [figures.fig1a_sections(), figures.fig7_sections(),
-                  figures.fig8_sections(),
+    return out + [gallery.load("fig1a"), gallery.load("fig7s"),
+                  gallery.load("fig8"),
                   R.sections_from_involution(figures.boolean_cube())]
 
 

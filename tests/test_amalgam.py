@@ -1,4 +1,3 @@
-import pathlib
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -9,16 +8,38 @@ from paraposet import amalgam as am
 from paraposet import ortho as O
 from paraposet.poset import FinitePoset, bits
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+import gallery
+from gallery import FIXTURES
 
 
 def test_fig5_family_builds_eight_element_lattice():
-    fam = figures.fig5_family()
+    fam = gallery.load("fig5/family")
     carrier = am.build_amalgam(fam)
     p = carrier.poset
     assert p.n == 8
     assert p.is_lattice
     assert O.is_sharply_paraorthomodular(carrier)
+
+
+def _shape(o):
+    return o.poset.labels, o.poset.up, o.inv
+
+
+@pytest.mark.parametrize("build, name", [
+    (figures.boolean_cube, "cube"),
+    (lambda: figures.greechie_cycle(3), "triangle/family"),
+    (lambda: figures.greechie_cycle(4), "square/family"),
+    (lambda: figures.greechie_cycle(5), "pentagon/family"),
+], ids=["cube", "cycle-3", "cycle-4", "cycle-5"])
+def test_parametric_builders_match_their_files(build, name):
+    built, loaded = build(), gallery.load(name)
+    if isinstance(built, am.PastedFamily):
+        assert built.names == loaded.names
+        assert built.class_of == loaded.class_of
+        built, loaded = built.blocks, loaded.blocks
+    else:
+        built, loaded = [built], [loaded]
+    assert [_shape(b) for b in built] == [_shape(b) for b in loaded]
 
 
 def test_small_block_rejected():
@@ -42,7 +63,7 @@ def _involute(p):
 
 def test_hexagon_block_rejected():
     with pytest.raises(am.NotKleene):
-        am.validate_family([figures.kleene_k3b2("a", "b"), figures.fig4()],
+        am.validate_family([figures.kleene_k3b2("a", "b"), gallery.ortho("fig4")],
                            [], names=("K1", "K2"))
 
 
@@ -81,7 +102,7 @@ def test_square_classification():
 
 
 def test_chain_and_pentagon_are_lattices():
-    for fam in (figures.greechie_chain(), figures.greechie_cycle(5)):
+    for fam in (gallery.load("chain/family"), figures.greechie_cycle(5)):
         rep = am.classify_amalgam(fam)
         assert not rep.loops3 and not rep.loops4
         assert rep.direct_lattice and rep.direct_sharply
@@ -136,11 +157,11 @@ def _numbered_by_first_occurrence(fam):
 
 
 FAMILIES = {
-    **{f"fixture-{d}": (lambda d=d: fileformat.load(str(FIXTURES / d / "family.poset")))
+    **{f"fixture-{d}": (lambda d=d: gallery.load(f"{d}/family"))
        for d in ("chain", "fig5", "pentagon", "square", "triangle")},
     **{f"cycle-{n}": (lambda n=n: figures.greechie_cycle(n)) for n in (3, 4, 5)},
-    "chain": figures.greechie_chain,
-    "fig5": figures.fig5_family,
+    "chain": lambda: gallery.load("chain/family"),
+    "fig5": lambda: gallery.load("fig5/family"),
     "kleene-loop": kleene_loop,
 }
 
@@ -203,7 +224,7 @@ def test_same_block_collapse_names_the_block(identify):
 
 
 def test_fig5_cover_anomaly():
-    fam = figures.fig5_family()
+    fam = gallery.load("fig5/family")
     carrier = am.build_amalgam(fam)
     rep = am.cover_transfer(fam, carrier)
     assert rep.ok, rep.violations
@@ -217,7 +238,7 @@ def test_fig5_cover_anomaly():
 
 
 def test_cover_transfer_clean_on_chain():
-    fam = figures.greechie_chain()
+    fam = gallery.load("chain/family")
     rep = am.cover_transfer(fam, am.build_amalgam(fam))
     assert rep.ok and not rep.exceptions
 
@@ -225,7 +246,7 @@ def test_cover_transfer_clean_on_chain():
 def test_classification_speed():
     t0 = time.perf_counter()
     for fam in (figures.greechie_cycle(3), figures.greechie_cycle(4),
-                figures.greechie_chain()):
+                gallery.load("chain/family")):
         am.classify_amalgam(fam)
     assert time.perf_counter() - t0 < 5.0
 

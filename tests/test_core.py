@@ -1,4 +1,3 @@
-import pathlib
 from functools import cached_property
 from itertools import combinations
 
@@ -10,7 +9,8 @@ from paraposet.poset import (BadIndex, FinitePoset, NotAntisymmetric, NotBounded
                              bits, distributive_nary, mask_of)
 from paraposet.universe import bounded_posets
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+import gallery
+from gallery import FIXTURES
 
 
 def diamond():
@@ -53,7 +53,7 @@ def test_meet_join_lattice():
 
 def test_hexagon_upper_cone_of_incomparable_atoms():
     # U(b, d) in the ten-element non-lattice example keeps b' below 1
-    s = figures.fig2b()
+    s = gallery.ortho("fig2b")
     p = s.poset
     m = mask_of([p.index("b"), p.index("d")])
     u = p.upper_cone(m)
@@ -321,7 +321,7 @@ def _count_pair_cone_builds(monkeypatch):
 
 def test_family_load_builds_pair_cones_once_per_block(monkeypatch):
     builds = _count_pair_cone_builds(monkeypatch)
-    fam = fileformat.load(str(FIXTURES / "square" / "family.poset"))
+    fam = gallery.load("square/family")
     assert len(fam.blocks) == 4
     assert sorted(map(id, builds)) == sorted(id(blk.poset) for blk in fam.blocks)
 

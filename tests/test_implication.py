@@ -9,6 +9,8 @@ from paraposet import relative as R
 from paraposet import universe as U
 from paraposet.poset import PosetError, bits
 
+import gallery
+
 
 def cell_labels(table, x, y):
     p = table.poset
@@ -17,31 +19,29 @@ def cell_labels(table, x, y):
 
 def test_requires_orthogonality():
     with pytest.raises(I.NotOrthogonal):
-        I.impl_I(figures.fig1a())
+        I.impl_I(gallery.ortho("fig1a"))
 
 
 def test_th1_clean_on_examples():
-    for builder in (figures.fig2a, figures.fig2b, figures.fig3,
-                    figures.fig5, figures.fig8):
-        rep = I.check_th1(builder())
+    for name in ("fig2a", "fig2b", "fig3", "fig5", "fig8"):
+        rep = I.check_th1(gallery.ortho(name))
         assert rep.ok, rep.violations
 
 
 def test_sharp_collapse_laws():
-    for builder in (figures.fig2a, figures.fig2b, figures.fig8):
-        rep = I.check_lemma_sharply(builder())
+    for name in ("fig2a", "fig2b", "fig8"):
+        rep = I.check_lemma_sharply(gallery.ortho(name))
         assert rep.ok, rep.violations
 
 
 def test_unit_law_characterization():
-    assert I.paraortho_iff_impl(figures.fig2a()) == (True, True, True)
-    direct, law, agree = I.paraortho_iff_impl(figures.fig4())
+    assert I.paraortho_iff_impl(gallery.ortho("fig2a")) == (True, True, True)
+    direct, law, agree = I.paraortho_iff_impl(gallery.ortho("fig4"))
     assert (direct, law, agree) == (False, False, True)
 
 
 def test_set_and_lattice_forms_agree_on_lattices():
-    for builder in (figures.fig2a, figures.fig3, figures.boolean_cube):
-        o = builder()
+    for o in (gallery.ortho("fig2a"), gallery.ortho("fig3"), figures.boolean_cube()):
         t1, t2 = I.impl_I(o), I.impl_I2(o)
         assert all(t1.cell(x, y) == t2.cell(x, y)
                    for x in range(o.n) for y in range(o.n))
@@ -49,7 +49,7 @@ def test_set_and_lattice_forms_agree_on_lattices():
 
 def test_lattice_form_needs_lattice():
     with pytest.raises(I.NotALattice):
-        I.impl_I2(figures.fig2b())
+        I.impl_I2(gallery.ortho("fig2b"))
 
 
 def test_cube_sasaki_is_classical():
@@ -62,7 +62,7 @@ def test_cube_sasaki_is_classical():
 
 
 def test_sasaki_product_below_both_arguments():
-    o = figures.fig2a()
+    o = gallery.ortho("fig2a")
     p = o.poset
     t = I.sasaki_proj(o)
     for x in range(p.n):
@@ -72,18 +72,18 @@ def test_sasaki_product_below_both_arguments():
 
 
 def test_duality_with_sasaki():
-    for builder in (figures.fig2a, figures.fig2b, figures.fig3,
-                    figures.boolean_cube):
-        assert I.duality_check(builder())
+    for o in (gallery.ortho("fig2a"), gallery.ortho("fig2b"), gallery.ortho("fig3"),
+              figures.boolean_cube()):
+        assert I.duality_check(o)
 
 
 def test_antitone_in_first_argument():
-    assert I.antitone_first_arg(I.impl_I2(figures.fig2a()))
+    assert I.antitone_first_arg(I.impl_I2(gallery.ortho("fig2a")))
     assert I.antitone_first_arg(I.impl_I2(figures.boolean_cube()))
 
 
 def test_unit_row_and_diagonal():
-    o = figures.fig2a()
+    o = gallery.ortho("fig2a")
     p = o.poset
     t = I.impl_I(o)
     for x in range(p.n):
@@ -186,7 +186,7 @@ def test_orthogonality_read_once_by_hypotheses(monkeypatch):
 
 
 def test_failed_builds_are_not_cached():
-    o = figures.fig1a()
+    o = gallery.ortho("fig1a")
     for _ in range(2):
         with pytest.raises(I.NotOrthogonal):
             I.check_th1(o)
@@ -203,7 +203,7 @@ def test_orthogonality_witness_built_once_per_structure(monkeypatch):
     builds = _count_builds(monkeypatch, "orthogonality_witness", (O, I))
     # fig1a is not orthogonal, so there every table build raises
     structures = [o for n in range(2, 6) for o in U.ortho_posets(n)]
-    structures += [figures.fig1a(), figures.fig2b()]
+    structures += [gallery.ortho("fig1a"), gallery.ortho("fig2b")]
     tables = (I.impl_I, I.sasaki_proj, I.sasaki_impl)
     for o in structures:
         _run_theorems(o, "ortho")

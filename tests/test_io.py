@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
-from paraposet import amalgam as am, cli, figures, fileformat as ff, harness, render
+from paraposet import amalgam as am, cli, fileformat as ff, harness, render
 from paraposet.ortho import PREDICATES
 from paraposet.poset import PosetError
 
+import gallery
+from gallery import FIXTURES
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
 
 
 def all_fixture_files():
@@ -44,7 +46,7 @@ def test_family_file_round_trip_keeps_its_name_and_block_paths(tmp_path, name_li
 
 
 def test_emit_idempotent():
-    o = figures.fig2a()
+    o = gallery.ortho("fig2a")
     once = ff.emit(o)
     twice = ff.emit(ff.build(ff.parse(once)))
     assert once == twice
@@ -80,16 +82,16 @@ def test_two_chain_dot():
 
 
 def test_benzene_dot():
-    dot = render.export_dot(figures.fig4())
+    dot = render.export_dot(gallery.ortho("fig4"))
     assert dot.count("->") == 6
     assert dot.count("[label=") == 6
     assert "rankdir=BT" in dot
-    assert dot == render.export_dot(figures.fig4())
+    assert dot == render.export_dot(gallery.ortho("fig4"))
 
 
 def test_table_rendering_matches_layout():
     from paraposet.relative import impl_I3
-    text = render.render_table(impl_I3(figures.fig1a_sections()))
+    text = render.render_table(impl_I3(gallery.load("fig1a")))
     lines = text.splitlines()
     assert lines[0].split("|")[1].split() == ["0", "a", "b", "a'", "b'", "1"]
     row_a = next(l for l in lines if l.startswith("a "))

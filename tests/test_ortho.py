@@ -1,12 +1,11 @@
-import pathlib
-
 import pytest
 
 from paraposet import amalgam as am, figures, fileformat, universe
 from paraposet import ortho as O
 from paraposet.poset import PosetError
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+import gallery
+from gallery import FIXTURES
 
 
 def test_validate_involution_rejects_monotone():
@@ -17,24 +16,24 @@ def test_validate_involution_rejects_monotone():
 
 def test_figure_profiles_weak_side():
     # the three six-element posets with a proper involution but no joins
-    for builder in (figures.fig1a, figures.fig1b, figures.fig1c):
-        o = builder()
+    for name in ("fig1a", "fig1b", "fig1c"):
+        o = gallery.ortho(name)
         assert O.is_paraorthomodular(o)
         assert not O.is_orthomodular(o)
         assert not O.is_sharply_paraorthomodular(o)
 
 
 def test_figure_profiles_sharp_side():
-    a, b = figures.fig2a(), figures.fig2b()
+    a, b = gallery.ortho("fig2a"), gallery.ortho("fig2b")
     assert O.is_sharply_paraorthomodular(a) and a.poset.is_lattice
     assert O.is_sharply_paraorthomodular(b) and not b.poset.is_lattice
     assert not O.is_orthomodular(b)
-    assert O.is_sharply_paraorthomodular(figures.fig3())
-    assert figures.fig3().poset.is_lattice
+    assert O.is_sharply_paraorthomodular(gallery.ortho("fig3"))
+    assert gallery.ortho("fig3").poset.is_lattice
 
 
 def test_hexagon_kills_paraorthomodularity():
-    o = figures.fig4()
+    o = gallery.ortho("fig4")
     assert o.poset.is_lattice
     assert not O.is_paraorthomodular(o)
     w = O.find_benzene(o)
@@ -46,18 +45,18 @@ def test_hexagon_kills_paraorthomodularity():
 
 
 def test_no_hexagon_in_sharp_examples():
-    assert O.find_benzene(figures.fig2a()) is None
-    assert O.find_benzene(figures.fig3()) is None
+    assert O.find_benzene(gallery.ortho("fig2a")) is None
+    assert O.find_benzene(gallery.ortho("fig3")) is None
 
 
 def test_fig7_witness():
-    o = figures.fig7()
+    o = gallery.ortho("fig7")
     assert o.poset.is_lattice
     assert O.paraortho_witness(o) == (o.poset.index("a"), o.poset.index("b'"))
 
 
 def test_orthomodular_witness_fig2b():
-    o = figures.fig2b()
+    o = gallery.ortho("fig2b")
     p = o.poset
     assert O.orthomodular_witness(o) == (p.index("b"), p.index("d'"))
     assert not O.om_law_holds(o, p.index("b"), p.index("d'"))
@@ -95,7 +94,7 @@ def test_regularity_undefined_without_meets():
 
 
 def test_predicate_registry_consistent():
-    o = figures.fig2a()
+    o = gallery.ortho("fig2a")
     assert O.PREDICATES["sharply-paraorthomodular"](o)
     assert O.PREDICATES["lattice"](o)
     assert not O.PREDICATES["orthomodular"](o)

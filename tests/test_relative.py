@@ -5,6 +5,8 @@ from paraposet import implication as I
 from paraposet import relative as R
 from paraposet.poset import bits
 
+import gallery
+
 
 EXPECTED_I3_FIG1A = {
     "0": {"0": {"1"}, "a": {"1"}, "b": {"1"}, "a'": {"1"}, "b'": {"1"}, "1": {"1"}},
@@ -26,7 +28,7 @@ def labels_of(p, mask):
 
 
 def test_i3_table_cell_for_cell():
-    s = figures.fig1a_sections()
+    s = gallery.load("fig1a")
     p = s.poset
     t = R.impl_I3(s)
     for rx in p.labels:
@@ -36,7 +38,7 @@ def test_i3_table_cell_for_cell():
 
 
 def test_section_validation_rejects_broken_row():
-    s = figures.fig1a_sections()
+    s = gallery.load("fig1a")
     rows = [list(r) for r in s.sections]
     a = s.poset.index("a")
     rows[a][a] = a  # a^a must be the top of the filter
@@ -45,29 +47,29 @@ def test_section_validation_rejects_broken_row():
 
 
 def test_elementary_laws_hold():
-    for builder in (figures.fig1a_sections, figures.fig8_sections):
-        rep = R.check_th2(builder())
+    for name in ("fig1a", "fig8"):
+        rep = R.check_th2(gallery.load(name))
         assert rep.ok, rep.violations
 
 
 def test_global_characterization():
-    assert R.para_via_I3(figures.fig1a_sections()) == (True, True, True)
-    direct, law, agree = R.para_via_I3(figures.fig7_sections())
+    assert R.para_via_I3(gallery.load("fig1a")) == (True, True, True)
+    direct, law, agree = R.para_via_I3(gallery.load("fig7s"))
     assert (direct, law, agree) == (False, False, True)
 
 
 def test_relative_paraorthomodularity():
-    assert R.is_relatively_paraorthomodular(figures.fig1a_sections())
-    assert R.is_relatively_paraorthomodular(figures.fig8_sections())
-    assert not R.is_relatively_paraorthomodular(figures.fig7_sections())
-    w = R.relative_paraortho_witness(figures.fig7_sections())
+    assert R.is_relatively_paraorthomodular(gallery.load("fig1a"))
+    assert R.is_relatively_paraorthomodular(gallery.load("fig8"))
+    assert not R.is_relatively_paraorthomodular(gallery.load("fig7s"))
+    w = R.relative_paraortho_witness(gallery.load("fig7s"))
     assert w is not None
 
 
 def test_compatibility_fails_on_examples():
-    ok, w = R.check_C(figures.fig1a_sections())
+    ok, w = R.check_C(gallery.load("fig1a"))
     assert (ok, w) == (False, (0, 1, 1))
-    ok, w = R.check_C(figures.fig8_sections())
+    ok, w = R.check_C(gallery.load("fig8"))
     assert (ok, w) == (False, (0, 4, 4))
 
 
@@ -93,4 +95,4 @@ def test_join_semilattice_form_on_cube():
 
 def test_i4_needs_joins():
     with pytest.raises(R.NotJoinSemilattice):
-        R.impl_I4(figures.fig1a_sections())
+        R.impl_I4(gallery.load("fig1a"))

@@ -10,6 +10,8 @@ from paraposet import universe as U
 from paraposet import ortho as O
 from paraposet.poset import bits
 
+import gallery
+
 
 def test_bounded_poset_counts():
     # unlabeled bounded posets on n points
@@ -225,7 +227,7 @@ def test_orthoisomorphic_matches_brute_force():
 
 
 def test_fig1a_appears_in_universe():
-    target = figures.fig1a()
+    target = gallery.ortho("fig1a")
     hits = [o for o in U.ortho_posets(6)
             if O.is_paraorthomodular(o) and not O.is_orthogonal_poset(o)
             and U.is_orthoisomorphic(o, target)]
@@ -233,7 +235,7 @@ def test_fig1a_appears_in_universe():
 
 
 def test_fig2a_appears_in_universe():
-    target = figures.fig2a()
+    target = gallery.ortho("fig2a")
     hits = [o for o in U.ortho_posets(6)
             if O.is_sharply_paraorthomodular(o) and o.poset.is_lattice
             and U.is_orthoisomorphic(o, target)]
@@ -242,10 +244,9 @@ def test_fig2a_appears_in_universe():
 
 def test_small_figures_keep_profiles_in_universe():
     # every drawing small enough for the sweep is reachable at its size
-    for builder in (figures.fig1a, figures.fig2a, figures.fig3,
-                    figures.fig4, figures.fig7, figures.boolean_cube,
-                    figures.fig1c, figures.fig5):
-        target = builder()
+    for target in (gallery.ortho("fig1a"), gallery.ortho("fig2a"), gallery.ortho("fig3"),
+                   gallery.ortho("fig4"), gallery.ortho("fig7"), figures.boolean_cube(),
+                   gallery.ortho("fig1c"), gallery.ortho("fig5")):
         assert any(U.is_orthoisomorphic(o, target)
                    for o in U.ortho_posets(target.n))
 
