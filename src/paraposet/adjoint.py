@@ -276,7 +276,10 @@ def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
 
     For each (x, y) the candidate set is every z with x le1 imp(y, z),
     the le1 row ``imp.le1[y][x]``; the product cell is its least
-    element, and a pair without one is reported as the ``failure``. The
+    element, the e in it with ``cand & ~up[e] == 0``, and a pair without
+    one is reported as the ``failure``. In a finite poset an element is
+    least exactly when it is the only minimal one, so these are the
+    pairs whose candidate set has no minimal element or several. The
     product is adjoint when every cell's up-set is its candidate set.
     """
     p = o.poset
@@ -287,11 +290,13 @@ def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
         row = []
         for y, le1_y in enumerate(le1):
             cand = le1_y[x]
-            least = p.min_of(cand)
-            if least == 0 or least & (least - 1):
+            for e in bits(cand):
+                if not cand & ~up[e]:
+                    break
+            else:
                 return ResiduationResult(None, failure=(x, y))
-            adjoint = adjoint and up[least.bit_length() - 1] == cand
-            row.append(least)
+            adjoint = adjoint and up[e] == cand
+            row.append(1 << e)
         cells.append(tuple(row))
     return ResiduationResult(SetValuedTable(p, tuple(cells)), adjoint=adjoint)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import adjoint, implication, relative
@@ -29,7 +28,7 @@ from .ortho import (OrthoPoset, PREDICATES, find_benzene, is_boolean_algebra,
                     is_paraorthomodular, is_sharply_paraorthomodular,
                     is_weakly_boolean, nonorthogonal_zero_meets,
                     orthomodular_verdicts)
-from .poset import PosetError, distributive_nary
+from .poset import PosetError
 from .universe import (bounded_posets, involutions, ortho_posets,
                        ortho_structures, sectioned_structures)
 
@@ -150,14 +149,11 @@ def _dist_variants(o):
 
 def _nary_dist(o):
     p = o.poset
-    if not p.is_distributive:
+    fails = p.nary_distributive_failure if p.is_distributive else None
+    if fails is None:
         return []
-    for xs in combinations(range(p.n), 3):
-        for z in range(p.n):
-            a, b = distributive_nary(p, xs, z)
-            if not (a and b):
-                return [f"n-ary identity fails at {xs},{z}"]
-    return []
+    xs, z = fails
+    return [f"n-ary identity fails at {xs},{z}"]
 
 
 def _lattice_involutions(p, invs):

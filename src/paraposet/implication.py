@@ -234,18 +234,70 @@ def unit_law(t: SetValuedTable) -> bool:
     return True
 
 
+def _th1_rows(o: OrthoPoset):
+    """``(g, no_meet, no_join)``: the rows ``g[y][b]``, the mask of
+    y v (y' ^ b), and per y the masks of the b where the meet y' ^ b is
+    missing and of those where it exists but its join with y does not
+    (``g`` holds 0 at both)."""
+    p, inv = o.poset, o.inv
+    meets, joins = p.meets, p.joins
+    g, no_meet, no_join = [], [], []
+    for y, join_y in enumerate(joins):
+        row, nm, nj = [], 0, 0
+        for b, m in enumerate(meets[inv[y]]):
+            j = None if m is None else join_y[m]
+            if m is None:
+                nm |= 1 << b
+            elif j is None:
+                nj |= 1 << b
+            row.append(0 if j is None else 1 << j)
+        g.append(row)
+        no_meet.append(nm)
+        no_join.append(nj)
+    return g, no_meet, no_join
+
+
 def check_th1(o: OrthoPoset) -> TheoremReport:
-    """Elementary properties of the (I1) implication on orthogonal posets."""
+    """Elementary properties of the (I1) implication on orthogonal posets.
+
+    The right-hand sides of clauses (iv) and (v) are y v (y' ^ B), with
+    B = Min U(x, y) for (iv) and B = y v Max L(x', y') for (v). Each is
+    the union of g[y][b] over the b in B, read from rows built once per
+    structure (``_th1_rows``); it depends on x only through Min U(x, y)
+    or Max L(x', y'), so it is computed at the first x that needs it and
+    kept for the others. A missing meet y' ^ b is a violation of the
+    clause; a missing join raises ``JoinMissing`` at the first pair
+    that needs it.
+    """
     t = cached(o, impl_I)
     p = o.poset
+    n = p.n
     rep = TheoremReport("th1")
     violations, identity, lift = rep.violations, rep.identity, t.lift
     inv, up, meets = o.inv, p.up, p.meets
     max_lower, min_upper = p.max_lower, p.min_upper
     one = 1 << p.top
     complemented = is_complementation(o)
+    g, no_meet, no_join = _th1_rows(o)
+
+    def rhs(y, mask):
+        """y v (y' ^ mask), or -1 where a meet is missing."""
+        if mask & no_meet[y]:
+            return -1
+        if mask & no_join[y]:
+            _image(p, "join", y, _image(p, "meet", inv[y], mask))
+        g_y, out = g[y], 0
+        for b in bits(mask):
+            out |= g_y[b]
+        return out
+
+    # per y, the right-hand sides of (iv) by Min U(x, y) and of (v) by
+    # Max L(x', y'), each computed at its first x
+    rhs_iv = [{} for _ in range(n)]
+    rhs_v = [{} for _ in range(n)]
     for x, row in enumerate(t.cells):
         xi, up_x = inv[x], up[x]
+        min_upper_x, max_lower_xi = min_upper[x], max_lower[xi]
         for y, cell in enumerate(row):
             yi, up_y = inv[y], up[y]
             # (i) y below every member
@@ -266,20 +318,25 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
                 identity(p, "iii-ge", cell, _image(p, "join", y, 1 << xi), x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
             lhs = lift(cell, y)
-            try:
-                low = _image(p, "meet", yi, min_upper[x][y])
-            except JoinMissing:
+            b = min_upper_x[y]
+            want = rhs_iv[y].get(b)
+            if want is None:
+                want = rhs_iv[y][b] = rhs(y, b)
+            if want < 0:
                 violations.append(("iv", x, y))
-            else:
-                identity(p, "iv", lhs, _image(p, "join", y, low), x, y)
+            elif lhs != want:
+                identity(p, "iv", lhs, want, x, y)
             # (v) triple implication against y v (y' ^ (y v Max L(x', y')))
-            high = _image(p, "join", y, max_lower[xi][yi])
-            try:
-                low = _image(p, "meet", yi, high)
-            except JoinMissing:
+            b = max_lower_xi[yi]
+            want = rhs_v[y].get(b)
+            if want is None:
+                want = rhs_v[y][b] = rhs(y, _image(p, "join", y, b))
+            if want < 0:
                 violations.append(("v", x, y))
             else:
-                identity(p, "v", lift(lhs, y), _image(p, "join", y, low), x, y)
+                lhs = lift(lhs, y)
+                if lhs != want:
+                    identity(p, "v", lhs, want, x, y)
     # (ii) antitone in the first argument, up to le1
     violations.extend(("ii", *w) for w in _antitone_failures(t))
     return rep

@@ -30,10 +30,24 @@ identity L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})) at (x, y, z) reads
     lu[x][y] & down[z] == L(ul[x][z] & ul[y][z])
 
 and the other three, and the n-ary pair, are its order duals and
-mirror images. The one cone left per triple, of an arbitrary mask, is
+mirror images. All four binary identities are symmetric in x and y, so
+a failure at (x, y, z) is one at (y, x, z) too: the first failing
+triple in (x, y, z) order has x <= y as indices, and the scan reads
+only those. Nor can a comparable pair fail: with x <= y in the order,
+L{x,z} lies in L{y,z} and U{y,z} in U{x,z}, so each identity reduces
+to a cone being closed, such as L(U(L{y,z})) = L{y,z}. The scan skips
+those pairs too. The n-ary pair reads L(U(xs)) and U(L(xs)) once per
+xs for every z. The one cone left per triple, of an arbitrary mask, is
 memoised per poset, so a repeated cone is one dict lookup (``_Cones``).
-``_memo`` holds what other modules build from the order alone, through
-``ortho.cached``.
+
+Bound completeness (``is_mub_complete``, ``is_mlb_complete``) is a
+statement about the cones of the subsets of up to ``SMALL_SUBSET``
+elements, and distinct subsets often share a cone, so each distinct
+cone is tested once, as one mask: every element of U(A) lies above a
+minimal element of U(A) exactly when U(A) lies in the up-set of its
+minimal elements, and dually for L(A) and the down-set of its maximal
+elements. ``_memo`` holds what other modules build from the order
+alone, through ``ortho.cached``.
 
 The order is immutable after construction and every operation is pure;
 the tables and the cone memo are filled on demand with values that
@@ -215,7 +229,7 @@ class FinitePoset:
         if a & ~self.full:
             raise BadIndex("subset indexes elements outside the poset")
 
-    # -- cones and extremal elements ----------------------------------
+    # -- cones and spans ----------------------------------------------
 
     def lower_cone(self, a: int) -> int:
         """L(A): common lower bounds of A; L(empty) is the whole poset."""
@@ -248,15 +262,6 @@ class FinitePoset:
     def _approx2(self, a: int, b: int) -> bool:
         """A approx2 B: le2 in both directions."""
         return b & ~self._upset(a) == 0 and a & ~self._upset(b) == 0
-
-    def max_of(self, a: int) -> int:
-        """Maximal elements of A within the induced order."""
-        self._check_subset(a)
-        return mask_of(x for x in bits(a) if self.up[x] & a == 1 << x)
-
-    def min_of(self, a: int) -> int:
-        self._check_subset(a)
-        return mask_of(x for x in bits(a) if self.down[x] & a == 1 << x)
 
     # -- relations between subsets ------------------------------------
 
@@ -352,32 +357,52 @@ class FinitePoset:
                 ul[x][y] = ul[y][x] = self._upper(down[x] & down[y])
         return tuple(map(tuple, lu)), tuple(map(tuple, ul))
 
-    def distributive_variants(self, x: int, y: int, z: int):
-        """The four binary LU-identities at (x, y, z) as (lhs, rhs) masks."""
-        self._check_subset(1 << x | 1 << y | 1 << z)
-        lu, ul = self.pair_cones
-        L, U = self._lower, self._upper
-        # L(U{x,y} u {z}), U(L{x,z} u L{y,z}) and their duals
-        lu_xy_z = lu[x][y] & self.down[z]
-        ul_xz_yz = ul[x][z] & ul[y][z]
-        ul_xy_z = ul[x][y] & self.up[z]
-        lu_xz_yz = lu[x][z] & lu[y][z]
-        return (
-            (lu_xy_z, L(ul_xz_yz)),
-            (ul_xz_yz, U(lu_xy_z)),
-            (ul_xy_z, U(lu_xz_yz)),
-            (lu_xz_yz, L(ul_xy_z)),
-        )
-
     @cached_property
     def distributive_variant_failure(self) -> Optional[tuple]:
-        """First (x, y, z) where one of the ``distributive_variants`` fails, or None."""
-        r = range(self.n)
-        for x in r:
-            for y in r:
-                for z in r:
-                    if any(lhs != rhs for lhs, rhs in self.distributive_variants(x, y, z)):
+        """First (x, y, z) where one of the four binary LU-identities fails, or None.
+
+        The identities, with both sides read from the pair cones, are
+        L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})), its order dual, and the
+        mirror images of the two. Each is symmetric in x and y and holds
+        on comparable pairs, so only the incomparable pairs with x < y are
+        scanned (see the module docstring).
+        """
+        lu, ul = self.pair_cones
+        L, U, n = self._lower, self._upper, self.n
+        cols = tuple(zip(range(n), self.down, self.up))
+        for x in range(n):
+            lu_x, ul_x, comparable = lu[x], ul[x], self.up[x] | self.down[x]
+            for y in range(x + 1, n):
+                if comparable >> y & 1:
+                    continue
+                lu_xy, ul_xy, lu_y, ul_y = lu_x[y], ul_x[y], lu[y], ul[y]
+                for z, d_z, u_z in cols:
+                    # L(U{x,y} u {z}), U(L{x,z} u L{y,z}) and their duals
+                    lu_xy_z = lu_xy & d_z
+                    ul_xz_yz = ul_x[z] & ul_y[z]
+                    ul_xy_z = ul_xy & u_z
+                    lu_xz_yz = lu_x[z] & lu_y[z]
+                    if (lu_xy_z != L(ul_xz_yz) or ul_xz_yz != U(lu_xy_z)
+                            or ul_xy_z != U(lu_xz_yz) or lu_xz_yz != L(ul_xy_z)):
                         return (x, y, z)
+        return None
+
+    @cached_property
+    def nary_distributive_failure(self) -> Optional[tuple]:
+        """First (xs, z), xs a 3-subset in ``combinations`` order, where the
+        n-ary LU-identity L(U(xs) u {z}) = L(U(the union of the L{x,z},
+        x in xs)) or its order dual fails, or None."""
+        lu, ul = self.pair_cones
+        L, U, down, up, n = self._lower, self._upper, self.down, self.up, self.n
+        for xs in combinations(range(n), 3):
+            a, b, c = xs
+            lu_a, lu_b, lu_c, ul_a, ul_b, ul_c = lu[a], lu[b], lu[c], ul[a], ul[b], ul[c]
+            xmask = 1 << a | 1 << b | 1 << c
+            lu_xs, ul_xs = L(U(xmask)), U(L(xmask))
+            for z in range(n):
+                if (lu_xs & down[z] != L(ul_a[z] & ul_b[z] & ul_c[z])
+                        or ul_xs & up[z] != U(lu_a[z] & lu_b[z] & lu_c[z])):
+                    return xs, z
         return None
 
     @cached_property
@@ -395,31 +420,38 @@ class FinitePoset:
                         return False
         return True
 
-    def _bound_complete(self, cone, extremal, rows) -> bool:
-        """Every element x of the ``cone`` of each small subset has an
-        ``extremal`` element of that cone in ``rows[x]``.
+    def _bound_complete(self, cone, reach, rows) -> bool:
+        """Every element of the ``cone`` of each small subset lies in the
+        ``reach`` of the ``rows``-extremal elements of that cone.
 
-        Finiteness makes the unrestricted condition automatic; the check
-        runs over subsets of up to ``SMALL_SUBSET`` elements.
+        ``rows`` picks the extremal elements: an element b of a cone c is
+        extremal when ``rows[b] & c`` is b alone (``down`` rows give the
+        minimal elements, ``up`` rows the maximal ones). Finiteness makes
+        the unrestricted condition automatic; the check runs over the
+        subsets of up to ``SMALL_SUBSET`` elements, and each distinct
+        cone among theirs is tested once, as one mask.
         """
-        for size in range(1, SMALL_SUBSET + 1):
-            for m in combinations(range(self.n), size):
-                c = cone(mask_of(m))
-                ext = extremal(c)
-                for x in bits(c):
-                    if not ext & rows[x]:
-                        return False
+        singles = [1 << i for i in range(self.n)]
+        cones = {cone(sum(m)) for size in range(1, SMALL_SUBSET + 1)
+                 for m in combinations(singles, size)}
+        for c in cones:
+            ext = 0
+            for b in bits(c):
+                if rows[b] & c == 1 << b:
+                    ext |= 1 << b
+            if c & ~reach(ext):
+                return False
         return True
 
     @cached_property
     def is_mub_complete(self) -> bool:
         """Below every upper bound of a small subset sits a minimal upper bound."""
-        return self._bound_complete(self._upper, self.min_of, self.down)
+        return self._bound_complete(self._upper, self._upset, self.down)
 
     @cached_property
     def is_mlb_complete(self) -> bool:
         """Above every lower bound of a small subset sits a maximal lower bound."""
-        return self._bound_complete(self._lower, self.max_of, self.up)
+        return self._bound_complete(self._lower, self._downset, self.up)
 
     def has_maximality(self) -> bool:
         """Every two-element lower cone has a maximal element."""
@@ -452,19 +484,3 @@ class FinitePoset:
     def __repr__(self) -> str:
         tag = self.name or f"{self.n} elements"
         return f"FinitePoset({tag})"
-
-
-def distributive_nary(p: FinitePoset, xs: Sequence[int], z: int) -> tuple:
-    """The n-ary LU-identity and its dual at (xs, z) as (lhs==rhs, lhs==rhs)."""
-    xmask = mask_of(xs)
-    p._check_subset(xmask | 1 << z)
-    lu, ul = p.pair_cones
-    L, U = p._lower, p._upper
-    # U of the union of the L{x,z} is the intersection of the ul[x][z]
-    ul_z = lu_z = p.full
-    for x in xs:
-        ul_z &= ul[x][z]
-        lu_z &= lu[x][z]
-    first = L(U(xmask)) & p.down[z] == L(ul_z)
-    second = U(L(xmask)) & p.up[z] == U(lu_z)
-    return first, second

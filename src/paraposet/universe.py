@@ -22,8 +22,12 @@ so a caller walking ``bounded_posets`` once can feed every stream. One
 backtracker, ``filter_involutions``, pairs the points of a principal
 filter [x,1] on the poset's own rows; an antitone involution of the
 poset is the one of its bottom filter [0,1], and a section family takes
-one of each filter. ``involutions`` pairs bare points, with no order,
-optionally within a mask of allowed partners per point. The same
+one of each filter. The rows of [0,1] are kept on the poset, so the
+ortho and the sectioned expansion build them once between them. The
+other filters' rows are built in index order, and the first filter
+with none ends the sectioned expansion of its poset, since no family
+can then take a row of it. ``involutions`` pairs bare points, with no
+order, optionally within a mask of allowed partners per point. The same
 canonical form, applied to the strict-up rows of the whole poset with
 the involution relabelled alongside, keys ortho structures, and two of
 them are orthoisomorphic exactly when their keys are equal.
@@ -148,12 +152,12 @@ def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
     The points of the filter are paired by backtracking, in order of
     their down-degree inside the filter; points outside it map to -1.
     """
-    n, filt = p.n, p.up[x]
+    n, up, down, filt = p.n, p.up, p.down, p.up[x]
     inv = [-1] * n
     inv[x], inv[p.top] = p.top, x
     # pair only points whose up/down profiles inside the filter mirror each other
-    down_sizes = [bin(p.down[i] & filt).count("1") for i in range(n)]
-    up_sizes = [bin(p.up[i]).count("1") for i in range(n)]
+    down_sizes = [bin(down[i] & filt).count("1") for i in range(n)]
+    up_sizes = [bin(up[i]).count("1") for i in range(n)]
     points = sorted(bits(filt), key=lambda i: (down_sizes[i], i))
     rows = []
 
@@ -161,10 +165,13 @@ def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
         return down_sizes[a] == up_sizes[b] and up_sizes[a] == down_sizes[b]
 
     def antitone_ok(a, b):
-        # against every already assigned pair
+        # against every already assigned pair (c, d): c >= a exactly when
+        # d <= b, and c <= a exactly when d >= b
+        up_a, down_a, up_b, down_b = up[a], down[a], up[b], down[b]
         for c in points:
             d = inv[c]
-            if d >= 0 and (p.leq(a, c) != p.leq(d, b) or p.leq(c, a) != p.leq(b, d)):
+            if d >= 0 and (up_a >> c & 1 != down_b >> d & 1
+                           or down_a >> c & 1 != up_b >> d & 1):
                 return False
         return True
 
@@ -187,9 +194,18 @@ def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
     return rows
 
 
+def _bottom_rows(p: FinitePoset) -> Tuple[Tuple[int, ...], ...]:
+    """The rows of [0,1], kept on the poset through ``cached``."""
+    return tuple(filter_involutions(p, p.bottom))
+
+
 def antitone_involutions(p: FinitePoset) -> List[Tuple[int, ...]]:
-    """All antitone involutions of a bounded poset: those of [0,1]."""
-    return filter_involutions(p, p.bottom)
+    """All antitone involutions of a bounded poset: those of [0,1].
+
+    The rows are built once per poset and shared with
+    ``sectioned_structures``.
+    """
+    return list(cached(p, _bottom_rows))
 
 
 def ortho_structures(p: FinitePoset) -> Iterator[OrthoPoset]:
@@ -204,9 +220,19 @@ def ortho_posets(n: int) -> Iterator[OrthoPoset]:
 
 
 def sectioned_structures(p: FinitePoset):
-    """The poset ``p`` with each of its valid section families."""
+    """The poset ``p`` with each of its valid section families.
+
+    The filters' rows are built in index order, the bottom's from the
+    rows ``antitone_involutions`` keeps, and a filter with none ends the
+    poset: it has no section family.
+    """
     from .relative import SectionedPoset
-    per_elem = [filter_involutions(p, x) for x in range(p.n)]
+    per_elem = []
+    for x in range(p.n):
+        rows = cached(p, _bottom_rows) if x == p.bottom else filter_involutions(p, x)
+        if not rows:
+            return
+        per_elem.append(rows)
     for rows in product(*per_elem):
         yield SectionedPoset(p, rows)
 

@@ -307,6 +307,11 @@ def _subset_rel_conditions(o, prod, imp):
     return rep
 
 
+def _min_of(p, a):
+    # Min A within the induced order
+    return sum(1 << x for x in bits(a) if p.down[x] & a == 1 << x)
+
+
 def _subset_rel_residuate(o, imp):
     p = o.poset
     r = range(p.n)
@@ -316,7 +321,7 @@ def _subset_rel_residuate(o, imp):
     for x in r:
         row = []
         for y in r:
-            least = p.min_of(sum(1 << z for z in r if le1[x][y][z]))
+            least = _min_of(p, sum(1 << z for z in r if le1[x][y][z]))
             if least == 0 or least & (least - 1):
                 return A.ResiduationResult(None, failure=(x, y))
             row.append(least)
@@ -507,6 +512,22 @@ def test_cone_kernels_match_per_triple_references():
     for o in _orthogonal_structures():
         for got, want in _cone_kernels(o):
             assert got == want, o
+
+
+def test_cone_kernels_match_per_triple_references_at_n8():
+    # with the test above: every orthogonal structure with n <= 8, and
+    # the fixture carriers
+    structures = [o for o in U.ortho_posets(8) if O.is_orthogonal_poset(o)]
+    assert len(structures) == 159
+    residuations = Counter()
+    for o in structures:
+        kernels = _cone_kernels(o)
+        for got, want in kernels:
+            assert got == want, o
+        res = kernels[2][0]
+        residuations[res.failure is not None, res.adjoint] += 1
+    # failed, non-adjoint and adjoint residuations are all compared
+    assert set(residuations) == {(True, False), (False, False), (False, True)}
 
 
 def test_cone_kernels_match_references_on_perturbed_tables():

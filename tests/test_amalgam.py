@@ -160,8 +160,6 @@ FAMILIES = {
     **{f"fixture-{d}": (lambda d=d: gallery.load(f"{d}/family"))
        for d in ("chain", "fig5", "pentagon", "square", "triangle")},
     **{f"cycle-{n}": (lambda n=n: figures.greechie_cycle(n)) for n in (3, 4, 5)},
-    "chain": lambda: gallery.load("chain/family"),
-    "fig5": lambda: gallery.load("fig5/family"),
     "kleene-loop": kleene_loop,
 }
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraposet import amalgam, figures, fileformat, harness
-from paraposet.poset import (BadIndex, FinitePoset, NotAntisymmetric, NotBounded,
-                             bits, distributive_nary, mask_of)
+from paraposet.poset import (SMALL_SUBSET, FinitePoset, NotAntisymmetric, NotBounded,
+                             bits, mask_of)
 from paraposet.universe import bounded_posets
 
 import gallery
@@ -41,7 +41,8 @@ def test_cones_and_extrema():
     ab = mask_of([p.index("a"), p.index("b")])
     assert p.lower_cone(ab) == 1 << p.index("0")
     assert p.upper_cone(ab) == 1 << p.index("1")
-    assert p.max_of(p.lower_cone(1 << p.index("1"))) == 1 << p.index("1")
+    top = p.index("1")
+    assert _max_of(p, p.lower_cone(1 << top)) == p.max_lower[top][top] == 1 << top
 
 
 def test_meet_join_lattice():
@@ -58,7 +59,7 @@ def test_hexagon_upper_cone_of_incomparable_atoms():
     m = mask_of([p.index("b"), p.index("d")])
     u = p.upper_cone(m)
     assert sorted(p.labels[i] for i in bits(u)) == ["1", "b'"]
-    assert [p.labels[i] for i in bits(p.min_of(u))] == ["b'"]
+    assert [p.labels[i] for i in bits(p.min_upper[p.index("b")][p.index("d")])] == ["b'"]
 
 
 def test_cube_distributive():
@@ -110,20 +111,29 @@ def _singleton(m):
     return m.bit_length() - 1 if m and m & (m - 1) == 0 else None
 
 
+def _max_of(p, a):
+    # Max A within the induced order
+    return mask_of(x for x in bits(a) if p.up[x] & a == 1 << x)
+
+
+def _min_of(p, a):
+    return mask_of(x for x in bits(a) if p.down[x] & a == 1 << x)
+
+
 def _assert_bound_tables_match_cones(p):
     r = range(p.n)
     for x in r:
         for y in r:
-            maxl = p.max_of(p.down[x] & p.down[y])
-            minu = p.min_of(p.up[x] & p.up[y])
+            maxl = _max_of(p, p.down[x] & p.down[y])
+            minu = _min_of(p, p.up[x] & p.up[y])
             assert p.max_lower[x][y] == maxl
             assert p.min_upper[x][y] == minu
             assert p.meets[x][y] == _singleton(maxl)
             assert p.joins[x][y] == _singleton(minu)
             assert p.meet(x, y) == p.meets[x][y] and p.join(x, y) == p.joins[x][y]
     assert p.is_lattice == all(
-        _singleton(p.max_of(p.down[x] & p.down[y])) is not None
-        and _singleton(p.min_of(p.up[x] & p.up[y])) is not None
+        _singleton(_max_of(p, p.down[x] & p.down[y])) is not None
+        and _singleton(_min_of(p, p.up[x] & p.up[y])) is not None
         for x in r for y in r)
     assert p.is_distributive == _cone_distributive(p)
 
@@ -226,6 +236,67 @@ def _cone_nary(p, xs, z):
             U(L(xmask) | 1 << z) == U(L(cones_u)))
 
 
+# the per-triple bodies the poset kernels replaced, kept as references
+
+def _pair_cone_variants(p, x, y, z):
+    """The four binary LU-identities at (x, y, z) as (lhs, rhs) masks,
+    read from the pair cones."""
+    lu, ul = p.pair_cones
+    L, U = p._lower, p._upper
+    lu_xy_z = lu[x][y] & p.down[z]
+    ul_xz_yz = ul[x][z] & ul[y][z]
+    ul_xy_z = ul[x][y] & p.up[z]
+    lu_xz_yz = lu[x][z] & lu[y][z]
+    return (
+        (lu_xy_z, L(ul_xz_yz)),
+        (ul_xz_yz, U(lu_xy_z)),
+        (ul_xy_z, U(lu_xz_yz)),
+        (lu_xz_yz, L(ul_xy_z)),
+    )
+
+
+def _pair_cone_variant_failure(p):
+    r = range(p.n)
+    for x in r:
+        for y in r:
+            for z in r:
+                if any(lhs != rhs for lhs, rhs in _pair_cone_variants(p, x, y, z)):
+                    return (x, y, z)
+    return None
+
+
+def _pair_cone_nary(p, xs, z):
+    """The n-ary LU-identity and its dual at (xs, z), read from the pair cones."""
+    lu, ul = p.pair_cones
+    L, U = p._lower, p._upper
+    ul_z = lu_z = p.full
+    for x in xs:
+        ul_z &= ul[x][z]
+        lu_z &= lu[x][z]
+    xmask = mask_of(xs)
+    return (L(U(xmask)) & p.down[z] == L(ul_z),
+            U(L(xmask)) & p.up[z] == U(lu_z))
+
+
+def _pair_cone_nary_failure(p):
+    for xs in combinations(range(p.n), 3):
+        for z in range(p.n):
+            if not all(_pair_cone_nary(p, xs, z)):
+                return xs, z
+    return None
+
+
+def _bound_complete_reference(p, cone, extremal, rows):
+    for size in range(1, SMALL_SUBSET + 1):
+        for m in combinations(range(p.n), size):
+            c = cone(mask_of(m))
+            ext = extremal(p, c)
+            for x in bits(c):
+                if not ext & rows[x]:
+                    return False
+    return True
+
+
 def _assert_identities_match_cones(p, nary_args):
     assert p.is_distributive == _cone_distributive(p)
     assert p.distributive_variant_failure == _cone_variant_failure(p)
@@ -233,9 +304,9 @@ def _assert_identities_match_cones(p, nary_args):
     for x in r:
         for y in r:
             for z in r:
-                assert p.distributive_variants(x, y, z) == _cone_variants(p, x, y, z)
+                assert _pair_cone_variants(p, x, y, z) == _cone_variants(p, x, y, z)
     for xs, z in nary_args:
-        assert distributive_nary(p, xs, z) == _cone_nary(p, xs, z)
+        assert _pair_cone_nary(p, xs, z) == _cone_nary(p, xs, z)
 
 
 def _all_nary_args(p):
@@ -295,16 +366,6 @@ def test_lu_identities_match_cones_on_random_posets(p, data):
     _assert_identities_match_cones(p, nary_args)
 
 
-def test_lu_identities_reject_elements_outside_the_poset():
-    p = diamond()
-    with pytest.raises(BadIndex):
-        p.distributive_variants(0, 1, p.n)
-    with pytest.raises(BadIndex):
-        distributive_nary(p, (0, p.n), 1)
-    with pytest.raises(ValueError):
-        p.distributive_variants(-1, 0, 0)
-
-
 def _count_pair_cone_builds(monkeypatch):
     builds = []
     build = FinitePoset.pair_cones.func
@@ -331,7 +392,7 @@ def test_distributivity_predicates_share_one_pair_cone_build(monkeypatch):
     p = figures.boolean_cube().poset
     assert p.is_distributive
     assert p.distributive_variant_failure is None
-    assert distributive_nary(p, (1, 2, 3), 4) == (True, True)
+    assert p.nary_distributive_failure is None
     assert builds == [p]
 
 
@@ -339,9 +400,9 @@ def test_bound_completeness_runs_once_per_poset(monkeypatch):
     runs = []
     body = FinitePoset._bound_complete
 
-    def counted(p, cone, extremal, rows):
+    def counted(p, cone, reach, rows):
         runs.append((p, rows is p.up))
-        return body(p, cone, extremal, rows)
+        return body(p, cone, reach, rows)
 
     monkeypatch.setattr(FinitePoset, "_bound_complete", counted)
     [res] = harness.run_harness(6, ["completeness-finite"])
@@ -352,3 +413,30 @@ def test_bound_completeness_runs_once_per_poset(monkeypatch):
     assert sorted((id(p), mlb) for p, mlb in runs) == sorted(
         (i, mlb) for i in posets for mlb in (False, True))
     assert res.instances > len(posets)
+
+
+# -- the poset kernels against the per-triple bodies they replaced ------
+
+def _assert_poset_kernels_match(p):
+    assert p.distributive_variant_failure == _pair_cone_variant_failure(p)
+    assert p.nary_distributive_failure == _pair_cone_nary_failure(p)
+    assert p.is_mub_complete == _bound_complete_reference(p, p.upper_cone, _min_of, p.down)
+    assert p.is_mlb_complete == _bound_complete_reference(p, p.lower_cone, _max_of, p.up)
+
+
+def test_poset_kernels_match_the_replaced_bodies_on_every_bounded_poset():
+    posets = [p for n in range(2, 9) for p in bounded_posets(n)]
+    assert len(posets) == 406
+    for p in posets:
+        _assert_poset_kernels_match(p)
+    # both verdicts of each kernel are reached
+    assert any(p.distributive_variant_failure for p in posets)
+    assert any(p.nary_distributive_failure for p in posets)
+    assert any(p.is_distributive for p in posets)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*/family.poset")),
+                         ids=lambda p: p.parent.name)
+def test_poset_kernels_match_the_replaced_bodies_on_fixture_carriers(path):
+    carrier = amalgam.build_amalgam(fileformat.load(str(path)))
+    _assert_poset_kernels_match(carrier.poset)

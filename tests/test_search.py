@@ -1,10 +1,10 @@
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from paraposet import figures
+from paraposet import amalgam, figures
 from paraposet import harness
 from paraposet import universe as U
 from paraposet import ortho as O
@@ -196,6 +196,67 @@ def test_filter_involutions_match_brute_force():
                     assert [y for y in range(p.n) if row[y] < 0] == list(
                         bits(p.full & ~p.up[x]))
                 assert set(rows) == _filter_reference(p, x)
+
+
+def _filter_involutions_reference(p, x):
+    # the backtracker with four ``leq`` calls per assigned pair
+    n, filt = p.n, p.up[x]
+    inv = [-1] * n
+    inv[x], inv[p.top] = p.top, x
+    down_sizes = [bin(p.down[i] & filt).count("1") for i in range(n)]
+    up_sizes = [bin(p.up[i]).count("1") for i in range(n)]
+    points = sorted(bits(filt), key=lambda i: (down_sizes[i], i))
+    rows = []
+
+    def antitone_ok(a, b):
+        for c in points:
+            d = inv[c]
+            if d >= 0 and (p.leq(a, c) != p.leq(d, b) or p.leq(c, a) != p.leq(b, d)):
+                return False
+        return True
+
+    def rec(k):
+        while k < len(points) and inv[points[k]] >= 0:
+            k += 1
+        if k == len(points):
+            rows.append(tuple(inv))
+            return
+        a = points[k]
+        for b in bits(filt):
+            if (inv[b] >= 0 and b != a) or not (
+                    down_sizes[a] == up_sizes[b] and up_sizes[a] == down_sizes[b]):
+                continue
+            inv[a], inv[b] = b, a
+            if antitone_ok(a, b) and (b == a or antitone_ok(b, a)):
+                rec(k + 1)
+            inv[a] = inv[b] = -1
+
+    rec(0)
+    return rows
+
+
+def _assert_filter_rows_match_reference(p):
+    per_elem = [_filter_involutions_reference(p, x) for x in range(p.n)]
+    for x, want in enumerate(per_elem):
+        assert U.filter_involutions(p, x) == want
+    assert U.antitone_involutions(p) == per_elem[p.bottom]
+    # the families, in order, of the product over every filter (the
+    # carriers have up to 19,200,000, so only the first few there)
+    got = islice(U.sectioned_structures(p), 1000)
+    assert [s.sections for s in got] == list(islice(product(*per_elem), 1000))
+
+
+def test_filter_rows_match_the_replaced_backtracker():
+    posets = [p for n in range(2, 9) for p in U.bounded_posets(n)]
+    assert len(posets) == 406
+    for p in posets:
+        _assert_filter_rows_match_reference(p)
+
+
+@pytest.mark.parametrize("name", ["chain", "fig5", "pentagon", "square", "triangle"])
+def test_filter_rows_match_the_replaced_backtracker_on_fixture_carriers(name):
+    _assert_filter_rows_match_reference(
+        amalgam.build_amalgam(gallery.load(f"{name}/family")).poset)
 
 
 def _brute_orthoisomorphic(a, b):
