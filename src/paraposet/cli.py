@@ -9,7 +9,8 @@ A command with a FILE argument exits 2, with one ``error: FILE: ...``
 line on stderr, when the file is unreadable or malformed, when a
 family does not paste, or when the operation asked for is undefined on
 the structure. ``verify`` and ``search`` read no file, so an exception
-raised there is a program fault and propagates.
+raised there is a program fault and propagates; ``search`` passes over a
+structure on which a predicate is undefined and counts it on stderr.
 """
 
 from __future__ import annotations
@@ -192,7 +193,10 @@ def cmd_search(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    found = harness.find_counterexample(prop_a, prop_b, max_n=args.max_n)
+    found, skipped = harness.find_counterexample(prop_a, prop_b, max_n=args.max_n)
+    if skipped:
+        print(f"note: skipped {skipped} structures on which {prop_a} or {prop_b} "
+              "is undefined", file=sys.stderr)
     if found is None:
         print(f"no counterexample: {prop_a} implies {prop_b} up to n={args.max_n}")
         return 1

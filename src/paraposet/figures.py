@@ -1,4 +1,4 @@
-"""Parametric structures: Boolean cubes, Kleene blocks and Greechie cycles.
+"""Parametric structures: Boolean cubes and Greechie cycles.
 
 Each builder returns a freshly validated structure. The paper's fixed
 figures are the files under fixtures/, read with
@@ -42,19 +42,6 @@ def boolean_cube(atoms: Sequence[str] = ("x", "y", "z"), name: str = "") -> Orth
     covers += [(a, b + "'") for a in atoms for b in atoms if a != b]
     covers += [(a + "'", "1") for a in atoms]
     return _ortho(name or "cube", labels, covers, _std_pairs(labels))
-
-
-def kleene_k3b2(atom: str, side: str, name: str = "") -> OrthoPoset:
-    """The 6-element product of the 3-element Kleene chain with B2.
-
-    ``atom`` names the fixed-point pair (atom and its involute form a
-    4-chain through the structure); ``side`` names the complemented pair.
-    """
-    labels = ["0", atom, side, side + "'", atom + "'", "1"]
-    covers = [("0", atom), ("0", side + "'"),
-              (atom, side), (atom, atom + "'"),
-              (side + "'", atom + "'"), (side, "1"), (atom + "'", "1")]
-    return _ortho(name or "k3b2", labels, covers, _std_pairs(labels))
 
 
 def greechie_cycle(n: int) -> PastedFamily:

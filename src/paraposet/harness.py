@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import adjoint, implication, relative
 from .ortho import (OrthoPoset, PREDICATES, find_benzene, is_boolean_algebra,
@@ -29,8 +29,8 @@ from .ortho import (OrthoPoset, PREDICATES, find_benzene, is_boolean_algebra,
                     is_weakly_boolean, nonorthogonal_zero_meets,
                     orthomodular_verdicts)
 from .poset import PosetError
-from .universe import (bounded_posets, involutions, ortho_posets,
-                       ortho_structures, sectioned_structures)
+from .universe import (bounded_posets, involutions, ortho_structures,
+                       sectioned_structures)
 
 
 @dataclass
@@ -86,12 +86,8 @@ def _lattice(o):
     return o.poset.is_lattice
 
 
-def _check_under_c(s):
-    try:
-        ok, _ = implication.cached(s, relative.check_C)
-    except implication.JoinMissing:
-        return False
-    return ok
+def _compatible(s):
+    return implication.cached(s, relative.check_C)[0]
 
 
 def _antitone(build):
@@ -202,7 +198,7 @@ _register("th2", "sectioned", _report_th(relative.check_th2),
 _register("para-via-i3", "sectioned", _agree3(relative.para_via_I3), None,
           "global paraorthomodularity via the section implication")
 _register("relpara-under-c", "sectioned", _agree3(relative.relpara_via_impl_under_C),
-          _check_under_c, "relative paraorthomodularity via the unit law under compatibility")
+          _compatible, "relative paraorthomodularity via the unit law under compatibility")
 _register("i4-antitone", "sectioned", _antitone(relative.impl_I4), _lattice,
           "join-semilattice implication antitone in the first slot")
 _ab_equiv = _holds(adjoint.lemma_AB_equiv, "A/B verdicts split")
@@ -314,14 +310,18 @@ def run_harness(max_n: int = 6,
 
 
 def find_counterexample(prop_a: str, prop_b: str,
-                        max_n: int = 7) -> Optional[OrthoPoset]:
-    """Smallest enumerated structure satisfying prop_a but not prop_b."""
+                        max_n: int = 7) -> Tuple[Optional[OrthoPoset], int]:
+    """The smallest ortho structure satisfying prop_a but not prop_b, or
+    None, with the number of structures skipped on the way because a
+    predicate is undefined on them (raises ``PosetError``)."""
     fa, fb = PREDICATES[prop_a], PREDICATES[prop_b]
+    skipped = 0
     for n in range(2, max_n + 1):
-        for o in ortho_posets(n):
-            try:
-                if fa(o) and not fb(o):
-                    return o
-            except PosetError:
-                continue
-    return None
+        for p in bounded_posets(n):
+            for o in ortho_structures(p):
+                try:
+                    if fa(o) and not fb(o):
+                        return o, skipped
+                except PosetError:
+                    skipped += 1
+    return None, skipped

@@ -93,20 +93,11 @@ def _require_orthogonal(o: OrthoPoset) -> None:
         raise NotOrthogonal(w)
 
 
-def _image(p: FinitePoset, op: str, a: int, mask: int, error=JoinMissing) -> int:
-    """The mask of the a v b (``op`` "join") or a ^ b ("meet") over the b
-    in ``mask``; a missing one raises ``error``."""
-    row = (p.joins if op == "join" else p.meets)[a]
-    if mask and mask & (mask - 1) == 0:
-        c = row[mask.bit_length() - 1]
-        if c is not None:
-            return 1 << c
+def _image(row, mask: int) -> int:
+    """The mask of the ``row[b]`` over the b in ``mask``, every one an element."""
     out = 0
     for b in bits(mask):
-        c = row[b]
-        if c is None:
-            raise error(f"{op} of {p.labels[a]} and {p.labels[b]} missing")
-        out |= 1 << c
+        out |= 1 << row[b]
     return out
 
 
@@ -121,7 +112,7 @@ def impl_I(o: OrthoPoset) -> SetValuedTable:
     _require_orthogonal(o)
     p, inv, maxl = o.poset, o.inv, o.poset.max_lower
     # a <= y' makes a orthogonal to y, so the joins exist
-    return _table(p, lambda x, y: _image(p, "join", y, maxl[inv[x]][inv[y]]))
+    return _table(p, lambda x, y: _image(p.joins[y], maxl[inv[x]][inv[y]]))
 
 
 def impl_I2(o: OrthoPoset) -> SetValuedTable:
@@ -136,14 +127,16 @@ def sasaki_proj(o: OrthoPoset) -> SetValuedTable:
     """x (.) y: meets of y with the minimal upper bounds of (x, y')."""
     _require_orthogonal(o)
     p, inv, minu = o.poset, o.inv, o.poset.min_upper
-    return _table(p, lambda x, y: _image(p, "meet", y, minu[x][inv[y]]))
+    # b >= y' makes b' orthogonal to y', so the meets y ^ b = (y' v b')' exist
+    return _table(p, lambda x, y: _image(p.meets[y], minu[x][inv[y]]))
 
 
 def sasaki_impl(o: OrthoPoset) -> SetValuedTable:
     """x -> y as joins of x' with the maximal lower bounds of (x, y)."""
     _require_orthogonal(o)
     p, inv, maxl = o.poset, o.inv, o.poset.max_lower
-    return _table(p, lambda x, y: _image(p, "join", inv[x], maxl[x][y]))
+    # a <= x makes a orthogonal to x', so the joins exist
+    return _table(p, lambda x, y: _image(p.joins[inv[x]], maxl[x][y]))
 
 
 def duality_check(o: OrthoPoset) -> bool:
@@ -234,62 +227,39 @@ def unit_law(t: SetValuedTable) -> bool:
     return True
 
 
-def _th1_rows(o: OrthoPoset):
-    """``(g, no_meet, no_join)``: the rows ``g[y][b]``, the mask of
-    y v (y' ^ b), and per y the masks of the b where the meet y' ^ b is
-    missing and of those where it exists but its join with y does not
-    (``g`` holds 0 at both)."""
-    p, inv = o.poset, o.inv
-    meets, joins = p.meets, p.joins
-    g, no_meet, no_join = [], [], []
-    for y, join_y in enumerate(joins):
-        row, nm, nj = [], 0, 0
-        for b, m in enumerate(meets[inv[y]]):
-            j = None if m is None else join_y[m]
-            if m is None:
-                nm |= 1 << b
-            elif j is None:
-                nj |= 1 << b
-            row.append(0 if j is None else 1 << j)
-        g.append(row)
-        no_meet.append(nm)
-        no_join.append(nj)
-    return g, no_meet, no_join
-
-
 def check_th1(o: OrthoPoset) -> TheoremReport:
     """Elementary properties of the (I1) implication on orthogonal posets.
 
+    Every join and meet the clauses read exists, so each is a plain
+    lookup in ``joins``/``meets``. In an orthogonal poset a ^ b exists
+    whenever a' <= b, being (a' v b')'. So: y v y' exists, y being
+    orthogonal to y'; x <= y' gives x' ^ y' = (x v y)', and y v (x' ^ y')
+    exists as y <= x v y; y <= x makes y orthogonal to x'; b >= y gives
+    y' ^ b = (b' v y)', and y v (y' ^ b) exists as y <= b' v y; and
+    every m <= y' is orthogonal to y, so y v m exists.
+
     The right-hand sides of clauses (iv) and (v) are y v (y' ^ B), with
-    B = Min U(x, y) for (iv) and B = y v Max L(x', y') for (v). Each is
-    the union of g[y][b] over the b in B, read from rows built once per
-    structure (``_th1_rows``); it depends on x only through Min U(x, y)
-    or Max L(x', y'), so it is computed at the first x that needs it and
-    kept for the others. A missing meet y' ^ b is a violation of the
-    clause; a missing join raises ``JoinMissing`` at the first pair
-    that needs it.
+    B = Min U(x, y) for (iv) and B = y v Max L(x', y') for (v); every b
+    in either lies above y. Each is the image of B under the row
+    ``g[y][b] = y v (y' ^ b)``, built once per structure for the b >= y.
+    It depends on x only through Min U(x, y) or Max L(x', y'), so it is
+    computed at the first x that needs it and kept for the others.
     """
     t = cached(o, impl_I)
     p = o.poset
     n = p.n
     rep = TheoremReport("th1")
     violations, identity, lift = rep.violations, rep.identity, t.lift
-    inv, up, meets = o.inv, p.up, p.meets
+    inv, up, meets, joins = o.inv, p.up, p.meets, p.joins
     max_lower, min_upper = p.max_lower, p.min_upper
     one = 1 << p.top
     complemented = is_complementation(o)
-    g, no_meet, no_join = _th1_rows(o)
-
-    def rhs(y, mask):
-        """y v (y' ^ mask), or -1 where a meet is missing."""
-        if mask & no_meet[y]:
-            return -1
-        if mask & no_join[y]:
-            _image(p, "join", y, _image(p, "meet", inv[y], mask))
-        g_y, out = g[y], 0
-        for b in bits(mask):
-            out |= g_y[b]
-        return out
+    g = []
+    for y, join_y in enumerate(joins):
+        row, meet_yi = [None] * n, meets[inv[y]]
+        for b in bits(up[y]):
+            row[b] = join_y[meet_yi[b]]
+        g.append(row)
 
     # per y, the right-hand sides of (iv) by Min U(x, y) and of (v) by
     # Max L(x', y'), each computed at its first x
@@ -297,46 +267,34 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
     rhs_v = [{} for _ in range(n)]
     for x, row in enumerate(t.cells):
         xi, up_x = inv[x], up[x]
-        min_upper_x, max_lower_xi = min_upper[x], max_lower[xi]
+        min_upper_x, max_lower_xi, meets_xi = min_upper[x], max_lower[xi], meets[xi]
         for y, cell in enumerate(row):
-            yi, up_y = inv[y], up[y]
+            yi, up_y, join_y = inv[y], up[y], joins[y]
             # (i) y below every member
             if cell & ~up_y:
                 violations.append(("i", x, y))
             # (iii) case formulas
             if up_x >> y & 1:
-                identity(p, "iii-le", cell, _image(p, "join", y, 1 << yi), x, y)
+                identity(p, "iii-le", cell, 1 << join_y[yi], x, y)
                 if complemented and cell != one:
                     violations.append(("iii-compl", x, y))
             if up_x >> yi & 1:
-                m = meets[xi][yi]
-                if m is None:
-                    violations.append(("iii-perp", x, y))
-                else:
-                    identity(p, "iii-perp", cell, _image(p, "join", y, 1 << m), x, y)
+                identity(p, "iii-perp", cell, 1 << join_y[meets_xi[yi]], x, y)
             if up_y >> x & 1:
-                identity(p, "iii-ge", cell, _image(p, "join", y, 1 << xi), x, y)
+                identity(p, "iii-ge", cell, 1 << join_y[xi], x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
             lhs = lift(cell, y)
             b = min_upper_x[y]
             want = rhs_iv[y].get(b)
             if want is None:
-                want = rhs_iv[y][b] = rhs(y, b)
-            if want < 0:
-                violations.append(("iv", x, y))
-            elif lhs != want:
-                identity(p, "iv", lhs, want, x, y)
+                want = rhs_iv[y][b] = _image(g[y], b)
+            identity(p, "iv", lhs, want, x, y)
             # (v) triple implication against y v (y' ^ (y v Max L(x', y')))
             b = max_lower_xi[yi]
             want = rhs_v[y].get(b)
             if want is None:
-                want = rhs_v[y][b] = rhs(y, _image(p, "join", y, b))
-            if want < 0:
-                violations.append(("v", x, y))
-            else:
-                lhs = lift(lhs, y)
-                if lhs != want:
-                    identity(p, "v", lhs, want, x, y)
+                want = rhs_v[y][b] = _image(g[y], _image(join_y, b))
+            identity(p, "v", lift(lhs, y), want, x, y)
     # (ii) antitone in the first argument, up to le1
     violations.extend(("ii", *w) for w in _antitone_failures(t))
     return rep

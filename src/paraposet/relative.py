@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .poset import FinitePoset, PosetError, bits, mask_of
+from .poset import FinitePoset, PosetError, bits
 from .implication import (JoinMissing, SetValuedTable, TheoremReport, _image, _table,
                           cached, unit_law)
 from .ortho import OrthoPoset, paraortho_witness
@@ -115,12 +115,15 @@ def is_relatively_paraorthomodular(s: SectionedPoset) -> bool:
 
 
 def check_C(s: SectionedPoset) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    """Whether z^y = z^x v y on every chain x <= y <= z."""
-    p = s.poset
+    """Whether z^y = z^x v y on every chain x <= y <= z.
+
+    A chain where the join z^x v y is missing fails the condition.
+    """
+    p, sec = s.poset, s.sections
     for x in range(p.n):
         for y in bits(p.up[x]):
             for z in bits(p.up[y]):
-                if _image(p, "join", s.sections[x][z], 1 << y) != 1 << s.sections[y][z]:
+                if p.joins[sec[x][z]][y] != sec[y][z]:
                     return False, (x, y, z)
     return True, None
 
@@ -128,14 +131,19 @@ def check_C(s: SectionedPoset) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
 def impl_I3(s: SectionedPoset) -> SetValuedTable:
     """x -> y as the section images of the minimal upper bounds of (x, y)."""
     p, sec, minu = s.poset, s.sections, s.poset.min_upper
-    return _table(p, lambda x, y: mask_of(sec[y][w] for w in bits(minu[x][y])))
+    return _table(p, lambda x, y: _image(sec[y], minu[x][y]))
 
 
 def impl_I4(s: SectionedPoset) -> SetValuedTable:
     """x -> y as (x v y)^y on join-semilattices; cells are singletons."""
     p, sec = s.poset, s.sections
-    return _table(p, lambda x, y: mask_of(
-        sec[y][j] for j in bits(_image(p, "join", x, 1 << y, NotJoinSemilattice))))
+
+    def cell(x, y):
+        j = p.joins[x][y]
+        if j is None:
+            raise NotJoinSemilattice(f"join of {p.labels[x]} and {p.labels[y]} missing")
+        return 1 << sec[y][j]
+    return _table(p, cell)
 
 
 def check_th2(s: SectionedPoset) -> TheoremReport:

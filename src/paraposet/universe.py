@@ -214,11 +214,6 @@ def ortho_structures(p: FinitePoset) -> Iterator[OrthoPoset]:
         yield OrthoPoset(p, inv)
 
 
-def ortho_posets(n: int) -> Iterator[OrthoPoset]:
-    """Every bounded poset of size n with every antitone involution."""
-    return chain.from_iterable(map(ortho_structures, bounded_posets(n)))
-
-
 def sectioned_structures(p: FinitePoset):
     """The poset ``p`` with each of its valid section families.
 
@@ -235,11 +230,6 @@ def sectioned_structures(p: FinitePoset):
         per_elem.append(rows)
     for rows in product(*per_elem):
         yield SectionedPoset(p, rows)
-
-
-def sectioned_posets(n: int):
-    """Every bounded poset of size n with every valid section family."""
-    return chain.from_iterable(map(sectioned_structures, bounded_posets(n)))
 
 
 def _ortho_key(o: OrthoPoset) -> Tuple[int, ...]:

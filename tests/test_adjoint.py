@@ -335,7 +335,7 @@ def _subset_rel_residuate(o, imp):
 def _ortho_structures():
     """Every ortho structure with n <= 7, the figures (fig2b has
     non-singleton cells) and the amalgam carriers of the fixtures."""
-    out = [o for n in range(2, 8) for o in U.ortho_posets(n)]
+    out = [o for n in range(2, 8) for o in gallery.ortho_posets(n)]
     out += [gallery.ortho(name)
             for name in ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig8")]
     out.append(figures.boolean_cube())
@@ -346,7 +346,7 @@ def _ortho_structures():
 
 def _sectioned_structures():
     """Every sectioned structure with n <= 7 and the sectioned figures."""
-    out = [s for n in range(2, 8) for s in U.sectioned_posets(n)]
+    out = [s for n in range(2, 8) for s in gallery.sectioned_posets(n)]
     return out + [gallery.load("fig1a"), gallery.load("fig7s"),
                   gallery.load("fig8"),
                   R.sections_from_involution(figures.boolean_cube())]
@@ -517,7 +517,7 @@ def test_cone_kernels_match_per_triple_references():
 def test_cone_kernels_match_per_triple_references_at_n8():
     # with the test above: every orthogonal structure with n <= 8, and
     # the fixture carriers
-    structures = [o for o in U.ortho_posets(8) if O.is_orthogonal_poset(o)]
+    structures = [o for o in gallery.ortho_posets(8) if O.is_orthogonal_poset(o)]
     assert len(structures) == 159
     residuations = Counter()
     for o in structures:

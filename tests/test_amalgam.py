@@ -3,7 +3,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from paraposet import figures, fileformat, universe
+from paraposet import figures, fileformat
 from paraposet import amalgam as am
 from paraposet import ortho as O
 from paraposet.poset import FinitePoset, bits
@@ -47,7 +47,7 @@ def test_small_block_rejected():
                                     [("0", "a"), ("a", "b"), ("b", "1")])
     # a four-element chain is too small for a Kleene block
     with pytest.raises(am.FamilyError):
-        am.validate_family([figures.kleene_k3b2("a", "b"),
+        am.validate_family([gallery.kleene_k3b2("a", "b"),
                             O.OrthoPoset(*_involute(chain))],
                            [], names=("K1", "K2"))
 
@@ -63,7 +63,7 @@ def _involute(p):
 
 def test_hexagon_block_rejected():
     with pytest.raises(am.NotKleene):
-        am.validate_family([figures.kleene_k3b2("a", "b"), gallery.ortho("fig4")],
+        am.validate_family([gallery.kleene_k3b2("a", "b"), gallery.ortho("fig4")],
                            [], names=("K1", "K2"))
 
 
@@ -119,7 +119,7 @@ def test_loop_search_budget():
 def kleene_loop():
     """Four K3 x B2 blocks in a 4-loop; each block shares its chain pair
     with one neighbour and its complemented pair with the other."""
-    blocks = [figures.kleene_k3b2(atom, side, name=f"K{i + 1}")
+    blocks = [gallery.kleene_k3b2(atom, side, name=f"K{i + 1}")
               for i, (atom, side) in enumerate(("ad", "ab", "cb", "cd"))]
     glue = [[(i, x + s), ((i + 1) % 4, x + s)]
             for i, x in enumerate("abcd") for s in ("", "'")]
@@ -251,7 +251,7 @@ def test_classification_speed():
 
 def _kleene_atoms():
     """(block, atom) over the 13 Kleene lattices with 6 <= n <= 8."""
-    blocks = [o for n in range(6, 9) for o in universe.ortho_posets(n)
+    blocks = [o for n in range(6, 9) for o in gallery.ortho_posets(n)
               if O.is_kleene_lattice(o)]
     assert len(blocks) == 13
     atoms = [(b, a) for b in blocks for a in range(b.n)

@@ -1,12 +1,12 @@
 import pytest
 
 from paraposet import adjoint as A
-from paraposet import figures
+from paraposet import amalgam as AM
+from paraposet import figures, fileformat
 from paraposet import harness as H
 from paraposet import implication as I
 from paraposet import ortho as O
 from paraposet import relative as R
-from paraposet import universe as U
 from paraposet.poset import PosetError, bits
 
 import gallery
@@ -26,6 +26,58 @@ def test_th1_clean_on_examples():
     for name in ("fig2a", "fig2b", "fig3", "fig5", "fig8"):
         rep = I.check_th1(gallery.ortho(name))
         assert rep.ok, rep.violations
+
+
+def _th1_cells(o):
+    """The join and meet cells that check_th1 reads, as (name, x, y, cell)."""
+    p, inv, joins, meets = o.poset, o.inv, o.poset.joins, o.poset.meets
+    for y in range(p.n):
+        yi = inv[y]
+        yield "y v y'", y, y, joins[y][yi]
+        for x in bits(p.down[yi]):
+            m = meets[inv[x]][yi]
+            yield "x' ^ y' (x <= y')", x, y, m
+            if m is not None:
+                yield "y v (x' ^ y') (x <= y')", x, y, joins[y][m]
+        for x in bits(p.up[y]):
+            yield "y v x' (y <= x)", x, y, joins[y][inv[x]]
+        for b in bits(p.up[y]):
+            m = meets[yi][b]
+            yield "y' ^ b (b >= y)", b, y, m
+            if m is not None:
+                yield "y v (y' ^ b) (b >= y)", b, y, joins[y][m]
+        for m in bits(p.down[yi]):
+            yield "y v m (m <= y')", m, y, joins[y][m]
+
+
+def _fixture_structures():
+    """Every ortho structure a fixture file gives: the figures, the global
+    involutions of the section files, the blocks and the carriers."""
+    out = []
+    for path in sorted(gallery.FIXTURES.rglob("*.poset")):
+        obj = fileformat.load(str(path))
+        if isinstance(obj, AM.PastedFamily):
+            obj = AM.build_amalgam(obj)
+        elif isinstance(obj, R.SectionedPoset):
+            obj = obj.ortho
+        out.append(obj)
+    return out
+
+
+def test_orthogonality_defines_every_cell_th1_reads():
+    # the argument of check_th1's docstring, checked without check_th1
+    structures = [o for n in range(2, 9) for o in gallery.ortho_posets(n)]
+    structures += _fixture_structures()
+    orthogonal = 0
+    for o in structures:
+        missing = [c[:3] for c in _th1_cells(o) if c[3] is None]
+        if O.is_orthogonal_poset(o):
+            orthogonal += 1
+            assert missing == [], (o, missing)
+        else:
+            # the cells include y v m for every m orthogonal to y
+            assert missing, o
+    assert orthogonal == 237 + 29
 
 
 def test_sharp_collapse_laws():
@@ -120,11 +172,11 @@ def _assert_cached_equals_fresh(s, build):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_cached_results_equal_fresh_builds(n):
     # fill the caches the way a sweep does, then rebuild every entry
-    for o in U.ortho_posets(n):
+    for o in gallery.ortho_posets(n):
         _run_theorems(o, "ortho")
         for build in ORTHO_BUILDS:
             _assert_cached_equals_fresh(o, build)
-    for s in U.sectioned_posets(n):
+    for s in gallery.sectioned_posets(n):
         _run_theorems(s, "sectioned")
         for build in SECTIONED_BUILDS:
             _assert_cached_equals_fresh(s, build)
@@ -132,7 +184,7 @@ def test_cached_results_equal_fresh_builds(n):
 
 def test_every_theorem_shares_one_cone_table(monkeypatch):
     # a Boolean algebra meets every hypothesis, the adjoint product included
-    o = next(o for o in U.ortho_posets(4) if O.is_boolean_algebra(o))
+    o = next(o for o in gallery.ortho_posets(4) if O.is_boolean_algebra(o))
     builds = []
     impl_I = I.impl_I
 
@@ -162,7 +214,7 @@ def _count_builds(monkeypatch, name, modules):
 
 
 def test_orthomodularity_read_once_per_structure(monkeypatch):
-    o = next(o for o in U.ortho_posets(4) if O.is_boolean_algebra(o))
+    o = next(o for o in gallery.ortho_posets(4) if O.is_boolean_algebra(o))
     builds = _count_builds(monkeypatch, "orthomodular_verdicts", (O, H))
     _run_theorems(o, "ortho")
     assert builds == [o]
@@ -170,14 +222,14 @@ def test_orthomodularity_read_once_per_structure(monkeypatch):
 
 def test_compatibility_read_once_per_structure(monkeypatch):
     # a structure meeting the hypothesis of relpara-under-c
-    s = next(s for s in U.sectioned_posets(4) if R.check_C(s)[0])
+    s = next(s for s in gallery.sectioned_posets(4) if R.check_C(s)[0])
     builds = _count_builds(monkeypatch, "check_C", (R,))
     _run_theorems(s, "sectioned")
     assert builds == [s]
 
 
 def test_orthogonality_read_once_by_hypotheses(monkeypatch):
-    o = next(o for o in U.ortho_posets(4) if O.is_boolean_algebra(o))
+    o = next(o for o in gallery.ortho_posets(4) if O.is_boolean_algebra(o))
     builds = _count_builds(monkeypatch, "orthogonality_witness", (O,))
     for th in H.THEOREMS.values():
         if th.stream == "ortho" and th.applies is not None:
@@ -202,7 +254,7 @@ def test_orthogonality_witness_built_once_per_structure(monkeypatch):
     # the table builders read the witness that the hypotheses read
     builds = _count_builds(monkeypatch, "orthogonality_witness", (O, I))
     # fig1a is not orthogonal, so there every table build raises
-    structures = [o for n in range(2, 6) for o in U.ortho_posets(n)]
+    structures = [o for n in range(2, 6) for o in gallery.ortho_posets(n)]
     structures += [gallery.ortho("fig1a"), gallery.ortho("fig2b")]
     tables = (I.impl_I, I.sasaki_proj, I.sasaki_impl)
     for o in structures:

@@ -451,6 +451,21 @@ def test_cli_search(capsys):
     assert code == 0 and "counterexample" in out
 
 
+def test_cli_search_notes_skipped_structures(capsys):
+    # regular is undefined on 2 ortho structures with n <= 8; the note
+    # goes to stderr, and stdout and the exit code stay those of a clean
+    # search
+    code = cli.main(["search", "--implies", "regular,regular", "--max-n", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "no counterexample: regular implies regular up to n=8\n"
+    assert captured.err == ("note: skipped 2 structures on which regular or regular "
+                            "is undefined\n")
+    code = cli.main(["search", "--implies", "regular,regular", "--max-n", "7"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "fixtures/triangle/family.poset", "--predicate", "bogus"],
      "error: unknown predicate 'bogus'\n"),

@@ -1,6 +1,6 @@
 import pytest
 
-from paraposet import amalgam as am, figures, fileformat, universe
+from paraposet import amalgam as am, figures, fileformat
 from paraposet import ortho as O
 from paraposet.poset import PosetError
 
@@ -72,7 +72,7 @@ def test_cube_is_boolean():
 
 
 def test_kleene_block():
-    o = figures.kleene_k3b2("a", "b")
+    o = gallery.kleene_k3b2("a", "b")
     assert O.is_kleene_lattice(o)
     assert O.is_regular(o)
     assert not O.is_orthomodular(o)
@@ -123,7 +123,7 @@ def _regular(o):
 
 
 def test_regularity_matches_the_pairwise_definition():
-    structures = [o for n in range(2, 9) for o in universe.ortho_posets(n)]
+    structures = [o for n in range(2, 9) for o in gallery.ortho_posets(n)]
     structures += [am.build_amalgam(fileformat.load(str(path)))
                    for path in sorted(FIXTURES.glob("*/family.poset"))]
     verdicts = [_regular(o) for o in structures]

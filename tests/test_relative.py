@@ -1,9 +1,11 @@
 import pytest
 
 from paraposet import figures
+from paraposet import harness as H
 from paraposet import implication as I
 from paraposet import relative as R
-from paraposet.poset import bits
+from paraposet import universe as U
+from paraposet.poset import FinitePoset, bits
 
 import gallery
 
@@ -71,6 +73,37 @@ def test_compatibility_fails_on_examples():
     assert (ok, w) == (False, (0, 1, 1))
     ok, w = R.check_C(gallery.load("fig8"))
     assert (ok, w) == (False, (0, 4, 4))
+
+
+def test_compatibility_fails_where_a_join_is_missing():
+    # an n = 10 non-lattice with 2,560 section families; on 256 of them
+    # the first chain x <= y <= z that breaks z^y = z^x v y is one where
+    # the join z^x v y is missing
+    up = (1023, 514, 516, 520, 528, 558, 598, 666, 796, 512)
+    p = FinitePoset(["0"] + [f"e{i}" for i in range(1, 9)] + ["1"], up)
+    families = list(U.sectioned_structures(p))
+    assert len(families) == 2560
+    missing = [s for s in families if not R.check_C(s)[0]
+               and _first_broken_join(s) is None]
+    assert len(missing) == 256
+    s = missing[0]
+    assert s is families[2304]
+    assert R.check_C(s) == (False, (0, 5, 1))
+    assert p.joins[s.sections[0][1]][5] is None
+    # relpara-under-c reads the failed condition as an unmet hypothesis
+    assert H.THEOREMS["relpara-under-c"].applies(s) is False
+
+
+def _first_broken_join(s):
+    """z^x v y on the first chain x <= y <= z where z^y = z^x v y fails."""
+    p = s.poset
+    for x in range(p.n):
+        for y in bits(p.up[x]):
+            for z in bits(p.up[y]):
+                j = p.joins[s.sections[x][z]][y]
+                if j != s.sections[y][z]:
+                    return j
+    return None
 
 
 def test_compatibility_holds_on_cube():

@@ -129,19 +129,19 @@ def test_canonical_form_invariant_under_relabelling():
 
 
 def test_smallest_ortho_universe():
-    structures = list(U.ortho_posets(2))
+    structures = list(gallery.ortho_posets(2))
     assert len(structures) == 1
     o = structures[0]
     assert o.n == 2 and o.inv == (1, 0)
 
 
 def test_ortho_universe_counts():
-    assert sum(1 for _ in U.ortho_posets(6)) == 21
-    assert sum(1 for _ in U.ortho_posets(7)) == 51
+    assert sum(1 for _ in gallery.ortho_posets(6)) == 21
+    assert sum(1 for _ in gallery.ortho_posets(7)) == 51
 
 
 def test_sectioned_universe_count():
-    assert sum(1 for _ in U.sectioned_posets(6)) == 26
+    assert sum(1 for _ in gallery.sectioned_posets(6)) == 26
 
 
 def test_involution_counts():
@@ -279,7 +279,7 @@ def _brute_orthoisomorphic(a, b):
 def test_orthoisomorphic_matches_brute_force():
     pairs = 0
     for n in range(2, 7):
-        structures = list(U.ortho_posets(n))
+        structures = list(gallery.ortho_posets(n))
         for a in structures:
             for b in structures:
                 assert U.is_orthoisomorphic(a, b) == _brute_orthoisomorphic(a, b)
@@ -289,7 +289,7 @@ def test_orthoisomorphic_matches_brute_force():
 
 def test_fig1a_appears_in_universe():
     target = gallery.ortho("fig1a")
-    hits = [o for o in U.ortho_posets(6)
+    hits = [o for o in gallery.ortho_posets(6)
             if O.is_paraorthomodular(o) and not O.is_orthogonal_poset(o)
             and U.is_orthoisomorphic(o, target)]
     assert hits
@@ -297,7 +297,7 @@ def test_fig1a_appears_in_universe():
 
 def test_fig2a_appears_in_universe():
     target = gallery.ortho("fig2a")
-    hits = [o for o in U.ortho_posets(6)
+    hits = [o for o in gallery.ortho_posets(6)
             if O.is_sharply_paraorthomodular(o) and o.poset.is_lattice
             and U.is_orthoisomorphic(o, target)]
     assert hits
@@ -309,19 +309,33 @@ def test_small_figures_keep_profiles_in_universe():
                    gallery.ortho("fig4"), gallery.ortho("fig7"), figures.boolean_cube(),
                    gallery.ortho("fig1c"), gallery.ortho("fig5")):
         assert any(U.is_orthoisomorphic(o, target)
-                   for o in U.ortho_posets(target.n))
+                   for o in gallery.ortho_posets(target.n))
 
 
 def test_counterexample_paraortho_not_orthomodular():
-    found = harness.find_counterexample("paraorthomodular", "orthomodular",
-                                        max_n=6)
-    assert found is not None
+    found, skipped = harness.find_counterexample("paraorthomodular", "orthomodular",
+                                                 max_n=6)
+    assert found is not None and skipped == 0
     assert O.is_paraorthomodular(found) and not O.is_orthomodular(found)
 
 
 def test_no_orthomodular_without_paraortho():
     assert harness.find_counterexample("orthomodular", "paraorthomodular",
-                                       max_n=7) is None
+                                       max_n=7) == (None, 0)
+
+
+def test_counterexample_search_counts_undefined_structures():
+    # regular is undefined where some x ^ x' is missing: on 2 structures
+    # at n = 8 and on 9 more at n = 9
+    assert harness.find_counterexample("regular", "regular", max_n=7) == (None, 0)
+    assert harness.find_counterexample("regular", "regular", max_n=8) == (None, 2)
+    undefined = 0
+    for o in gallery.ortho_posets(8):
+        try:
+            O.is_regular(o)
+        except O.UndefinedTerm:
+            undefined += 1
+    assert undefined == 2
 
 
 def test_counterexample_search_propagates_crashes(monkeypatch):
@@ -356,9 +370,7 @@ def test_harness_enumerates_bounded_posets_once_per_n(monkeypatch):
         calls.append(n)
         return enumerate_posets(n, *args)
 
-    # the universe alias is the one ortho_posets and sectioned_posets call
     monkeypatch.setattr(harness, "bounded_posets", counted)
-    monkeypatch.setattr(U, "bounded_posets", counted)
     results = harness.run_harness(max_n=5)
     assert calls == [2, 3, 4, 5]
     assert {harness.THEOREMS[r.theorem].stream for r in results} == {
