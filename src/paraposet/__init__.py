@@ -1,6 +1,6 @@
 """Finite quantum-logic order structures and their theorem checks."""
 
-from .poset import FinitePoset, PosetError, bits, mask_of
+from .poset import FinitePoset, PosetError, bits
 from .ortho import OrthoPoset, validate_involution, PREDICATES
 from .implication import SetValuedTable, impl_I, impl_I2, sasaki_impl, sasaki_proj
 from .relative import SectionedPoset, validate_sections, impl_I3, impl_I4

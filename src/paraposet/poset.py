@@ -98,13 +98,6 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_of(items: Iterable[int]) -> int:
-    m = 0
-    for i in items:
-        m |= 1 << i
-    return m
-
-
 # subset-relation kinds, matching the four relations on the powerset
 LE = "le"          # every element of A below every element of B
 LE1 = "le1"        # every element of A below some element of B

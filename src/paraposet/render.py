@@ -46,12 +46,11 @@ def format_cell(p: FinitePoset, mask: int) -> str:
 
 
 def render_table(table: SetValuedTable) -> str:
-    """Grid of cells, rows and columns in element order."""
+    """Grid of cells in element order; each distinct cell mask is formatted once."""
     p = table.poset
-    cells = [[format_cell(p, table.cell(x, y)) for y in range(p.n)]
-             for x in range(p.n)]
-    widths = [max(len(p.labels[y]), max(len(cells[x][y]) for x in range(p.n)))
-              for y in range(p.n)]
+    text = {m: format_cell(p, m) for m in set().union(*table.cells)}
+    cells = [[text[m] for m in row] for row in table.cells]
+    widths = [max(map(len, (p.labels[y],) + col)) for y, col in enumerate(zip(*cells))]
     head = max(len(l) for l in p.labels)
     out = [" " * head + " | " + "  ".join(
         p.labels[y].ljust(widths[y]) for y in range(p.n)).rstrip()]

@@ -3,7 +3,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from paraposet import figures, fileformat
+from paraposet import figures, fileformat, universe
 from paraposet import amalgam as am
 from paraposet import ortho as O
 from paraposet.poset import FinitePoset, bits
@@ -65,6 +65,18 @@ def test_hexagon_block_rejected():
     with pytest.raises(am.NotKleene):
         am.validate_family([gallery.kleene_k3b2("a", "b"), gallery.ortho("fig4")],
                            [], names=("K1", "K2"))
+
+
+def test_kleene_check_keys_blocks_by_order_and_involution():
+    # the cube has four antitone involutions; only the complement is Kleene
+    cube = figures.boolean_cube()
+    others = [inv for inv in universe.antitone_involutions(cube.poset) if inv != cube.inv]
+    assert len(others) == 3
+    for inv in others:
+        other = O.validate_involution(cube.poset, inv)
+        assert not O.is_kleene_lattice(other)
+        with pytest.raises(am.NotKleene, match="block K2 "):
+            am.validate_family([cube, other], [], names=("K1", "K2"))
 
 
 def test_three_element_intersection_rejected():
@@ -249,22 +261,28 @@ def test_classification_speed():
     assert time.perf_counter() - t0 < 5.0
 
 
-def _kleene_atoms():
-    """(block, atom) over the 13 Kleene lattices with 6 <= n <= 8."""
+def _kleene_blocks():
+    """The 13 Kleene lattices with 6 <= n <= 8."""
     blocks = [o for n in range(6, 9) for o in gallery.ortho_posets(n)
               if O.is_kleene_lattice(o)]
     assert len(blocks) == 13
-    atoms = [(b, a) for b in blocks for a in range(b.n)
+    return blocks
+
+
+def _kleene_atoms():
+    """(block, atom) over the 13 Kleene lattices with 6 <= n <= 8."""
+    atoms = [(b, a) for b in _kleene_blocks() for a in range(b.n)
              if b.poset.covers_pair(b.poset.bottom, a)]
     assert len(atoms) == 21
     return atoms
 
 
-@pytest.mark.parametrize("onto, accepted", [("atom", 151), ("coatom", 0)])
-def test_every_two_block_gluing_that_validates_builds_and_classifies(onto, accepted):
-    # {a, a'} of one block glued to {b, b'} of another (or of a copy of
-    # the same one), a onto b or a onto the coatom b'; unordered pairs
-    count = 0
+def _two_block_gluings(onto):
+    """Every two-block family of Kleene blocks that validates.
+
+    {a, a'} of one block is glued to {b, b'} of another (or of a copy of
+    the same one), a onto b or a onto the coatom b'; unordered pairs.
+    """
     for (A, a), (B, b) in combinations_with_replacement(_kleene_atoms(), 2):
         c = b if onto == "atom" else B.inv[b]
         glue = [[(0, a), (1, c)], [(0, A.inv[a]), (1, B.inv[c])]]
@@ -272,8 +290,48 @@ def test_every_two_block_gluing_that_validates_builds_and_classifies(onto, accep
             fam = am.validate_family([A, B], glue, names=("A", "B"))
         except am.FamilyError:
             continue
+        yield fam
+
+
+@pytest.mark.parametrize("onto, accepted", [("atom", 151), ("coatom", 0)])
+def test_every_two_block_gluing_that_validates_builds_and_classifies(onto, accepted):
+    count = 0
+    for fam in _two_block_gluings(onto):
         count += 1
         carrier = am.build_amalgam(fam)
         assert am.classify_amalgam(fam, carrier).agree
         assert am.cover_transfer(fam, carrier).ok
     assert count == accepted
+
+
+def test_no_kleene_block_has_an_atom_that_is_a_coatom():
+    # so no involution fixes a middle class of a shared 4-set
+    for b in _kleene_blocks():
+        p = b.poset
+        atoms = {e for e in range(p.n) if p.covers_pair(p.bottom, e)}
+        coatoms = {e for e in range(p.n) if p.covers_pair(e, p.top)}
+        assert atoms and coatoms and not atoms & coatoms, b
+
+
+def _shared_sets_are_sublattices(fam):
+    """The number of shared 4-sets; each must be closed under meet and join."""
+    count = 0
+    for i, j in combinations(range(len(fam.blocks)), 2):
+        s = fam.shared(i, j)
+        count += len(s) == 4
+        for k in (i, j):
+            p = fam.blocks[k].poset
+            elems = {fam.class_of[k].index(c) for c in s}
+            for x, y in combinations(elems, 2):
+                assert p.meet(x, y) in elems and p.join(x, y) in elems, (fam.names, k)
+    return count
+
+
+def test_shared_sets_are_sublattices():
+    # validate_family relies on this and checks no sublattice itself
+    fams = list(_two_block_gluings("atom"))
+    assert len(fams) == 151
+    assert all(_shared_sets_are_sublattices(fam) == 1 for fam in fams)
+    shared = {name: _shared_sets_are_sublattices(gallery.load(f"{name}/family"))
+              for name in ("chain", "fig5", "triangle", "square", "pentagon")}
+    assert shared == {"chain": 1, "fig5": 1, "triangle": 3, "square": 4, "pentagon": 5}

@@ -6,11 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from paraposet import amalgam, figures, fileformat, harness
 from paraposet.poset import (SMALL_SUBSET, FinitePoset, NotAntisymmetric, NotBounded,
-                             bits, mask_of)
+                             bits)
 from paraposet.universe import bounded_posets
 
 import gallery
 from gallery import FIXTURES
+
+
+def mask_of(items):
+    m = 0
+    for i in items:
+        m |= 1 << i
+    return m
 
 
 def diamond():
@@ -380,11 +387,17 @@ def _count_pair_cone_builds(monkeypatch):
     return builds
 
 
-def test_family_load_builds_pair_cones_once_per_block(monkeypatch):
+def test_family_load_builds_pair_cones_once_per_distinct_block(monkeypatch):
     builds = _count_pair_cone_builds(monkeypatch)
+    # the four blocks of the square are copies of one order and involution
     fam = gallery.load("square/family")
     assert len(fam.blocks) == 4
-    assert sorted(map(id, builds)) == sorted(id(blk.poset) for blk in fam.blocks)
+    assert list(map(id, builds)) == [id(fam.blocks[0].poset)]
+    # the two blocks of fig5 differ, so each is built
+    builds.clear()
+    fam = gallery.load("fig5/family")
+    assert fam.blocks[0].poset.up != fam.blocks[1].poset.up
+    assert list(map(id, builds)) == [id(blk.poset) for blk in fam.blocks]
 
 
 def test_distributivity_predicates_share_one_pair_cone_build(monkeypatch):

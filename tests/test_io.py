@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from paraposet import amalgam as am, cli, fileformat as ff, harness, render
+from paraposet import amalgam as am, cli, fileformat as ff, harness, implication, relative, render
 from paraposet.ortho import PREDICATES
-from paraposet.poset import PosetError
+from paraposet.poset import FinitePoset, PosetError
 
 import gallery
 from gallery import FIXTURES
@@ -87,6 +87,63 @@ def test_benzene_dot():
     assert dot.count("[label=") == 6
     assert "rankdir=BT" in dot
     assert dot == render.export_dot(gallery.ortho("fig4"))
+
+
+def _render_table_reference(table):
+    """The reference rendering: every cell formatted on its own."""
+    p = table.poset
+    cells = [[render.format_cell(p, table.cell(x, y)) for y in range(p.n)]
+             for x in range(p.n)]
+    widths = [max(len(p.labels[y]), max(len(cells[x][y]) for x in range(p.n)))
+              for y in range(p.n)]
+    head = max(len(l) for l in p.labels)
+    out = [" " * head + " | " + "  ".join(
+        p.labels[y].ljust(widths[y]) for y in range(p.n)).rstrip()]
+    out.append("-" * head + "-+-" + "-" * (sum(widths) + 2 * (p.n - 1)))
+    for x in range(p.n):
+        out.append(p.labels[x].ljust(head) + " | " + "  ".join(
+            cells[x][y].ljust(widths[y]) for y in range(p.n)).rstrip())
+    return "\n".join(out) + "\n"
+
+
+TABLE_OPS = {"i1": implication.impl_I, "i2": implication.impl_I2,
+             "sasaki-impl": implication.sasaki_impl, "sasaki-prod": implication.sasaki_proj,
+             "i3": relative.impl_I3, "i4": relative.impl_I4}
+
+
+def _table(obj, op):
+    """The table ``paraposet table --op OP`` renders for ``obj``."""
+    if op in ("i3", "i4"):
+        if not isinstance(obj, relative.SectionedPoset):
+            obj = relative.sections_from_involution(cli._as_ortho(obj))
+        return TABLE_OPS[op](obj)
+    return TABLE_OPS[op](cli._as_ortho(obj))
+
+
+def test_table_rendering_matches_the_per_cell_reference():
+    rendered, uneven, set_valued = 0, 0, set()
+    for path in all_fixture_files():
+        for op in TABLE_OPS:
+            try:
+                table = _table(ff.load(str(path)), op)
+            except PosetError:
+                continue
+            assert render.render_table(table) == _render_table_reference(table), (path, op)
+            rendered += 1
+            uneven += len({len(l) for l in table.poset.labels}) > 1
+            if any(c & (c - 1) for row in table.cells for c in row):
+                set_valued.add((path.relative_to(FIXTURES).as_posix(), op))
+    assert rendered == uneven == 154
+    assert set_valued == {("fig1a.poset", "i3"), ("fig2b.poset", "i1"),
+                          ("fig2b.poset", "sasaki-impl"), ("fig2b.poset", "sasaki-prod"),
+                          ("square/family.poset", "i1"), ("square/family.poset", "i3"),
+                          ("square/family.poset", "sasaki-impl"),
+                          ("square/family.poset", "sasaki-prod")}
+    # a label wider than every cell of its column sets the column width
+    p = FinitePoset.from_covers(["0", "wide-label", "1"],
+                                [("0", "wide-label"), ("wide-label", "1")])
+    table = implication.SetValuedTable(p, ((1, 1, 1), (1, 5, 1), (4, 1, 1)))
+    assert render.render_table(table) == _render_table_reference(table)
 
 
 def test_table_rendering_matches_layout():
