@@ -12,19 +12,21 @@ A family numbers its identification classes once, by first occurrence
 over (block, element), and every consumer reads that numbering. The
 union of two blocks that the two-block lattice lemma speaks about is
 the family restricted to those blocks: their class rows renumbered the
-same way, with no second validation.
+same way, with no second validation. Its links, the block pairs that
+share a 4-set with the atom of each, are read off once per family, and
+the loop search reads nothing else of the pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, PosetError, bits
 from .ortho import (OrthoPoset, is_kleene_lattice, is_paraorthomodular,
-                    is_sharply_paraorthomodular, nonorthogonal_zero_meets,
-                    validate_involution, InvolutionError)
+                    is_sharply_paraorthomodular, validate_involution, InvolutionError)
 
 
 class FamilyError(PosetError):
@@ -67,6 +69,21 @@ class PastedFamily:
         """Class ids present in both block i and block j."""
         return frozenset(self.class_of[i]).intersection(self.class_of[j])
 
+    @cached_property
+    def links(self) -> Dict[Tuple[int, int], int]:
+        """``{(i, j): a}`` over the ordered pairs of blocks sharing {0, a, a', 1}.
+
+        ``a`` is the class of the atom; the pasting rules make it an atom
+        of both blocks. Pairs sharing only {0, 1} are absent.
+        """
+        links = {}
+        for i, j in combinations(range(len(self.blocks)), 2):
+            p = self.blocks[i].poset
+            for c in self.shared(i, j) - {self.zero, self.one}:
+                if p.covers_pair(p.bottom, self.class_of[i].index(c)):
+                    links[i, j] = links[j, i] = c
+        return links
+
 
 def _paste(blocks: Sequence[OrthoPoset], names: Sequence[str],
            rows: Sequence[Sequence[Hashable]]) -> PastedFamily:
@@ -104,8 +121,10 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
     (block index, element index or label) identified with each other.
     Block bottoms and block tops are identified automatically.
 
-    The Kleene checks read only order rows and involution, so they run
-    once per distinct ``(poset.up, inv)``, at its first block.
+    The Kleene check reads only order rows and involution, so it runs
+    once per distinct ``(poset.up, inv)``, at its first block. That zero
+    meets are orthogonal in a Kleene lattice is the
+    ``kleene-ortho-remark`` theorem of the harness, not checked here.
 
     A shared 4-set s needs no sublattice check. The involutions map s
     onto itself and swap its middle classes: a fixed one, being its own
@@ -125,10 +144,6 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
         checked.add((blk.poset.up, blk.inv))
         if not is_kleene_lattice(blk):
             raise NotKleene(f"block {names[i]} is not a Kleene lattice")
-        # in a Kleene lattice a zero meet forces orthogonality
-        if next(nonorthogonal_zero_meets(blk), None) is not None:
-            raise AssertionError(
-                f"block {names[i]}: zero meet without orthogonality")
 
     # union-find over (block, element)
     stride = max(b.n for b in blocks)
@@ -268,60 +283,39 @@ class AtomicLoop:
 
 
 def find_loops(fam: PastedFamily, order: int) -> List[AtomicLoop]:
-    """Cyclic block sequences whose consecutive intersections are 4-sets.
+    """Cyclic block sequences whose consecutive blocks are linked.
 
-    All non-consecutive pairs inside the loop must share only {0,1},
-    and every triple of loop blocks (the closing index included) must
-    intersect in {0,1}. Results are deduplicated up to rotation and
-    reflection.
+    Read from ``fam.links``. A set of ``order`` blocks qualifies when
+    exactly ``order`` of its pairs are linked. A sequence of it is a loop
+    when each consecutive pair is linked, so no two non-consecutive
+    blocks are, and each linking atom lies in exactly two loop blocks.
+
+    Then every three loop blocks meet in {0, 1}: blocks that share a
+    class c other than 0 and 1 share {0, c, c', 1}, so a c in three loop
+    blocks links each two of them. With order > 3 one of those pairs is
+    not consecutive; with order 3 the atom of that 4-set lies in all
+    three blocks. The linking atoms are distinct for the same reason: an
+    atom linking two pairs lies in at least three loop blocks.
+
+    Loops are listed once up to rotation and reflection, in the order of
+    the block combinations and their permutations.
     """
     if order < 3:
         raise ValueError("loops start at order 3")
-    nb = len(fam.blocks)
-    trivial = frozenset((fam.zero, fam.one))
-    shared = {}
-    for i, j in combinations(range(nb), 2):
-        shared[i, j] = shared[j, i] = fam.shared(i, j)
-
+    links = fam.links
     loops = []
-    for combo in combinations(range(nb), order):
+    for combo in combinations(range(len(fam.blocks)), order):
+        if sum(pair in links for pair in combinations(combo, 2)) != order:
+            continue
         base = combo[0]
         for rest in permutations(combo[1:]):
             if rest[0] > rest[-1]:
                 continue  # reflection representative
             seq = (base,) + rest
-            ok = True
-            for j in range(order):
-                a, b = seq[j], seq[(j + 1) % order]
-                if len(shared[a, b]) != 4:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for a, b in combinations(seq, 2):
-                adjacent = abs(seq.index(a) - seq.index(b)) in (1, order - 1)
-                if not adjacent and shared[a, b] != trivial:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for trip in combinations(seq, 3):
-                if shared[trip[0], trip[1]].intersection(fam.class_of[trip[2]]) != trivial:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            atoms = []
-            for j in range(order):
-                a, b = seq[j], seq[(j + 1) % order]
-                mids = [c for c in shared[a, b] if c not in trivial]
-                e = fam.class_of[a].index(mids[0])
-                atom = mids[0] if fam.blocks[a].poset.covers_pair(
-                    fam.blocks[a].poset.bottom, e) else mids[1]
-                atoms.append(atom)
-            if len(set(atoms)) != order:
-                raise AssertionError("linking atoms must be distinct")
-            loops.append(AtomicLoop(seq, tuple(atoms)))
+            atoms = tuple(links.get((a, b)) for a, b in zip(seq, seq[1:] + seq[:1]))
+            if None not in atoms and all(
+                    sum(a in fam.class_of[b] for b in seq) == 2 for a in atoms):
+                loops.append(AtomicLoop(seq, atoms))
     return loops
 
 

@@ -35,7 +35,6 @@ from .ortho import (OrthoPoset, cached, is_complementation, is_paraorthomodular,
 class NotOrthogonal(PosetError):
     def __init__(self, witness):
         super().__init__(f"poset is not orthogonal (witness pair {witness})")
-        self.witness = witness
 
 
 class JoinMissing(PosetError):
@@ -64,12 +63,6 @@ class SetValuedTable:
         for x in bits(a):
             out |= self.cells[x][y]
         return out
-
-    def element(self, x: int, y: int) -> int:
-        c = self.cells[x][y]
-        if c == 0 or c & (c - 1):
-            raise PosetError("cell is not a singleton")
-        return c.bit_length() - 1
 
     @cached_property
     def le1(self) -> Tuple[Tuple[int, ...], ...]:

@@ -20,7 +20,6 @@ from .ortho import OrthoPoset, paraortho_witness
 class SectionViolation(PosetError):
     def __init__(self, x, detail):
         super().__init__(f"bad section at {x}: {detail}")
-        self.base = x
 
 
 class NotJoinSemilattice(PosetError):

@@ -41,6 +41,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits
 from .ortho import OrthoPoset, cached
+from .relative import SectionedPoset
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +222,6 @@ def sectioned_structures(p: FinitePoset):
     rows ``antitone_involutions`` keeps, and a filter with none ends the
     poset: it has no section family.
     """
-    from .relative import SectionedPoset
     per_elem = []
     for x in range(p.n):
         rows = cached(p, _bottom_rows) if x == p.bottom else filter_involutions(p, x)

@@ -1,5 +1,7 @@
+import random
 import time
-from itertools import combinations, combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -335,3 +337,141 @@ def test_shared_sets_are_sublattices():
     shared = {name: _shared_sets_are_sublattices(gallery.load(f"{name}/family"))
               for name in ("chain", "fig5", "triangle", "square", "pentagon")}
     assert shared == {"chain": 1, "fig5": 1, "triangle": 3, "square": 4, "pentagon": 5}
+
+
+def _find_loops_reference(fam, order):
+    """``find_loops`` as it was before the link table: every pair's shared
+    classes compared as sets, and the atom of each link found again."""
+    if order < 3:
+        raise ValueError("loops start at order 3")
+    nb = len(fam.blocks)
+    trivial = frozenset((fam.zero, fam.one))
+    shared = {}
+    for i, j in combinations(range(nb), 2):
+        shared[i, j] = shared[j, i] = fam.shared(i, j)
+
+    loops = []
+    for combo in combinations(range(nb), order):
+        base = combo[0]
+        for rest in permutations(combo[1:]):
+            if rest[0] > rest[-1]:
+                continue  # reflection representative
+            seq = (base,) + rest
+            ok = True
+            for j in range(order):
+                a, b = seq[j], seq[(j + 1) % order]
+                if len(shared[a, b]) != 4:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for a, b in combinations(seq, 2):
+                adjacent = abs(seq.index(a) - seq.index(b)) in (1, order - 1)
+                if not adjacent and shared[a, b] != trivial:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for trip in combinations(seq, 3):
+                if shared[trip[0], trip[1]].intersection(fam.class_of[trip[2]]) != trivial:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            atoms = []
+            for j in range(order):
+                a, b = seq[j], seq[(j + 1) % order]
+                mids = [c for c in shared[a, b] if c not in trivial]
+                e = fam.class_of[a].index(mids[0])
+                atom = mids[0] if fam.blocks[a].poset.covers_pair(
+                    fam.blocks[a].poset.bottom, e) else mids[1]
+                atoms.append(atom)
+            if len(set(atoms)) != order:
+                raise AssertionError("linking atoms must be distinct")
+            loops.append(am.AtomicLoop(seq, tuple(atoms)))
+    return loops
+
+
+def _rejections(fam, order):
+    """Why each cyclic sequence of linked blocks is or is not a loop.
+
+    Counts (chord, triple) over the sequences whose consecutive blocks
+    share a 4-set: chord when two non-consecutive blocks share more than
+    {0, 1}, triple when three blocks do. (False, False) are the loops.
+    """
+    trivial = {fam.zero, fam.one}
+    out = Counter()
+    for combo in combinations(range(len(fam.blocks)), order):
+        for rest in permutations(combo[1:]):
+            if rest[0] > rest[-1]:
+                continue
+            seq = (combo[0],) + rest
+            cycle = set(zip(seq, seq[1:] + seq[:1]))
+            if any(len(fam.shared(a, b)) != 4 for a, b in cycle):
+                continue
+            chord = any(fam.shared(a, b) != trivial for a, b in combinations(seq, 2)
+                        if (a, b) not in cycle and (b, a) not in cycle)
+            triple = any(fam.shared(a, b) & set(fam.class_of[c]) != trivial
+                         for a, b, c in combinations(seq, 3))
+            out[chord, triple] += 1
+    return out
+
+
+def _cyclic_gluing(rng, kleene, cube):
+    """3 to 6 blocks in a cycle, each glued to the next, plus up to two
+    gluings of random block pairs; or None if the family does not validate.
+
+    Each block is the cube, the one block with three atoms, one time in
+    two, and else one of ``kleene``.
+    A gluing takes an atom of each block that no gluing took yet, but any
+    atom one time in five or when none is left. An atom taken twice lies in
+    three blocks; an added gluing of non-consecutive blocks is a chord.
+    """
+    k = rng.randint(3, 6)
+    blocks = [cube if rng.random() < 0.5 else rng.choice(kleene) for _ in range(k)]
+    free = [[e for e in range(blk.n) if blk.poset.covers_pair(blk.poset.bottom, e)]
+            for blk in blocks]
+    taken = [[] for _ in blocks]
+
+    def atom(i):
+        a = rng.choice(free[i] if free[i] and rng.random() >= 0.2 else free[i] + taken[i])
+        if a in free[i]:
+            free[i].remove(a)
+            taken[i].append(a)
+        return a
+
+    pairs = [(i, (i + 1) % k) for i in range(k)]
+    pairs += [tuple(rng.sample(range(k), 2)) for _ in range(rng.randint(0, 2))]
+    glue = []
+    for i, j in pairs:
+        a, b = atom(i), atom(j)
+        glue += [[(i, a), (j, b)], [(i, blocks[i].inv[a]), (j, blocks[j].inv[b])]]
+    try:
+        return am.validate_family(blocks, glue, names=[f"K{i + 1}" for i in range(k)])
+    except am.FamilyError:
+        return None
+
+
+def test_loops_match_the_pairwise_reference():
+    fams = [gallery.load(f"{d}/family")
+            for d in ("chain", "fig5", "pentagon", "square", "triangle")]
+    fams += [figures.greechie_cycle(n) for n in range(3, 8)]
+    fams += [kleene_loop()]
+    fams += list(_two_block_gluings("atom"))
+    kleene, cube = _kleene_blocks(), figures.boolean_cube()
+    rng = random.Random(2023)
+    cyclic = [fam for fam in (_cyclic_gluing(rng, kleene, cube) for _ in range(2000))
+              if fam is not None]
+    assert len(cyclic) == 81
+    loops, reasons = Counter(), Counter()
+    for fam in fams + cyclic:
+        for order in range(3, max(len(fam.blocks), 4) + 1):
+            got = am.find_loops(fam, order)
+            assert got == _find_loops_reference(fam, order), (fam.names, order)
+            loops[order] += len(got)
+            reasons += _rejections(fam, order)
+    assert loops == {3: 48, 4: 27, 5: 11, 6: 4, 7: 1}
+    # sequences of linked blocks by (chord, atom in three blocks): each
+    # reason rejects some sequence on its own
+    assert reasons == {(False, False): 91, (True, False): 10,
+                       (False, True): 35, (True, True): 44}

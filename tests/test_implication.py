@@ -1,3 +1,6 @@
+import pathlib
+from collections import Counter
+
 import pytest
 
 from paraposet import adjoint as A
@@ -78,6 +81,47 @@ def test_orthogonality_defines_every_cell_th1_reads():
             # the cells include y v m for every m orthogonal to y
             assert missing, o
     assert orthogonal == 237 + 29
+
+
+def test_statements_checked_only_by_their_theorems_hold_on_the_fixtures():
+    # is_orthomodular, adjebp_equiv and validate_family leave these
+    # statements to the theorems that register them
+    structures = _fixture_structures()
+    assert len(structures) == 33
+    for tid in ("omui", "adji", "adjibp", "adjebp", "kleene-ortho-remark"):
+        th = H.THEOREMS[tid]
+        for o in structures:
+            if th.applies is None or th.applies(o):
+                assert th.check(o) == [], (tid, o)
+    # every hypothesis holds on some of them
+    orthogonal = [o for o in structures if O.is_orthogonal_poset(o)]
+    assert len(orthogonal) == 29
+    assert sum(I.cached(o, A.cone_adjoint) is not None for o in orthogonal) == 15
+    assert sum(A.adjibp_check(o) is not None for o in structures) == 15
+    assert sum(map(O.is_kleene_lattice, structures)) == 18
+
+
+NONLATTICES_N10 = pathlib.Path(__file__).resolve().parent / "data" / "ortho-nonlattice-n10"
+
+
+def test_every_ortho_theorem_holds_on_the_orthogonal_non_lattices_at_n10():
+    # the first orthogonal structures of the sweep that are not lattices;
+    # CI checks that the files are exactly those of bounded_posets(10)
+    structures = [fileformat.load(str(path))
+                  for path in sorted(NONLATTICES_N10.glob("*.poset"))]
+    assert len(structures) == 8
+    applied = Counter()
+    for o in structures:
+        assert O.is_orthogonal_poset(o) and not o.poset.is_lattice
+        for th in H.THEOREMS.values():
+            if th.stream == "ortho" and (th.applies is None or th.applies(o)):
+                applied[th.id] += 1
+                assert th.check(o) == [], (th.id, o)
+    # every ortho theorem but the four stated for lattices
+    lattice_only = {"i1-matches-i2", "i2-antitone", "lemadj", "th3"}
+    assert applied == {tid: 2 if tid == "lemma-sharply" else 8
+                       for tid, th in H.THEOREMS.items()
+                       if th.stream == "ortho" and tid not in lattice_only}
 
 
 def test_sharp_collapse_laws():
@@ -215,9 +259,11 @@ def _count_builds(monkeypatch, name, modules):
 
 def test_orthomodularity_read_once_per_structure(monkeypatch):
     o = next(o for o in gallery.ortho_posets(4) if O.is_boolean_algebra(o))
-    builds = _count_builds(monkeypatch, "orthomodular_verdicts", (O, H))
+    verdicts = _count_builds(monkeypatch, "orthomodular_verdicts", (O, H))
+    witnesses = _count_builds(monkeypatch, "orthomodular_witness", (O,))
     _run_theorems(o, "ortho")
-    assert builds == [o]
+    assert verdicts == [o]
+    assert witnesses == [o]
 
 
 def test_compatibility_read_once_per_structure(monkeypatch):

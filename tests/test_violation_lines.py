@@ -100,6 +100,14 @@ def _kleene(mp):
     return b2_fixed()
 
 
+def _orthomodular(build):
+    """A case on ``build()`` with every structure read as orthomodular."""
+    def make(mp):
+        mp.setattr(H, "is_orthomodular", lambda o: True)
+        return build()
+    return make
+
+
 def _benzene(mp):
     mp.setattr(O, "paraortho_witness", lambda o: (0, 3))
     return b2()
@@ -172,12 +180,10 @@ CASES = {
                [f"{B2} Boolean poset not a Boolean algebra"]),
     "adjebp": (lambda mp: _kept(A.cone_adjoint, b2(), None),
                [f"{B2} verdicts False vs True"]),
-    "om-implies-paraortho": (
-        lambda mp: _kept(O.orthomodular_verdicts, hexagon(), (True, True, True)),
-        [f"{HEX} orthomodular but not paraorthomodular"]),
-    "weakly-boolean-ba": (
-        lambda mp: _kept(O.orthomodular_verdicts, chain3(), (True, True, True)),
-        [f"{CHAIN3} weakly Boolean orthomodular yet not Boolean"]),
+    "om-implies-paraortho": (_orthomodular(hexagon),
+                             [f"{HEX} orthomodular but not paraorthomodular"]),
+    "weakly-boolean-ba": (_orthomodular(chain3),
+                          [f"{CHAIN3} weakly Boolean orthomodular yet not Boolean"]),
     "kleene-ortho-remark": (_kleene, [
         f"{B2} zero meet without orthogonality at (a, b)",
         f"{B2} zero meet without orthogonality at (b, a)"]),
@@ -200,3 +206,42 @@ def test_every_theorem_has_a_case():
 def test_violation_line(monkeypatch, tid):
     build, expected = CASES[tid]
     assert _lines(monkeypatch, tid, build(monkeypatch)) == expected
+
+
+def _sweep():
+    """``{theorem: (instances, violations)}`` over every structure with n <= 6."""
+    return {r.theorem: (r.instances, r.violations) for r in H.run_harness(max_n=6)}
+
+
+def _only_changed(clean, failing, tid):
+    """The violation lines of ``tid``, once every other result equals ``clean``."""
+    assert failing.keys() == clean.keys()
+    assert failing[tid][0] == clean[tid][0] and clean[tid][1] == []
+    assert {k: v for k, v in failing.items() if k != tid} == \
+        {k: v for k, v in clean.items() if k != tid}
+    return failing[tid][1]
+
+
+def test_a_failing_min_u_reading_is_reported_by_omui_alone(monkeypatch):
+    clean = _sweep()
+    monkeypatch.setattr(O, "om_u_identity", lambda o: (False, False))
+    lines = _only_changed(clean, _sweep(), "omui")
+    # one line per orthomodular structure, where the direct reading holds
+    assert len(lines) == 5
+    assert all(line.endswith(" verdicts True/False/False") for line in lines)
+
+
+def test_a_failing_adjoint_consequence_is_reported_by_adji_alone(monkeypatch):
+    clean = _sweep()
+    consequences = A.adji_consequences
+
+    def failing(o, prod):
+        rep = consequences(o, prod)
+        rep.violations.append(("injected",))
+        return rep
+
+    monkeypatch.setattr(A, "adji_consequences", failing)
+    lines = _only_changed(clean, _sweep(), "adji")
+    # one line per structure with an adjoint product: the Boolean algebras
+    # with 2 and 4 elements
+    assert [line.split(" ", 1)[1] for line in lines] == ["clause ('injected',)"] * 2
