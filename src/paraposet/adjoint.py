@@ -45,12 +45,12 @@ v >= b and per w <= y, with early exit.
 From the masks, one backtracker (``universe.involutions`` with the
 masks as allowed partners) lists the involutions that fit G and those
 that fit H, once per lattice, into one dict from each of them to its
-two verdicts. A pair is then one lookup: an involution the dict lacks
-fits neither mask, so the identities fail and the Sasaki pair is not
-adjoint. ``omidentity_equiv`` first checks that ``inv`` is an
-involution (``require_involution``); the harness checks each
-involution once per size instead, and reads the verdicts without the
-check through ``_omidentity_verdicts``.
+two verdicts (``_omidentity_fits``). An involution the dict lacks fits
+neither mask, so the identities fail and the Sasaki pair is not
+adjoint. ``omidentity_equiv`` checks that ``inv`` is an involution
+(``require_involution``) and reads its entry. The harness checks each
+involution once per size instead and reads the lattice's dict itself,
+so a lattice/involution pair costs one lookup there.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits
-from .ortho import (OrthoPoset, is_boolean_algebra, is_boolean_poset,
-                    is_orthogonal_poset, is_orthomodular, is_weakly_boolean)
+from .ortho import (OrthoPoset, _require_orthogonal, is_boolean_algebra,
+                    is_boolean_poset, is_orthogonal_poset, is_orthomodular,
+                    is_weakly_boolean)
 from .implication import (NotALattice, SetValuedTable,
-                          TheoremReport, cached, impl_I, sasaki_impl, sasaki_proj,
-                          _require_orthogonal)
+                          TheoremReport, cached, impl_I, sasaki_impl, sasaki_proj)
 from .universe import involutions
 
 
@@ -209,12 +209,6 @@ def require_involution(n: int, inv: Tuple[int, ...]) -> None:
         raise AssertionError(f"not an involution: {inv}")
 
 
-def _omidentity_verdicts(p: FinitePoset, inv: Tuple[int, ...]) -> Tuple[bool, bool, bool]:
-    """``omidentity_equiv`` on an involution the caller has validated."""
-    oi, adj = cached(p, _omidentity_fits).get(inv, (False, False))
-    return oi, adj, oi == adj
-
-
 def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bool]:
     """Both orthomodular identities against two-sided Sasaki adjointness.
 
@@ -223,7 +217,8 @@ def omidentity_equiv(p: FinitePoset, inv: Sequence[int]) -> Tuple[bool, bool, bo
     """
     inv = tuple(inv)
     require_involution(p.n, inv)
-    return _omidentity_verdicts(p, inv)
+    oi, adj = cached(p, _omidentity_fits).get(inv, (False, False))
+    return oi, adj, oi == adj
 
 
 def sasom_equiv(o: OrthoPoset) -> Tuple[bool, bool, bool]:

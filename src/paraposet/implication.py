@@ -28,13 +28,8 @@ from functools import cached_property
 from typing import Iterator, List, Tuple
 
 from .poset import FinitePoset, PosetError, bits
-from .ortho import (OrthoPoset, cached, is_complementation, is_paraorthomodular,
-                    orthogonality_witness)
-
-
-class NotOrthogonal(PosetError):
-    def __init__(self, witness):
-        super().__init__(f"poset is not orthogonal (witness pair {witness})")
+from .ortho import (NotOrthogonal, OrthoPoset, _require_orthogonal, cached,
+                    is_complementation, is_paraorthomodular)
 
 
 class JoinMissing(PosetError):
@@ -78,12 +73,6 @@ class SetValuedTable:
                 cols.append(m)
             out.append(tuple(cols))
         return tuple(out)
-
-
-def _require_orthogonal(o: OrthoPoset) -> None:
-    w = cached(o, orthogonality_witness)
-    if w is not None:
-        raise NotOrthogonal(w)
 
 
 def _image(row, mask: int) -> int:

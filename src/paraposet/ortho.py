@@ -49,12 +49,15 @@ def cached(s, build: Callable):
     """``build(s)``, built at most once per structure ``s``.
 
     The result is kept on ``s._memo`` under ``build``; a build that
-    raises is not kept, so the next call builds, and raises, again.
+    raises is not kept, so the next call builds, and raises, again. A
+    structure that has the result answers with one dict lookup.
     """
-    memo = s._memo
-    if build not in memo:
-        memo[build] = build(s)
-    return memo[build]
+    try:
+        return s._memo[build]
+    except KeyError:
+        pass
+    res = s._memo[build] = build(s)
+    return res
 
 
 def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
@@ -92,6 +95,17 @@ def orthogonality_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:
 
 def is_orthogonal_poset(o: OrthoPoset) -> bool:
     return cached(o, orthogonality_witness) is None
+
+
+class NotOrthogonal(PosetError):
+    def __init__(self, witness):
+        super().__init__(f"poset is not orthogonal (witness pair {witness})")
+
+
+def _require_orthogonal(o: OrthoPoset) -> None:
+    w = cached(o, orthogonality_witness)
+    if w is not None:
+        raise NotOrthogonal(w)
 
 
 # -- paraorthomodularity ----------------------------------------------
@@ -200,11 +214,17 @@ def om_law_holds(o: OrthoPoset, x: int, y: int) -> bool:
 
 def om_u_identity(o: OrthoPoset) -> Tuple[bool, bool]:
     """The Min-U form of the orthomodular identity over all pairs, read
-    literally and elementwise.
+    literally and elementwise, on an orthogonal poset.
 
-    The literal reading is set equality, the elementwise one the
-    two-sided le2 relation. A missing meet or join fails both.
+    The identity reads x v (x' ^ w) for each w in Min U(x, y), and the
+    literal reading is set equality with Min U(x, y), the elementwise
+    one the two-sided le2 relation. Orthogonality makes every such term
+    exist, so each is a plain lookup in ``meets``/``joins``: w >= x makes
+    x orthogonal to w', so x' ^ w = (x v w')' exists; and m = x' ^ w lies
+    below x', so x is orthogonal to m and x v m exists. On a poset that
+    is not orthogonal this raises ``NotOrthogonal``.
     """
+    _require_orthogonal(o)
     p, inv = o.poset, o.inv
     meets, joins, minus = p.meets, p.joins, p.min_upper
     literal = True
@@ -214,11 +234,7 @@ def om_u_identity(o: OrthoPoset) -> Tuple[bool, bool]:
             minu = minus[x][y]
             lhs = 0
             for w in bits(minu):
-                m = meet_xi[w]
-                j = None if m is None else join_x[m]
-                if j is None:
-                    return False, False
-                lhs |= 1 << j
+                lhs |= 1 << join_x[meet_xi[w]]
             if lhs != minu:
                 if not p._approx2(lhs, minu):
                     return False, False

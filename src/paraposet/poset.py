@@ -3,17 +3,21 @@
 Elements are integers ``0..n-1``; subsets of a poset are plain int
 bitmasks. The order relation is stored as one bitmask row per element
 (``up[i]`` = everything above ``i``, ``down[i]`` = everything below),
-built from cover pairs by transitive closure. The pair bounds are two
-n x n tables of masks, built from the cones once per poset, on first
-use: ``max_lower[x][y]`` = Max L{x,y} and ``min_upper[x][y]`` =
-Min U{x,y}. A build scans each distinct common cone once: comparable
-pairs share one (x <= y gives L{x,y} = down[x]), so the extremal set of
-each cone is memoised by its mask for the length of the build. The
-meet and join tables (``meets``, ``joins``) are their singleton cells,
-with None where a pair has several maximal lower or minimal upper
-bounds, so ``meet``/``join`` are lookups. At the sizes this library
-targets (a few hundred elements at most) the O(n^3) closure and the
-all-pairs scans below are cheap.
+built from cover pairs by transitive closure. The meet and join tables
+(``meets``, ``joins``) are read off principal ideals: m is the meet
+x ^ y exactly when ``down[m] == down[x] & down[y]``, that is when the
+common lower cone L{x,y} is the principal ideal of m (m lies in it and
+everything in it lies below m). The down rows are distinct, so a dict
+from each row to its element makes every meet one lookup, and a pair
+whose cone is no principal ideal reads None; joins are the dual on the
+up rows. The pair bounds ``max_lower[x][y]`` = Max L{x,y} and
+``min_upper[x][y]`` = Min U{x,y} are two n x n tables of masks, built
+from the cones on first use and only where the set-valued operators and
+``has_maximality`` read them. A build scans each distinct common cone
+once: comparable pairs share one (x <= y gives L{x,y} = down[x]), so the
+extremal set of each cone is memoised by its mask for the length of the
+build. At the sizes this library targets (a few hundred elements at
+most) the O(n^3) closure and the all-pairs scans below are cheap.
 
 Every loop over the elements of a mask goes through ``bits``, which
 returns the ascending index tuple from a process-wide memo of 2^16
@@ -98,21 +102,18 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# subset-relation kinds, matching the four relations on the powerset
-LE = "le"          # every element of A below every element of B
-LE1 = "le1"        # every element of A below some element of B
-LE2 = "le2"        # every element of B above some element of A
-EQ2 = "approx2"    # le2 in both directions
-
 # largest subsets checked by the bound-completeness predicates
 SMALL_SUBSET = 3
 
 
-def _singletons(table: Sequence[Sequence[int]]) -> tuple:
-    """``table`` with each one-element mask replaced by its element and
-    every other mask by None."""
-    element = {1 << i: i for i in range(len(table))}.get
-    return tuple(tuple(map(element, row)) for row in table)
+def _principal(rows: Sequence[int]) -> tuple:
+    """``table[x][y]``: the m with ``rows[m] == rows[x] & rows[y]``, or None.
+
+    On ``down`` rows these are the meets, on ``up`` rows the joins (see
+    the module docstring). Antisymmetry makes the rows distinct.
+    """
+    element = {row: m for m, row in enumerate(rows)}.get
+    return tuple(tuple([element(r_x & r_y) for r_y in rows]) for r_x in rows)
 
 
 class _Cones(dict):
@@ -256,28 +257,6 @@ class FinitePoset:
         """A approx2 B: le2 in both directions."""
         return b & ~self._upset(a) == 0 and a & ~self._upset(b) == 0
 
-    # -- relations between subsets ------------------------------------
-
-    def subset_rel(self, a: int, b: int, kind: str) -> bool:
-        """One of the four powerset relations: le, le1, le2, approx2."""
-        self._check_subset(a)
-        self._check_subset(b)
-        if kind == LE:
-            return a & ~self.lower_cone(b) == 0
-        if kind == LE1:
-            cover = 0
-            for y in bits(b):
-                cover |= self.down[y]
-            return a & ~cover == 0
-        if kind == LE2:
-            cover = 0
-            for x in bits(a):
-                cover |= self.up[x]
-            return b & ~cover == 0
-        if kind == EQ2:
-            return self.subset_rel(a, b, LE2) and self.subset_rel(b, a, LE2)
-        raise ValueError(f"unknown subset relation {kind!r}")
-
     # -- pair bounds, meets and joins ---------------------------------
 
     def _extremal_table(self, cones: Sequence[int], rows: Sequence[int]) -> tuple:
@@ -317,12 +296,12 @@ class FinitePoset:
     @cached_property
     def meets(self) -> tuple:
         """``meets[x][y]``: infimum of x and y, or None when none exists."""
-        return _singletons(self.max_lower)
+        return _principal(self.down)
 
     @cached_property
     def joins(self) -> tuple:
         """``joins[x][y]``: supremum of x and y, or None when none exists."""
-        return _singletons(self.min_upper)
+        return _principal(self.up)
 
     def meet(self, x: int, y: int) -> Optional[int]:
         """Infimum of x and y, or None when no greatest lower bound exists."""

@@ -3,7 +3,8 @@ the small structures tests build around them.
 
 Tests load the figures through :func:`paraposet.fileformat.load`, the
 parser the command line runs, so the files are the one definition of
-each figure.
+each figure. ``subset_rel`` keeps the four powerset relations in their
+literal form, as the reference the row-union kernels are tested against.
 """
 
 import pathlib
@@ -11,7 +12,7 @@ from itertools import chain
 
 from paraposet import fileformat, universe
 from paraposet.ortho import validate_involution
-from paraposet.poset import FinitePoset
+from paraposet.poset import FinitePoset, bits
 from paraposet.relative import SectionedPoset
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -55,3 +56,31 @@ def kleene_k3b2(atom: str, side: str, name: str = ""):
     p = FinitePoset.from_covers(labels, covers, name=name or "k3b2")
     # each label is paired with its mirror in ``labels``
     return validate_involution(p, range(p.n)[::-1])
+
+
+# subset-relation kinds, matching the four relations on the powerset
+LE = "le"          # every element of A below every element of B
+LE1 = "le1"        # every element of A below some element of B
+LE2 = "le2"        # every element of B above some element of A
+EQ2 = "approx2"    # le2 in both directions
+
+
+def subset_rel(p: FinitePoset, a: int, b: int, kind: str) -> bool:
+    """One of the four powerset relations of ``p`` on the masks a and b."""
+    p._check_subset(a)
+    p._check_subset(b)
+    if kind == LE:
+        return a & ~p.lower_cone(b) == 0
+    if kind == LE1:
+        cover = 0
+        for y in bits(b):
+            cover |= p.down[y]
+        return a & ~cover == 0
+    if kind == LE2:
+        cover = 0
+        for x in bits(a):
+            cover |= p.up[x]
+        return b & ~cover == 0
+    if kind == EQ2:
+        return subset_rel(p, a, b, LE2) and subset_rel(p, b, a, LE2)
+    raise ValueError(f"unknown subset relation {kind!r}")

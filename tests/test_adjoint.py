@@ -133,19 +133,25 @@ def test_om_identity_fit_sets_match_the_masks():
 
 
 def test_om_identity_verdicts_match_the_validating_entry():
-    # the harness's per-pair helper skips only the validation
+    # the harness's per-pair check skips only the validation
+    check = H.THEOREMS["omidentity"].check
+
+    def expected(p, inv):
+        oi, adj, agree = A.omidentity_equiv(p, inv)
+        return [] if agree else [f"inv={inv} verdicts {oi} vs {adj}"]
+
     pairs = 0
     for n in range(2, 9):
         invs = list(U.involutions(n))
         for p in U.bounded_posets(n):
             if p.is_lattice:
                 for inv in invs:
-                    assert A._omidentity_verdicts(p, inv) == A.omidentity_equiv(p, inv)
+                    assert list(check((p, inv))) == expected(p, inv), (p.up, inv)
                     pairs += 1
     assert pairs == 183200
     cube = figures.boolean_cube().poset
     for inv in U.involutions(cube.n):
-        assert A._omidentity_verdicts(cube, inv) == A.omidentity_equiv(cube, inv)
+        assert list(check((cube, inv))) == expected(cube, inv), inv
 
 
 def test_harness_validates_each_involution_once_per_size(monkeypatch):
@@ -204,6 +210,42 @@ def test_om_identity_masks_built_once_per_lattice(monkeypatch):
         with pytest.raises(I.NotALattice):
             A.omidentity_equiv(fence, (5, 2, 1, 4, 3, 0))
     assert fence._memo == {} and built[fence] == fitted[fence] == 2
+
+
+def test_omidentity_sweep_builds_no_pair_bound_table(monkeypatch):
+    # meets and joins are read off principal ideals, so neither the
+    # lattice test nor the masks need Max L or Min U
+    builds = []
+    extremal = FinitePoset._extremal_table
+
+    def counted(p, cones, rows):
+        builds.append(p)
+        return extremal(p, cones, rows)
+
+    monkeypatch.setattr(FinitePoset, "_extremal_table", counted)
+    [res] = H.run_harness(7, ["omidentity"])
+    assert res.ok and res.instances == 13592
+    assert builds == []
+    # the counter sees the builds of a theorem that reads the tables
+    [res] = H.run_harness(4, ["completeness-finite"])
+    assert res.ok and builds
+
+
+@pytest.mark.parametrize("mask", ["G", "H"])
+@pytest.mark.parametrize("fill", ["zeroed", "all-accepting"])
+def test_omidentity_reports_masks_that_reject_or_accept_everything(monkeypatch,
+                                                                    mask, fill):
+    build = A._omidentity_masks
+
+    def mutant(p):
+        g, h = build(p)
+        wrong = (0 if fill == "zeroed" else p.full,) * p.n
+        return (wrong, h) if mask == "G" else (g, wrong)
+
+    monkeypatch.setattr(A, "_omidentity_masks", mutant)
+    [res] = H.run_harness(6, ["omidentity"])
+    assert res.instances == 1 * 2 + 1 * 4 + 2 * 10 + 5 * 26 + 15 * 76
+    assert res.violations
 
 
 def test_subscripted_adjointness_is_orthomodularity():
@@ -298,8 +340,8 @@ def _subset_rel_conditions(o, prod, imp):
                         rep.holds_B, rep.witness_B = False, (x, y, z)
                 else:
                     rep.not_applicable += 1
-                le2 = p.subset_rel(pc, 1 << z, "le2")
-                le1 = p.subset_rel(1 << x, ic, "le1")
+                le2 = gallery.subset_rel(p, pc, 1 << z, gallery.LE2)
+                le1 = gallery.subset_rel(p, 1 << x, ic, gallery.LE1)
                 if le2 and not le1 and rep.holds_A21:
                     rep.holds_A21, rep.witness_A21 = False, (x, y, z)
                 if le1 and not le2 and rep.holds_B12:
@@ -323,7 +365,7 @@ def _min_of(p, a):
 def _subset_rel_residuate(o, imp):
     p = o.poset
     r = range(p.n)
-    le1 = [[[p.subset_rel(1 << x, imp.cell(y, z), "le1") for z in r]
+    le1 = [[[gallery.subset_rel(p, 1 << x, imp.cell(y, z), gallery.LE1) for z in r]
             for y in r] for x in r]
     cells = []
     for x in r:
@@ -443,7 +485,7 @@ def _check_th1_reference(o):
     for x in range(n):
         for y in bits(p.up[x]):
             for z in range(n):
-                if not p.subset_rel(t.cell(y, z), t.cell(x, z), "le1"):
+                if not gallery.subset_rel(p, t.cell(y, z), t.cell(x, z), gallery.LE1):
                     rep.violations.append(("ii", x, y, z))
     return rep
 

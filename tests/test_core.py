@@ -163,6 +163,38 @@ def test_bound_tables_match_cones_on_fixture_carriers(path):
     _assert_bound_tables_match_cones(carrier.poset)
 
 
+def _singletons(table):
+    # the meet and join tables as they were built before they were read off
+    # principal ideals: each one-element mask as its element, else None
+    element = {1 << i: i for i in range(len(table))}.get
+    return tuple(tuple(map(element, row)) for row in table)
+
+
+def _principal_mismatches(p):
+    """The cells where ``meets``/``joins`` differ from the singleton reference."""
+    want = {"meet": _singletons(p.max_lower), "join": _singletons(p.min_upper)}
+    got = {"meet": p.meets, "join": p.joins}
+    return [(op, x, y) for op in want for x in range(p.n) for y in range(p.n)
+            if got[op][x][y] != want[op][x][y]]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.poset")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_principal_ideal_tables_match_singletons_on_fixtures(path):
+    # every structure file, the blocks of each family and the five carriers
+    for p in _fixture_posets(path):
+        assert _principal_mismatches(p) == [], p
+
+
+def test_meets_keyed_on_up_rows_are_caught(monkeypatch):
+    def meets_keyed_on_up(p):
+        element = {row: m for m, row in enumerate(p.up)}.get
+        return tuple(tuple(element(d_x & d_y) for d_y in p.down) for d_x in p.down)
+
+    monkeypatch.setattr(FinitePoset, "meets", property(meets_keyed_on_up))
+    assert all(_principal_mismatches(p) for n in range(2, 6) for p in bounded_posets(n))
+
+
 def _bits_reference(mask):
     # the generator ``bits`` was before it returned memoised tuples
     while mask:
@@ -194,9 +226,9 @@ def test_row_unions_match_subset_relations(n):
         masks = range(p.full + 1)
         for a in masks:
             for b in masks:
-                assert (a & ~p._downset(b) == 0) == p.subset_rel(a, b, "le1")
-                assert (b & ~p._upset(a) == 0) == p.subset_rel(a, b, "le2")
-                assert p._approx2(a, b) == p.subset_rel(a, b, "approx2")
+                assert (a & ~p._downset(b) == 0) == gallery.subset_rel(p, a, b, gallery.LE1)
+                assert (b & ~p._upset(a) == 0) == gallery.subset_rel(p, a, b, gallery.LE2)
+                assert p._approx2(a, b) == gallery.subset_rel(p, a, b, gallery.EQ2)
 
 
 # -- LU-identities: pair-cone tables against the cone formulas --------
