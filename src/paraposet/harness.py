@@ -104,10 +104,13 @@ def _omui(o):
 
 
 def _i1_matches_i2(o):
-    t1 = implication.cached(o, implication.impl_I)
-    t2 = implication.cached(o, implication.impl_I2)
+    c1 = implication.cached(o, implication.impl_I).cells
+    c2 = implication.cached(o, implication.impl_I2).cells
+    if c1 == c2:
+        return []
     return [f"cells differ at ({x},{y})"
-            for x in range(o.n) for y in range(o.n) if t1.cell(x, y) != t2.cell(x, y)]
+            for x, (r1, r2) in enumerate(zip(c1, c2))
+            for y, (a, b) in enumerate(zip(r1, r2)) if a != b]
 
 
 def _adji(o):

@@ -1,24 +1,33 @@
 """Set-valued implication operators and their verified properties.
 
 The operators are materialized as full n x n tables of subset bitmasks.
-Each builder states only its cell rule, read off the poset's pair-bound
-tables (``max_lower``, ``min_upper``) and meet/join tables, and
-``_table`` lays the cells out. Theorem-check helpers walk the tables
-and report violating clauses with witnesses (expected: none, on inputs
-meeting the hypotheses). The checks read their tables through
-:func:`cached`, so each table is built once per structure however many
-statements are checked on it; the public builders themselves always
-build afresh.
+Each builder reads its cells off the poset's pair-bound tables
+(``max_lower``, ``min_upper``) and meet/join tables one row at a time:
+the cells of row x share the table rows they read, which are fetched
+once per row and mapped over the row in one comprehension. A cell is
+the image of a pair-bound mask under a meet or join row (``_image``),
+and most masks are singletons, which take one lookup. Theorem-check
+helpers walk the tables and report violating clauses with witnesses
+(expected: none, on inputs meeting the hypotheses). The checks read
+their tables through :func:`cached`, so each table is built once per
+structure however many statements are checked on it; the public
+builders themselves always build afresh.
 
-The checks test a whole z-range of a relation at once, as one bitmask
-per (x, y) pair. A table keeps its le1 rows, built once on first use:
-``le1[y][x]`` is the mask of the z with {x} le1 t(y, z), that is the z
-whose cell t(y, z) has a member in up[x]. First-argument antitonicity
-packs each row into one integer with n bits per z: the row
-``R[y] = sum of t(y, z) << z*n`` and its down-set ``D[x]`` packed the
-same way. Then t(y, z) le1 t(x, z) holds for every z exactly when
-``R[y] & ~D[x] == 0``, and each failing z is one n-bit block of the
-difference, read lowest first.
+A union extension t(A, y), the union of the cells (x, y) over the x in
+A, reads column y alone, so the checks read a table by its columns
+(``cols``, the transpose, built once per table). The checks test a
+whole z-range of a relation at once, as one bitmask per (x, y) pair. A
+table keeps its le1 rows, built once on first use: ``le1[y][x]`` is
+the mask of the z with {x} le1 t(y, z). A singleton {x} lies le1 below
+a cell c exactly when x lies in the down-set of c, so each row is read
+off the down-sets of its distinct cells: the cells equal to c add the
+mask of their z to the entry of every x below a member of c.
+
+First-argument antitonicity packs each row into one integer with n
+bits per z: the row ``R[y] = sum of t(y, z) << z*n`` and its down-set
+``D[x]`` packed the same way. Then t(y, z) le1 t(x, z) holds for every
+z exactly when ``R[y] & ~D[x] == 0``, and each failing z is one n-bit
+block of the difference, read lowest first.
 """
 
 from __future__ import annotations
@@ -50,51 +59,67 @@ class SetValuedTable:
     def cell(self, x: int, y: int) -> int:
         return self.cells[x][y]
 
-    def lift(self, a: int, y: int) -> int:
-        """Union extension to the pair (A, {y}): union of the cells (x, y), x in A."""
-        if a and a & (a - 1) == 0:
-            return self.cells[a.bit_length() - 1][y]
-        out = 0
-        for x in bits(a):
-            out |= self.cells[x][y]
-        return out
+    @classmethod
+    def from_columns(cls, poset: FinitePoset, cols) -> "SetValuedTable":
+        """The table whose column y is ``cols[y]``; it keeps ``cols``."""
+        t = cls(poset, tuple(zip(*cols)))
+        # the slot ``cols`` fills on first use, filled here
+        t.__dict__["cols"] = tuple(cols)
+        return t
+
+    @cached_property
+    def cols(self) -> Tuple[Tuple[int, ...], ...]:
+        """``cols[y][x]``: the cell (x, y)."""
+        return tuple(zip(*self.cells))
 
     @cached_property
     def le1(self) -> Tuple[Tuple[int, ...], ...]:
         """``le1[y][x]``: the mask of the z with {x} le1 t(y, z)."""
+        n, downset = self.poset.n, self.poset._downset
         out = []
         for row in self.cells:
-            cols = []
-            for up_x in self.poset.up:
-                m = 0
-                for z, c in enumerate(row):
-                    if c & up_x:
-                        m |= 1 << z
-                cols.append(m)
-            out.append(tuple(cols))
+            # the z of each distinct cell, then the x below it
+            zs_of = {}
+            for z, c in enumerate(row):
+                zs_of[c] = zs_of.get(c, 0) | 1 << z
+            le1_y = [0] * n
+            for c, zs in zs_of.items():
+                for x in bits(downset(c)):
+                    le1_y[x] |= zs
+            out.append(tuple(le1_y))
         return tuple(out)
 
 
 def _image(row, mask: int) -> int:
     """The mask of the ``row[b]`` over the b in ``mask``, every one an element."""
+    if mask & (mask - 1) == 0:
+        return 1 << row[mask.bit_length() - 1] if mask else 0
     out = 0
     for b in bits(mask):
         out |= 1 << row[b]
     return out
 
 
-def _table(p: FinitePoset, cell) -> SetValuedTable:
-    """The table of ``p`` whose (x, y) cell is ``cell(x, y)``."""
-    r = range(p.n)
-    return SetValuedTable(p, tuple(tuple(cell(x, y) for y in r) for x in r))
+def _lift(col, a: int) -> int:
+    """Union extension to the pair (A, {y}): the union of ``col[x]`` over
+    the x in ``a``, where ``col`` is column y of a table."""
+    if a & (a - 1) == 0:
+        return col[a.bit_length() - 1] if a else 0
+    out = 0
+    for x in bits(a):
+        out |= col[x]
+    return out
 
 
 def impl_I(o: OrthoPoset) -> SetValuedTable:
     """x -> y as the joins of y with the maximal lower bounds of (x', y')."""
     _require_orthogonal(o)
-    p, inv, maxl = o.poset, o.inv, o.poset.max_lower
+    p, inv = o.poset, o.inv
+    maxl, by_y = p.max_lower, tuple(zip(p.joins, inv))
     # a <= y' makes a orthogonal to y, so the joins exist
-    return _table(p, lambda x, y: _image(p.joins[y], maxl[inv[x]][inv[y]]))
+    return SetValuedTable(p, tuple(
+        tuple([_image(join_y, maxl_xi[yi]) for join_y, yi in by_y])
+        for maxl_xi in map(maxl.__getitem__, inv)))
 
 
 def impl_I2(o: OrthoPoset) -> SetValuedTable:
@@ -102,33 +127,43 @@ def impl_I2(o: OrthoPoset) -> SetValuedTable:
     p, inv = o.poset, o.inv
     if not p.is_lattice:
         raise NotALattice("the (I2) operator needs a lattice")
-    return _table(p, lambda x, y: 1 << p.joins[y][p.meets[inv[x]][inv[y]]])
+    by_y = tuple(zip(p.joins, inv))
+    return SetValuedTable(p, tuple(
+        tuple([1 << join_y[meet_xi[yi]] for join_y, yi in by_y])
+        for meet_xi in map(p.meets.__getitem__, inv)))
 
 
 def sasaki_proj(o: OrthoPoset) -> SetValuedTable:
     """x (.) y: meets of y with the minimal upper bounds of (x, y')."""
     _require_orthogonal(o)
-    p, inv, minu = o.poset, o.inv, o.poset.min_upper
+    p, inv = o.poset, o.inv
+    by_y = tuple(zip(p.meets, inv))
     # b >= y' makes b' orthogonal to y', so the meets y ^ b = (y' v b')' exist
-    return _table(p, lambda x, y: _image(p.meets[y], minu[x][inv[y]]))
+    return SetValuedTable(p, tuple(
+        tuple([_image(meet_y, minu_x[yi]) for meet_y, yi in by_y])
+        for minu_x in p.min_upper))
 
 
 def sasaki_impl(o: OrthoPoset) -> SetValuedTable:
     """x -> y as joins of x' with the maximal lower bounds of (x, y)."""
     _require_orthogonal(o)
-    p, inv, maxl = o.poset, o.inv, o.poset.max_lower
+    p, inv = o.poset, o.inv
     # a <= x makes a orthogonal to x', so the joins exist
-    return _table(p, lambda x, y: _image(p.joins[inv[x]], maxl[x][y]))
+    return SetValuedTable(p, tuple(
+        tuple([_image(join_xi, m) for m in maxl_x])
+        for join_xi, maxl_x in zip(map(p.joins.__getitem__, inv), p.max_lower)))
 
 
 def duality_check(o: OrthoPoset) -> bool:
-    """impl_I(x, y) equals sasaki_impl(y', x') cell-for-cell."""
-    ti = cached(o, impl_I)
-    ts = cached(o, sasaki_impl)
-    return all(
-        ti.cell(x, y) == ts.cell(o.inv[y], o.inv[x])
-        for x in range(o.n) for y in range(o.n)
-    )
+    """impl_I(x, y) equals sasaki_impl(y', x') cell-for-cell.
+
+    Row x of the flipped Sasaki table is column x' of ``sasaki_impl``
+    read at the y', so the two tables are compared whole.
+    """
+    inv = o.inv
+    cols = cached(o, sasaki_impl).cols
+    flipped = tuple(tuple([col[yi] for yi in inv]) for col in map(cols.__getitem__, inv))
+    return cached(o, impl_I).cells == flipped
 
 
 # -- theorem checks ---------------------------------------------------
@@ -231,7 +266,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
     p = o.poset
     n = p.n
     rep = TheoremReport("th1")
-    violations, identity, lift = rep.violations, rep.identity, t.lift
+    violations, identity = rep.violations, rep.identity
     inv, up, meets, joins = o.inv, p.up, p.meets, p.joins
     max_lower, min_upper = p.max_lower, p.min_upper
     one = 1 << p.top
@@ -247,58 +282,71 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
     # Max L(x', y'), each computed at its first x
     rhs_iv = [{} for _ in range(n)]
     rhs_v = [{} for _ in range(n)]
+    by_y = tuple(zip(inv, up, joins, t.cols))
     for x, row in enumerate(t.cells):
         xi, up_x = inv[x], up[x]
         min_upper_x, max_lower_xi, meets_xi = min_upper[x], max_lower[xi], meets[xi]
         for y, cell in enumerate(row):
-            yi, up_y, join_y = inv[y], up[y], joins[y]
+            yi, up_y, join_y, col = by_y[y]
             # (i) y below every member
             if cell & ~up_y:
                 violations.append(("i", x, y))
             # (iii) case formulas
             if up_x >> y & 1:
-                identity(p, "iii-le", cell, 1 << join_y[yi], x, y)
+                if cell != (want := 1 << join_y[yi]):
+                    identity(p, "iii-le", cell, want, x, y)
                 if complemented and cell != one:
                     violations.append(("iii-compl", x, y))
-            if up_x >> yi & 1:
-                identity(p, "iii-perp", cell, 1 << join_y[meets_xi[yi]], x, y)
-            if up_y >> x & 1:
-                identity(p, "iii-ge", cell, 1 << join_y[xi], x, y)
+            if up_x >> yi & 1 and cell != (want := 1 << join_y[meets_xi[yi]]):
+                identity(p, "iii-perp", cell, want, x, y)
+            if up_y >> x & 1 and cell != (want := 1 << join_y[xi]):
+                identity(p, "iii-ge", cell, want, x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
-            lhs = lift(cell, y)
+            lhs = (col[cell.bit_length() - 1] if cell and not cell & (cell - 1)
+                   else _lift(col, cell))
             b = min_upper_x[y]
             want = rhs_iv[y].get(b)
             if want is None:
                 want = rhs_iv[y][b] = _image(g[y], b)
-            identity(p, "iv", lhs, want, x, y)
+            if lhs != want:
+                identity(p, "iv", lhs, want, x, y)
             # (v) triple implication against y v (y' ^ (y v Max L(x', y')))
             b = max_lower_xi[yi]
             want = rhs_v[y].get(b)
             if want is None:
                 want = rhs_v[y][b] = _image(g[y], _image(join_y, b))
-            identity(p, "v", lift(lhs, y), want, x, y)
+            lhs = (col[lhs.bit_length() - 1] if lhs and not lhs & (lhs - 1)
+                   else _lift(col, lhs))
+            if lhs != want:
+                identity(p, "v", lhs, want, x, y)
     # (ii) antitone in the first argument, up to le1
     violations.extend(("ii", *w) for w in _antitone_failures(t))
     return rep
 
 
 def check_lemma_sharply(o: OrthoPoset) -> TheoremReport:
-    """The sharply-paraorthomodular lemma for the (I1) implication."""
+    """The sharply-paraorthomodular lemma for the (I1) implication.
+
+    Each b reads column b of the table. Clause (ii) reads the a <= b'
+    only where b and b' have no common lower bound but 0, a condition
+    on b alone, so its a range is one mask per b.
+    """
     t = cached(o, impl_I)
     p = o.poset
-    zero = 1 << p.bottom
+    zero, one = 1 << p.bottom, 1 << p.top
+    up, down = p.up, p.down
     rep = TheoremReport("lemma-sharply")
-    for b in range(p.n):
-        bi = o.inv[b]
-        if t.cell(bi, b) != 1 << b:
-            rep.violations.append(("i", b))
-        for a in range(p.n):
-            if p.leq(a, bi) and p.down[b] & p.down[bi] == zero:
-                is_b = t.cell(a, b) == 1 << b
-                if is_b != (a == bi):
-                    rep.violations.append(("ii", a, b))
-            if t.cell(a, b) == 1 << p.top and not p.leq(a, b):
-                rep.violations.append(("iii", a, b))
+    violations = rep.violations
+    for b, (bi, col) in enumerate(zip(o.inv, t.cols)):
+        bit = 1 << b
+        if col[bi] != bit:
+            violations.append(("i", b))
+        sharp = down[bi] if down[b] & down[bi] == zero else 0
+        for a, cell in enumerate(col):
+            if sharp >> a & 1 and (cell == bit) != (a == bi):
+                violations.append(("ii", a, b))
+            if cell == one and not up[a] >> b & 1:
+                violations.append(("iii", a, b))
     return rep
 
 

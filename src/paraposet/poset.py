@@ -51,7 +51,9 @@ cone is tested once, as one mask: every element of U(A) lies above a
 minimal element of U(A) exactly when U(A) lies in the up-set of its
 minimal elements, and dually for L(A) and the down-set of its maximal
 elements. ``_memo`` holds what other modules build from the order
-alone, through ``ortho.cached``.
+alone, through ``ortho.cached``, and what they build from the order and
+one section row, which every section family with that row shares
+(``relative._per_row``).
 
 The order is immutable after construction and every operation is pure;
 the tables and the cone memo are filled on demand with values that

@@ -4,15 +4,37 @@ section-based implications.
 A section family assigns every element x an antitone involution of the
 principal filter [x,1]. Stored as one row per x with the image of y,
 or -1 for y outside the filter.
+
+The statements on a family read it one row at a time:
+- relative paraorthomodularity reads row x for filter x alone;
+- column y of the section implication I3, the images (Min U(x, y))^y
+  over every x, reads row y alone, and so does column y of I4,
+  (x v y)^y;
+- every ``th2`` clause at (x, y) reads column y of I3 and row y: the
+  union extensions in its clauses (iv) and (v) are unions of cells of
+  column y;
+- the implication law of ``para-via-i3`` at y reads column y and the
+  image g[y] of y under row 0, and its direct verdict reads row 0 alone.
+
+The families of a poset are the product of its filters' rows, so each
+row recurs in many families. Each of these results is therefore built
+once per poset for each (filter, row) it reads and kept on the poset
+(``_per_row``), and a family's result combines its n entries. An entry
+read off a column is keyed by that column as well, as read from the
+family's own table, so a table kept on the structure in place of the
+built one is read as it is. The ``th2`` violations of the columns are
+merged in (x, y, clause) order, the order of a cell-by-cell scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Tuple
 
 from .poset import FinitePoset, PosetError, bits
-from .implication import (JoinMissing, SetValuedTable, TheoremReport, _image, _table,
+from .implication import (JoinMissing, SetValuedTable, TheoremReport, _image, _lift,
                           cached, unit_law)
 from .ortho import OrthoPoset, paraortho_witness
 
@@ -35,7 +57,8 @@ class SectionedPoset:
     """A bounded poset with an antitone involution on every [x,1].
 
     ``_memo`` holds the tables and reports built from the structure (see
-    :func:`paraposet.ortho.cached`).
+    :func:`paraposet.ortho.cached`); a result that reads one section is
+    kept on the poset instead, for every family that has the section.
     """
 
     poset: FinitePoset
@@ -92,20 +115,55 @@ def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
     return s
 
 
+class _PerRow(dict):
+    """``memo[key]``: ``build(p, *key)``, computed on first lookup and kept."""
+
+    __slots__ = ("p", "build")
+
+    def __init__(self, p: FinitePoset, build):
+        super().__init__()
+        self.p = p
+        self.build = build
+
+    def __missing__(self, key):
+        res = self[key] = self.build(self.p, *key)
+        return res
+
+
+def _per_row(p: FinitePoset, build) -> _PerRow:
+    """The results of ``build`` on ``p`` by their other arguments, kept on
+    ``p._memo`` under ``build`` for every family of ``p``."""
+    memo = p._memo.get(build)
+    if memo is None:
+        memo = p._memo[build] = _PerRow(p, build)
+    return memo
+
+
+def _relpara_row(p: FinitePoset, x: int, row) -> Optional[Tuple[int, int, int]]:
+    """The first (x, y, z) with x <= y < z and y^x meet z = x inside [x,1],
+    where ``row`` is the section on [x,1]."""
+    filt, up, down = p.up[x], p.up, p.down
+    bottom = 1 << x
+    for y in bits(filt):
+        below_yi = down[row[y]] & filt
+        for z in bits(up[y] & ~(1 << y)):
+            if below_yi & down[z] == bottom:
+                return (x, y, z)
+    return None
+
+
 def relative_paraortho_witness(s: SectionedPoset) -> Optional[Tuple[int, int, int]]:
     """A triple (x, y, z) with x <= y < z and y^x meet z = x inside [x,1].
 
     The meet is read on relative cones, so it never requires the meet to
-    exist as an element.
+    exist as an element. Each row is scanned once per poset; the witness
+    is the first in (x, y, z) order.
     """
-    p = s.poset
-    for x in range(p.n):
-        filt = p.up[x]
-        for y in bits(filt):
-            yi = s.sections[x][y]
-            for z in bits(p.up[y] & ~(1 << y)):
-                if p.down[yi] & p.down[z] & filt == 1 << x:
-                    return (x, y, z)
+    memo = _per_row(s.poset, _relpara_row)
+    for x, row in enumerate(s.sections):
+        w = memo[x, row]
+        if w is not None:
+            return w
     return None
 
 
@@ -127,67 +185,124 @@ def check_C(s: SectionedPoset) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     return True, None
 
 
+def _i3_column(p: FinitePoset, y: int, row) -> Tuple[int, ...]:
+    """Column y of I3, where ``row`` is the section on [y,1]."""
+    return tuple([_image(row, m) for m in p.min_upper[y]])
+
+
 def impl_I3(s: SectionedPoset) -> SetValuedTable:
-    """x -> y as the section images of the minimal upper bounds of (x, y)."""
-    p, sec, minu = s.poset, s.sections, s.poset.min_upper
-    return _table(p, lambda x, y: _image(sec[y], minu[x][y]))
+    """x -> y as the section images of the minimal upper bounds of (x, y).
+
+    Column y reads row y alone, and is built once per poset and row.
+    """
+    memo = _per_row(s.poset, _i3_column)
+    return SetValuedTable.from_columns(
+        s.poset, [memo[y, row] for y, row in enumerate(s.sections)])
+
+
+def _i4_column(p: FinitePoset, y: int, row) -> Tuple[int, ...]:
+    """Column y of I4, where ``row`` is the section on [y,1]."""
+    return tuple([1 << row[j] for j in p.joins[y]])
 
 
 def impl_I4(s: SectionedPoset) -> SetValuedTable:
-    """x -> y as (x v y)^y on join-semilattices; cells are singletons."""
-    p, sec = s.poset, s.sections
+    """x -> y as (x v y)^y on join-semilattices; cells are singletons.
 
-    def cell(x, y):
-        j = p.joins[x][y]
-        if j is None:
+    Column y reads row y alone, and is built once per poset and row.
+    """
+    p = s.poset
+    for x, joins_x in enumerate(p.joins):
+        if None in joins_x:
+            y = joins_x.index(None)
             raise NotJoinSemilattice(f"join of {p.labels[x]} and {p.labels[y]} missing")
-        return 1 << sec[y][j]
-    return _table(p, cell)
+    memo = _per_row(p, _i4_column)
+    return SetValuedTable.from_columns(
+        p, [memo[y, row] for y, row in enumerate(s.sections)])
+
+
+def _th2_column(p: FinitePoset, y: int, row, col) -> Optional[tuple]:
+    """The ``th2`` violations of column ``col`` of I3, where ``row`` is the
+    section on [y,1]: None, or the (clause, x, y) tuples, literal and
+    elementwise, in (x, clause) order.
+
+    Clause (iii-ge) follows from (iii-join), since y <= x gives
+    x v y = x; it is checked on its own all the same.
+    """
+    up, up_y = p.up, p.up[y]
+    one, approx2 = 1 << p.top, p._approx2
+    literal, elementwise = [], []
+    for x, (cell, j, minu) in enumerate(zip(col, p.joins[y], p.min_upper[y])):
+        le = up[x] >> y & 1
+        if cell & ~up_y:
+            literal.append(("i", x, y))
+        if (cell == one) != le:
+            literal.append(("ii", x, y))
+        if le and cell != one:
+            literal.append(("iii-le", x, y))
+        if j is not None and cell != 1 << row[j]:
+            literal.append(("iii-join", x, y))
+        if up_y >> x & 1 and cell != 1 << row[x]:
+            literal.append(("iii-ge", x, y))
+        lhs = (col[cell.bit_length() - 1] if cell and not cell & (cell - 1)
+               else _lift(col, cell))
+        if lhs != minu:
+            literal.append(("iv", x, y))
+            if not approx2(lhs, minu):
+                elementwise.append(("iv", x, y))
+        lhs = (col[lhs.bit_length() - 1] if lhs and not lhs & (lhs - 1)
+               else _lift(col, lhs))
+        if lhs != cell:
+            literal.append(("v", x, y))
+            if not approx2(lhs, cell):
+                elementwise.append(("v", x, y))
+    return (literal, elementwise) if literal else None
+
+
+_BY_CELL = itemgetter(1, 2)
 
 
 def check_th2(s: SectionedPoset) -> TheoremReport:
-    """Elementary properties of the section implication."""
+    """Elementary properties of the section implication.
+
+    Each column is checked once per poset, row and column.
+    """
     t = cached(s, impl_I3)
-    p = s.poset
+    memo = _per_row(s.poset, _th2_column)
     rep = TheoremReport("th2")
-    violations, identity, lift = rep.violations, rep.identity, t.lift
-    up, joins, min_upper, sec = p.up, p.joins, p.min_upper, s.sections
-    one = 1 << p.top
-    for x, row in enumerate(t.cells):
-        up_x, joins_x = up[x], joins[x]
-        for y, cell in enumerate(row):
-            le = up_x >> y & 1
-            if cell & ~up[y]:
-                violations.append(("i", x, y))
-            if (cell == one) != le:
-                violations.append(("ii", x, y))
-            if le and cell != one:
-                violations.append(("iii-le", x, y))
-            j = joins_x[y]
-            if j is not None and cell != 1 << sec[y][j]:
-                violations.append(("iii-join", x, y))
-            if up[y] >> x & 1 and cell != 1 << sec[y][x]:
-                violations.append(("iii-ge", x, y))
-            lhs = lift(cell, y)
-            identity(p, "iv", lhs, min_upper[x][y], x, y)
-            identity(p, "v", lift(lhs, y), cell, x, y)
+    found = [memo[y, row, col] for y, (row, col) in enumerate(zip(s.sections, t.cols))]
+    if any(found):
+        rep.violations = sorted(chain.from_iterable(f[0] for f in found if f),
+                                key=_BY_CELL)
+        rep.violations_elementwise = sorted(chain.from_iterable(f[1] for f in found if f),
+                                            key=_BY_CELL)
     return rep
+
+
+def _paraortho_row(p: FinitePoset, row) -> bool:
+    """Whether ``row``, the section on [0,1], is paraorthomodular."""
+    return paraortho_witness(OrthoPoset(p, row)) is None
+
+
+def _law_column(p: FinitePoset, y: int, gy: int, col) -> bool:
+    """Whether column ``col`` of I3 keeps the law at y, where gy = y^0:
+    no x < y^0 has x -> y = {y}."""
+    bit = 1 << y
+    return all(col[x] != bit for x in bits(p.down[gy] & ~(1 << gy)))
 
 
 def para_via_I3(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     """Global paraorthomodularity of ^0 against the implication law.
 
-    The law: x <= y^0 and x -> y = {y} together force x = y^0.
+    The law: x <= y^0 and x -> y = {y} together force x = y^0. The
+    direct verdict reads row 0 once per poset, and the law at y reads
+    column y and y^0 once per poset.
     """
     t = cached(s, impl_I3)
     p = s.poset
     g = s.sections[p.bottom]
-    direct = paraortho_witness(s.ortho) is None
-    law = all(
-        x == g[y]
-        for x in range(p.n) for y in range(p.n)
-        if p.leq(x, g[y]) and t.cell(x, y) == 1 << y
-    )
+    direct = _per_row(p, _paraortho_row)[g,]
+    laws = _per_row(p, _law_column)
+    law = all(laws[y, gy, col] for y, (gy, col) in enumerate(zip(g, t.cols)))
     return direct, law, direct == law
 
 
