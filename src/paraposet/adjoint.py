@@ -32,9 +32,10 @@ two preimage tables, built in O(n^2): ``jpre[x][u]``, the m with
 x v m = u, and ``mpre[x][d]``, the m with x ^ m = d. The first
 identity holds at x for a when x v (u ^ a) = u for every u >= x, that
 is when u ^ a lies in jpre[x][u], so G[x] is the intersection over
-u >= x of the union of mpre[u][m] over m in jpre[x][u]; the second
-identity is its dual over the d <= x. With b fixed, f(x) = y ^ (x v b)
-and g(z) = b v (y ^ z) are monotone, so f is left adjoint to g exactly
+u >= x of the union of mpre[u][m] over m in jpre[x][u], the row union
+``poset.union(mpre[u], jpre[x][u])``; the second identity is its dual
+over the d <= x. With b fixed, f(x) = y ^ (x v b) and
+g(z) = b v (y ^ z) are monotone, so f is left adjoint to g exactly
 when the unit x <= g(f(x)) holds for every x and the counit
 f(g(z)) <= z for every z. The unit reads x only through v = x v b, so
 it holds when each class jpre[b][v] lies below b v (y ^ v); the
@@ -58,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .poset import FinitePoset, bits
+from .poset import FinitePoset, bits, union
 from .ortho import (OrthoPoset, _require_orthogonal, is_boolean_algebra,
                     is_boolean_poset, is_orthogonal_poset, is_orthomodular,
                     is_weakly_boolean)
@@ -139,14 +140,6 @@ def lemma_AB_equiv(o: OrthoPoset) -> bool:
 
 # -- lattice-side results (plain involutions allowed) -----------------
 
-def _union(rows: Sequence[int], ms: int) -> int:
-    """The union of ``rows[m]`` over the m in the mask ``ms``."""
-    out = 0
-    for m in bits(ms):
-        out |= rows[m]
-    return out
-
-
 def _omidentity_masks(p: FinitePoset) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """``(G, H)`` of a lattice: per element, the mask of its admissible involutes.
 
@@ -171,9 +164,9 @@ def _omidentity_masks(p: FinitePoset) -> Tuple[Tuple[int, ...], Tuple[int, ...]]
     for x in r:
         gx = (1 << n) - 1
         for u in bits(up[x]):
-            gx &= _union(mpre[u], jpre[x][u])
+            gx &= union(mpre[u], jpre[x][u])
         for d in bits(down[x]):
-            gx &= _union(jpre[d], mpre[x][d])
+            gx &= union(jpre[d], mpre[x][d])
         g.append(gx)
     h = []
     for y, my in enumerate(meets):

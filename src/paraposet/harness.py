@@ -93,9 +93,12 @@ def _compatible(s):
     return implication.cached(s, relative.check_C)[0]
 
 
-def _antitone(build):
-    return _holds(lambda s: implication.antitone_first_arg(implication.cached(s, build)),
-                  "not antitone")
+def _antitone(module, name):
+    # the builder is looked up at each call, so a wrapper put on the module
+    # attribute after import both runs and keys the memo, as it does for
+    # every other reader of the table
+    return _holds(lambda s: implication.antitone_first_arg(
+        implication.cached(s, getattr(module, name))), "not antitone")
 
 
 def _omui(o):
@@ -202,7 +205,7 @@ _register("lemma-sharply", "ortho", _report_th(implication.check_lemma_sharply),
           is_sharply_paraorthomodular, "sharp collapse laws of the cone implication")
 _register("paraortho-iff-impl", "ortho", _agree3(implication.paraortho_iff_impl),
           is_orthogonal_poset, "paraorthomodularity via the implication unit law")
-_register("i2-antitone", "ortho", _antitone(implication.impl_I2), _lattice,
+_register("i2-antitone", "ortho", _antitone(implication, "impl_I2"), _lattice,
           "lattice implication antitone in the first slot")
 _register("i1-matches-i2", "ortho", _i1_matches_i2, _lattice,
           "set and lattice implications agree on lattices")
@@ -215,7 +218,7 @@ _register("para-via-i3", "sectioned", _agree3(relative.para_via_I3), None,
           "global paraorthomodularity via the section implication")
 _register("relpara-under-c", "sectioned", _agree3(relative.relpara_via_impl_under_C),
           _compatible, "relative paraorthomodularity via the unit law under compatibility")
-_register("i4-antitone", "sectioned", _antitone(relative.impl_I4), _lattice,
+_register("i4-antitone", "sectioned", _antitone(relative, "impl_I4"), _lattice,
           "join-semilattice implication antitone in the first slot")
 _ab_equiv = _holds(adjoint.lemma_AB_equiv, "A/B verdicts split")
 _register("lemadj", "ortho", _ab_equiv, _lattice,

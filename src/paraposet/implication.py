@@ -15,13 +15,15 @@ builders themselves always build afresh.
 
 A union extension t(A, y), the union of the cells (x, y) over the x in
 A, reads column y alone, so the checks read a table by its columns
-(``cols``, the transpose, built once per table). The checks test a
-whole z-range of a relation at once, as one bitmask per (x, y) pair. A
-table keeps its le1 rows, built once on first use: ``le1[y][x]`` is
-the mask of the z with {x} le1 t(y, z). A singleton {x} lies le1 below
-a cell c exactly when x lies in the down-set of c, so each row is read
-off the down-sets of its distinct cells: the cells equal to c add the
-mask of their z to the entry of every x below a member of c.
+(``cols``, the transpose, built once per table): it is the row union
+``poset.union`` of the column over A, or one lookup where A is a
+singleton. The checks test a whole z-range of a relation at once, as
+one bitmask per (x, y) pair. A table keeps its le1 rows, built once on
+first use: ``le1[y][x]`` is the mask of the z with {x} le1 t(y, z). A
+singleton {x} lies le1 below a cell c exactly when x lies in the
+down-set of c, so each row is read off the down-sets of its distinct
+cells: the cells equal to c add the mask of their z to the entry of
+every x below a member of c.
 
 First-argument antitonicity packs each row into one integer with n
 bits per z: the row ``R[y] = sum of t(y, z) << z*n`` and its down-set
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, List, Tuple
 
-from .poset import FinitePoset, PosetError, bits
+from .poset import FinitePoset, PosetError, bits, union
 from .ortho import (NotOrthogonal, OrthoPoset, _require_orthogonal, cached,
                     is_complementation, is_paraorthomodular)
 
@@ -97,17 +99,6 @@ def _image(row, mask: int) -> int:
     out = 0
     for b in bits(mask):
         out |= 1 << row[b]
-    return out
-
-
-def _lift(col, a: int) -> int:
-    """Union extension to the pair (A, {y}): the union of ``col[x]`` over
-    the x in ``a``, where ``col`` is column y of a table."""
-    if a & (a - 1) == 0:
-        return col[a.bit_length() - 1] if a else 0
-    out = 0
-    for x in bits(a):
-        out |= col[x]
     return out
 
 
@@ -303,7 +294,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
                 identity(p, "iii-ge", cell, want, x, y)
             # (iv) (x -> y) -> y against y v (y' ^ Min U(x, y))
             lhs = (col[cell.bit_length() - 1] if cell and not cell & (cell - 1)
-                   else _lift(col, cell))
+                   else union(col, cell))
             b = min_upper_x[y]
             want = rhs_iv[y].get(b)
             if want is None:
@@ -316,7 +307,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
             if want is None:
                 want = rhs_v[y][b] = _image(g[y], _image(join_y, b))
             lhs = (col[lhs.bit_length() - 1] if lhs and not lhs & (lhs - 1)
-                   else _lift(col, lhs))
+                   else union(col, lhs))
             if lhs != want:
                 identity(p, "v", lhs, want, x, y)
     # (ii) antitone in the first argument, up to le1

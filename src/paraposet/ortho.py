@@ -3,6 +3,13 @@
 Predicates that can fail in interesting ways have a ``*_witness``
 variant returning a concrete counterexample (or None); the boolean
 forms are thin wrappers. Witnesses are element indices.
+
+Two scans of an involution read one row on one principal filter, and
+``relative`` reads them on every filter of a section family: the first
+pair where the row is not antitone (``_antitone_failure``), and the
+first pair that breaks paraorthomodularity relative to the filter
+(``_para_row``). On the whole poset, the filter of the bottom, they are
+the antitonicity of an involution and its paraorthomodularity.
 """
 
 from __future__ import annotations
@@ -60,6 +67,18 @@ def cached(s, build: Callable):
     return res
 
 
+def _antitone_failure(p: FinitePoset, row: Sequence[int],
+                      filt: int) -> Optional[Tuple[int, int]]:
+    """The first (y, z) in (y, z) order with y in the mask ``filt``,
+    y <= z and row[z] not below row[y], or None."""
+    up = p.up
+    for y in bits(filt):
+        for z in bits(up[y]):
+            if not up[row[z]] >> row[y] & 1:
+                return y, z
+    return None
+
+
 def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
     """Wrap ``poset`` with the map ``inv``, checking both involution laws."""
     inv = tuple(inv)
@@ -69,11 +88,10 @@ def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
     for x in range(n):
         if inv[inv[x]] != x:
             raise InvolutionError(f"map is not an involution at {poset.labels[x]}")
-    for x in range(n):
-        for y in bits(poset.up[x]):
-            if not poset.leq(inv[y], inv[x]):
-                raise InvolutionError(f"map is not antitone at "
-                                      f"({poset.labels[x]}, {poset.labels[y]})")
+    w = _antitone_failure(poset, inv, poset.full)
+    if w is not None:
+        raise InvolutionError(f"map is not antitone at "
+                              f"({poset.labels[w[0]]}, {poset.labels[w[1]]})")
     o = OrthoPoset(poset, inv)
     # forced for any antitone involution on a bounded poset
     if inv[poset.bottom] != poset.top:
@@ -110,19 +128,27 @@ def _require_orthogonal(o: OrthoPoset) -> None:
 
 # -- paraorthomodularity ----------------------------------------------
 
-def paraortho_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:
-    """A pair x < y with L(x', y) = {0}, violating paraorthomodularity.
+def _para_row(p: FinitePoset, x: int, row: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first (y, z) in (y, z) order with x <= y < z and y^x meet z = x
+    inside [x,1], where ``row`` maps each y in [x,1] to y^x; or None.
 
-    The meet condition is read on cones, so the witness never depends on
-    the meet existing as an element.
+    The meet is read on the cone L{y^x, z} cut to the filter, so it never
+    requires the meet to exist as an element.
     """
-    p = o.poset
-    zero = 1 << p.bottom
-    for x in range(p.n):
-        for y in bits(p.up[x] & ~(1 << x)):
-            if p.down[o.inv[x]] & p.down[y] == zero:
-                return (x, y)
+    filt, up, down = p.up[x], p.up, p.down
+    bottom = 1 << x
+    for y in bits(filt):
+        below_yi = down[row[y]] & filt
+        for z in bits(up[y] & ~(1 << y)):
+            if below_yi & down[z] == bottom:
+                return y, z
     return None
+
+
+def paraortho_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:
+    """A pair x < y with L(x', y) = {0}, violating paraorthomodularity:
+    the relative witness on the filter of the bottom, the whole poset."""
+    return _para_row(o.poset, o.poset.bottom, o.inv)
 
 
 def is_paraorthomodular(o: OrthoPoset) -> bool:
@@ -161,14 +187,14 @@ def find_benzene(o: OrthoPoset) -> Optional[Tuple[int, int]]:
 # -- complementation, regularity, orthomodularity ---------------------
 
 def is_complementation(o: OrthoPoset) -> bool:
-    """Every x meets its involute in {0} and joins it in {1} (cone-wise)."""
-    p = o.poset
-    zero, one = 1 << p.bottom, 1 << p.top
-    for x in range(p.n):
-        xi = o.inv[x]
-        if p.down[x] & p.down[xi] != zero or p.up[x] & p.up[xi] != one:
-            return False
-    return True
+    """Every x joins its involute in {1} and meets it in {0} (cone-wise).
+
+    Only U(x, x') = {1} is tested: the antitone involution maps L(x, x')
+    onto U(x', x) and 0 to 1, so L(x, x') = {0} exactly when
+    U(x, x') = {1}.
+    """
+    up, one = o.poset.up, 1 << o.poset.top
+    return all(up[x] & up[xi] == one for x, xi in enumerate(o.inv))
 
 
 def is_regular(o: OrthoPoset) -> bool:
@@ -212,51 +238,56 @@ def om_law_holds(o: OrthoPoset, x: int, y: int) -> bool:
     return p.join(x, m) == y
 
 
-def om_u_identity(o: OrthoPoset) -> Tuple[bool, bool]:
-    """The Min-U form of the orthomodular identity over all pairs, read
-    literally and elementwise, on an orthogonal poset.
+def om_u_identity(o: OrthoPoset) -> bool:
+    """The Min-U form of the orthomodular identity over all pairs, on an
+    orthogonal poset.
 
-    The identity reads x v (x' ^ w) for each w in Min U(x, y), and the
-    literal reading is set equality with Min U(x, y), the elementwise
-    one the two-sided le2 relation. Orthogonality makes every such term
-    exist, so each is a plain lookup in ``meets``/``joins``: w >= x makes
-    x orthogonal to w', so x' ^ w = (x v w')' exists; and m = x' ^ w lies
-    below x', so x is orthogonal to m and x v m exists. On a poset that
-    is not orthogonal this raises ``NotOrthogonal``.
+    The identity reads x v (x' ^ w) for each w in Min U(x, y) and asks
+    for the set of these terms to equal Min U(x, y). Read elementwise,
+    as the two-sided le2 relation, it says the same: each term t lies
+    between x and its w, so an element of Min U(x, y) below t lies below
+    w, and Min U(x, y) is an antichain, so that element is w and t = w.
+    Orthogonality makes every term exist, so each is a plain lookup in
+    ``meets``/``joins``: w >= x makes x orthogonal to w', so
+    x' ^ w = (x v w')' exists; and m = x' ^ w lies below x', so x is
+    orthogonal to m and x v m exists. On a poset that is not orthogonal
+    this raises ``NotOrthogonal``.
     """
     _require_orthogonal(o)
     p, inv = o.poset, o.inv
-    meets, joins, minus = p.meets, p.joins, p.min_upper
-    literal = True
-    for x in range(p.n):
+    meets, joins = p.meets, p.joins
+    for x, minu_x in enumerate(p.min_upper):
         meet_xi, join_x = meets[inv[x]], joins[x]
-        for y in range(p.n):
-            minu = minus[x][y]
+        for minu in minu_x:
             lhs = 0
             for w in bits(minu):
                 lhs |= 1 << join_x[meet_xi[w]]
             if lhs != minu:
-                if not p._approx2(lhs, minu):
-                    return False, False
-                literal = False
-    return literal, True
+                return False
+    return True
 
 
 def is_orthomodular(o: OrthoPoset) -> bool:
-    """Orthogonal, complemented, and satisfying the orthomodular law.
+    """Orthogonal and satisfying the orthomodular law.
 
-    This is the direct reading only. The Min-U readings of
-    :func:`om_u_identity` are compared with it by the ``omui`` theorem,
-    through :func:`orthomodular_verdicts`, and nowhere else, so a
-    disagreement is reported as a violation of that theorem.
+    The law at y = 1 reads x v x' = 1, so an orthomodular structure is
+    complemented (see :func:`is_complementation`). This is the direct
+    reading only. The Min-U reading of :func:`om_u_identity` is compared
+    with it by the ``omui`` theorem, through
+    :func:`orthomodular_verdicts`, and nowhere else, so a disagreement
+    is reported as a violation of that theorem.
     """
-    return (is_orthogonal_poset(o) and is_complementation(o)
-            and cached(o, orthomodular_witness) is None)
+    return is_orthogonal_poset(o) and cached(o, orthomodular_witness) is None
 
 
 def orthomodular_verdicts(o: OrthoPoset) -> tuple:
-    """(direct, via OM_U, via OM_UE) orthomodularity verdicts."""
-    return (is_orthomodular(o), *om_u_identity(o))
+    """(direct, via OM_U, via OM_UE) orthomodularity verdicts.
+
+    The literal and elementwise Min-U readings are one verdict (see
+    :func:`om_u_identity`), given twice.
+    """
+    u = om_u_identity(o)
+    return is_orthomodular(o), u, u
 
 
 # -- Boolean-flavoured predicates -------------------------------------

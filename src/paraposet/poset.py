@@ -25,6 +25,17 @@ masks. That holds every subset of a poset of up to 16 elements, which
 covers the exhaustive sweeps; the 22-element amalgam carriers have
 2^22 subsets, and the bound caps the memo at about 20 MB.
 
+Each order kernel on masks is defined once here: ``union`` and
+``intersection`` of order rows over a mask, and the ``extremal``
+elements of a cone. ``LazyDict`` is the one memo filled on first
+lookup. A poset keeps four of them keyed by mask, for a mask known to
+lie in the poset: the cones L(a) and U(a), intersections of the down
+and up rows (``_lower``, ``_upper``), and the down-set and up-set of a,
+their unions (``_downset``, ``_upset``), so A le1 B exactly when A lies
+in the down-set of B, and A le2 B when B lies in the up-set of A. Each
+is read through its dict's ``__getitem__``, so a repeated mask costs
+one dict lookup.
+
 The LU-distributivity identities read two more n x n tables, the pair
 cones ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``, built once
 per poset on first use. Cones turn unions into intersections,
@@ -42,7 +53,7 @@ L{x,z} lies in L{y,z} and U{y,z} in U{x,z}, so each identity reduces
 to a cone being closed, such as L(U(L{y,z})) = L{y,z}. The scan skips
 those pairs too. The n-ary pair reads L(U(xs)) and U(L(xs)) once per
 xs for every z. The one cone left per triple, of an arbitrary mask, is
-memoised per poset, so a repeated cone is one dict lookup (``_Cones``).
+read from the poset's cone memo.
 
 Bound completeness (``is_mub_complete``, ``is_mlb_complete``) is a
 statement about the cones of the subsets of up to ``SMALL_SUBSET``
@@ -53,7 +64,7 @@ minimal elements, and dually for L(A) and the down-set of its maximal
 elements. ``_memo`` holds what other modules build from the order
 alone, through ``ortho.cached``, and what they build from the order and
 one section row, which every section family with that row shares
-(``relative._per_row``).
+(``relative._per_row``, a ``LazyDict`` per builder).
 
 The order is immutable after construction and every operation is pure;
 the tables and the cone memo are filled on demand with values that
@@ -63,7 +74,7 @@ threads.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -118,23 +129,45 @@ def _principal(rows: Sequence[int]) -> tuple:
     return tuple(tuple([element(r_x & r_y) for r_y in rows]) for r_x in rows)
 
 
-class _Cones(dict):
-    """``cones[a]``: the intersection of ``rows`` over the bits of mask
-    ``a`` (``full`` for the empty mask), computed on first lookup and
-    kept, so a repeated cone costs one dict lookup."""
+def union(rows: Sequence[int], mask: int) -> int:
+    """The union of ``rows[i]`` over the bits i of ``mask``."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
 
-    __slots__ = ("rows", "full")
 
-    def __init__(self, rows: Sequence[int], full: int):
+def intersection(rows: Sequence[int], full: int, mask: int) -> int:
+    """The intersection of ``rows[i]`` over the bits i of ``mask``, and
+    ``full`` for the empty mask."""
+    out = full
+    for i in bits(mask):
+        out &= rows[i]
+    return out
+
+
+def extremal(rows: Sequence[int], cone: int) -> int:
+    """The b in ``cone`` whose ``rows`` entry meets ``cone`` in b alone:
+    on ``up`` rows the maximal elements, on ``down`` rows the minimal ones."""
+    out = 0
+    for b in bits(cone):
+        if rows[b] & cone == 1 << b:
+            out |= 1 << b
+    return out
+
+
+class LazyDict(dict):
+    """``memo[key]``: ``build(key)``, computed on first lookup and kept, so
+    a repeated key costs one dict lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
         super().__init__()
-        self.rows = rows
-        self.full = full
+        self.build = build
 
-    def __missing__(self, a: int) -> int:
-        res, rows = self.full, self.rows
-        for i in bits(a):
-            res &= rows[i]
-        self[a] = res
+    def __missing__(self, key):
+        res = self[key] = self.build(key)
         return res
 
 
@@ -179,12 +212,13 @@ class FinitePoset:
         self.bottom = bottoms[0]
         self.top = tops[0]
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
-        # L(a) and U(a) of a mask known to lie in the poset (no
-        # validation), each a lookup in a per-poset cone memo
-        self._lower = _Cones(self.down, self.full).__getitem__
-        self._upper = _Cones(up, self.full).__getitem__
-        self._downset_memo: dict = {}
-        self._upset_memo: dict = {}
+        # the cones L(a), U(a) and the down- and up-set of a mask a known
+        # to lie in the poset (no validation), each a lookup in a
+        # per-poset memo (see the module docstring)
+        self._lower = LazyDict(partial(intersection, self.down, self.full)).__getitem__
+        self._upper = LazyDict(partial(intersection, up, self.full)).__getitem__
+        self._downset = LazyDict(partial(union, self.down)).__getitem__
+        self._upset = LazyDict(partial(union, up)).__getitem__
         self._memo: dict = {}
 
     @classmethod
@@ -225,7 +259,7 @@ class FinitePoset:
         if a & ~self.full:
             raise BadIndex("subset indexes elements outside the poset")
 
-    # -- cones and spans ----------------------------------------------
+    # -- cones --------------------------------------------------------
 
     def lower_cone(self, a: int) -> int:
         """L(A): common lower bounds of A; L(empty) is the whole poset."""
@@ -237,24 +271,6 @@ class FinitePoset:
         self._check_subset(a)
         return self._upper(a)
 
-    def _span(self, memo: dict, rows: Sequence[int], a: int) -> int:
-        """Union of ``rows`` over the bits of ``a``, memoised in ``memo``."""
-        res = memo.get(a)
-        if res is None:
-            res = 0
-            for i in bits(a):
-                res |= rows[i]
-            memo[a] = res
-        return res
-
-    def _downset(self, a: int) -> int:
-        """Everything below some element of a: A le1 B iff A lies in _downset(B)."""
-        return self._span(self._downset_memo, self.down, a)
-
-    def _upset(self, a: int) -> int:
-        """Everything above some element of a: A le2 B iff B lies in _upset(A)."""
-        return self._span(self._upset_memo, self.up, a)
-
     def _approx2(self, a: int, b: int) -> bool:
         """A approx2 B: le2 in both directions."""
         return b & ~self._upset(a) == 0 and a & ~self._upset(b) == 0
@@ -262,27 +278,18 @@ class FinitePoset:
     # -- pair bounds, meets and joins ---------------------------------
 
     def _extremal_table(self, cones: Sequence[int], rows: Sequence[int]) -> tuple:
-        """``table[x][y]``: the b in cones[x] & cones[y] whose ``rows`` entry
-        meets that set in b alone (on ``down`` cones and ``up`` rows the
-        maximal lower bounds, on ``up`` cones and ``down`` rows the minimal
-        upper bounds)."""
+        """``table[x][y]``: the ``rows``-extremal elements of cones[x] & cones[y]
+        (on ``down`` cones and ``up`` rows the maximal lower bounds, on
+        ``up`` cones and ``down`` rows the minimal upper bounds)."""
         n = self.n
         table = [[0] * n for _ in range(n)]
         # pairs often share their common cone (x <= y gives cones[x]),
         # so each distinct one is scanned once
-        ext_of: dict = {}
+        ext_of = LazyDict(partial(extremal, rows))
         for x in range(n):
             cone_x = cones[x]
             for y in range(x, n):
-                common = cone_x & cones[y]
-                ext = ext_of.get(common)
-                if ext is None:
-                    ext = 0
-                    for b in bits(common):
-                        if rows[b] & common == 1 << b:
-                            ext |= 1 << b
-                    ext_of[common] = ext
-                table[x][y] = table[y][x] = ext
+                table[x][y] = table[y][x] = ext_of[cone_x & cones[y]]
         return tuple(map(tuple, table))
 
     @cached_property
@@ -396,11 +403,8 @@ class FinitePoset:
 
     def _bound_complete(self, cone, reach, rows) -> bool:
         """Every element of the ``cone`` of each small subset lies in the
-        ``reach`` of the ``rows``-extremal elements of that cone.
-
-        ``rows`` picks the extremal elements: an element b of a cone c is
-        extremal when ``rows[b] & c`` is b alone (``down`` rows give the
-        minimal elements, ``up`` rows the maximal ones). Finiteness makes
+        ``reach`` of the ``rows``-extremal elements of that cone (see
+        :func:`extremal`). Finiteness makes
         the unrestricted condition automatic; the check runs over the
         subsets of up to ``SMALL_SUBSET`` elements, and each distinct
         cone among theirs is tested once, as one mask.
@@ -408,14 +412,7 @@ class FinitePoset:
         singles = [1 << i for i in range(self.n)]
         cones = {cone(sum(m)) for size in range(1, SMALL_SUBSET + 1)
                  for m in combinations(singles, size)}
-        for c in cones:
-            ext = 0
-            for b in bits(c):
-                if rows[b] & c == 1 << b:
-                    ext |= 1 << b
-            if c & ~reach(ext):
-                return False
-        return True
+        return all(not c & ~reach(extremal(rows, c)) for c in cones)
 
     @cached_property
     def is_mub_complete(self) -> bool:

@@ -14,16 +14,23 @@ The statements on a family read it one row at a time:
   union extensions in its clauses (iv) and (v) are unions of cells of
   column y;
 - the implication law of ``para-via-i3`` at y reads column y and the
-  image g[y] of y under row 0, and its direct verdict reads row 0 alone.
+  image g[y] of y under row 0, and its direct verdict is relative
+  paraorthomodularity on the filter of 0 alone.
 
 The families of a poset are the product of its filters' rows, so each
 row recurs in many families. Each of these results is therefore built
-once per poset for each (filter, row) it reads and kept on the poset
-(``_per_row``), and a family's result combines its n entries. An entry
-read off a column is keyed by that column as well, as read from the
-family's own table, so a table kept on the structure in place of the
-built one is read as it is. The ``th2`` violations of the columns are
-merged in (x, y, clause) order, the order of a cell-by-cell scan.
+once per poset for each (filter, row) it reads and kept on the poset,
+in one ``poset.LazyDict`` per builder (``_per_row``), and a family's
+result combines its n entries. An entry read off a column is keyed by
+that column as well, as read from the family's own table, so a table
+kept on the structure in place of the built one is read as it is. The
+``th2`` violations of the columns are merged in (x, y, clause) order,
+the order of a cell-by-cell scan.
+
+The scans of one row on its filter are those of ``ortho``: antitonicity
+(``_antitone_failure``) and relative paraorthomodularity
+(``_para_row``), which on the filter of 0 is the paraorthomodularity of
+the global involution.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ from itertools import chain
 from operator import itemgetter
 from typing import Optional, Tuple
 
-from .poset import FinitePoset, PosetError, bits
-from .implication import (JoinMissing, SetValuedTable, TheoremReport, _image, _lift,
+from .poset import FinitePoset, LazyDict, PosetError, bits, union
+from .implication import (JoinMissing, SetValuedTable, TheoremReport, _image,
                           cached, unit_law)
-from .ortho import OrthoPoset, paraortho_witness
+from .ortho import OrthoPoset, _antitone_failure, _para_row
 
 
 class SectionViolation(PosetError):
@@ -101,11 +108,10 @@ def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
                 raise SectionViolation(lx, f"domain mismatch at {poset.labels[y]}")
             if inside and not (poset.leq(x, row[y]) and row[row[y]] == y):
                 raise SectionViolation(lx, f"not an involution of the filter at {poset.labels[y]}")
-        for y in bits(filt):
-            for z in bits(poset.up[y]):
-                if not poset.leq(row[z], row[y]):
-                    raise SectionViolation(
-                        lx, f"not antitone on ({poset.labels[y]}, {poset.labels[z]})")
+        w = _antitone_failure(poset, row, filt)
+        if w is not None:
+            raise SectionViolation(
+                lx, f"not antitone on ({poset.labels[w[0]]}, {poset.labels[w[1]]})")
         rows.append(tuple(row))
     s = SectionedPoset(poset, tuple(rows))
     # forced for antitone involutions on bounded filters
@@ -115,41 +121,13 @@ def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
     return s
 
 
-class _PerRow(dict):
-    """``memo[key]``: ``build(p, *key)``, computed on first lookup and kept."""
-
-    __slots__ = ("p", "build")
-
-    def __init__(self, p: FinitePoset, build):
-        super().__init__()
-        self.p = p
-        self.build = build
-
-    def __missing__(self, key):
-        res = self[key] = self.build(self.p, *key)
-        return res
-
-
-def _per_row(p: FinitePoset, build) -> _PerRow:
-    """The results of ``build`` on ``p`` by their other arguments, kept on
-    ``p._memo`` under ``build`` for every family of ``p``."""
+def _per_row(p: FinitePoset, build) -> LazyDict:
+    """``memo[key]``: ``build(p, *key)``, kept on ``p._memo`` under
+    ``build`` for every family of ``p``."""
     memo = p._memo.get(build)
     if memo is None:
-        memo = p._memo[build] = _PerRow(p, build)
+        memo = p._memo[build] = LazyDict(lambda key: build(p, *key))
     return memo
-
-
-def _relpara_row(p: FinitePoset, x: int, row) -> Optional[Tuple[int, int, int]]:
-    """The first (x, y, z) with x <= y < z and y^x meet z = x inside [x,1],
-    where ``row`` is the section on [x,1]."""
-    filt, up, down = p.up[x], p.up, p.down
-    bottom = 1 << x
-    for y in bits(filt):
-        below_yi = down[row[y]] & filt
-        for z in bits(up[y] & ~(1 << y)):
-            if below_yi & down[z] == bottom:
-                return (x, y, z)
-    return None
 
 
 def relative_paraortho_witness(s: SectionedPoset) -> Optional[Tuple[int, int, int]]:
@@ -159,11 +137,11 @@ def relative_paraortho_witness(s: SectionedPoset) -> Optional[Tuple[int, int, in
     exist as an element. Each row is scanned once per poset; the witness
     is the first in (x, y, z) order.
     """
-    memo = _per_row(s.poset, _relpara_row)
+    memo = _per_row(s.poset, _para_row)
     for x, row in enumerate(s.sections):
         w = memo[x, row]
         if w is not None:
-            return w
+            return (x, *w)
     return None
 
 
@@ -244,13 +222,13 @@ def _th2_column(p: FinitePoset, y: int, row, col) -> Optional[tuple]:
         if up_y >> x & 1 and cell != 1 << row[x]:
             literal.append(("iii-ge", x, y))
         lhs = (col[cell.bit_length() - 1] if cell and not cell & (cell - 1)
-               else _lift(col, cell))
+               else union(col, cell))
         if lhs != minu:
             literal.append(("iv", x, y))
             if not approx2(lhs, minu):
                 elementwise.append(("iv", x, y))
         lhs = (col[lhs.bit_length() - 1] if lhs and not lhs & (lhs - 1)
-               else _lift(col, lhs))
+               else union(col, lhs))
         if lhs != cell:
             literal.append(("v", x, y))
             if not approx2(lhs, cell):
@@ -278,11 +256,6 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
     return rep
 
 
-def _paraortho_row(p: FinitePoset, row) -> bool:
-    """Whether ``row``, the section on [0,1], is paraorthomodular."""
-    return paraortho_witness(OrthoPoset(p, row)) is None
-
-
 def _law_column(p: FinitePoset, y: int, gy: int, col) -> bool:
     """Whether column ``col`` of I3 keeps the law at y, where gy = y^0:
     no x < y^0 has x -> y = {y}."""
@@ -294,13 +267,14 @@ def para_via_I3(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     """Global paraorthomodularity of ^0 against the implication law.
 
     The law: x <= y^0 and x -> y = {y} together force x = y^0. The
-    direct verdict reads row 0 once per poset, and the law at y reads
-    column y and y^0 once per poset.
+    direct verdict is relative paraorthomodularity on [0,1], read once
+    per poset and row 0, and the law at y reads column y and y^0 once
+    per poset.
     """
     t = cached(s, impl_I3)
     p = s.poset
     g = s.sections[p.bottom]
-    direct = _per_row(p, _paraortho_row)[g,]
+    direct = _per_row(p, _para_row)[p.bottom, g] is None
     laws = _per_row(p, _law_column)
     law = all(laws[y, gy, col] for y, (gy, col) in enumerate(zip(g, t.cols)))
     return direct, law, direct == law

@@ -2,7 +2,7 @@ import pytest
 
 from paraposet import amalgam as am, figures, fileformat
 from paraposet import ortho as O
-from paraposet.poset import PosetError
+from paraposet.poset import FinitePoset, PosetError
 
 import gallery
 from gallery import FIXTURES
@@ -89,7 +89,8 @@ def test_regularity_undefined_without_meets():
          ("u", "1"), ("v", "1")])
     inv = [p.index(l) for l in ("1", "u", "v", "y", "x", "p", "q", "0")]
     o = O.validate_involution(p, inv)
-    with pytest.raises(O.UndefinedTerm):
+    # the error names x and its involute, the first pair without a meet
+    with pytest.raises(O.UndefinedTerm, match=r"absent for \(x, y\)$"):
         O.is_regular(o)
 
 
@@ -130,3 +131,22 @@ def test_regularity_matches_the_pairwise_definition():
     assert verdicts == [_regular_pairwise(o) for o in structures]
     # each outcome occurs, so the comparison is not vacuous
     assert {True, False, "undefined"} <= set(verdicts)
+
+
+# -- validation and repr -------------------------------------------------
+
+def _chain3(name="chain3"):
+    return FinitePoset.from_covers("0a1", [("0", "a"), ("a", "1")], name=name)
+
+
+@pytest.mark.parametrize("inv", [(2, 1), (2, 1, 0, 1), (2, 1, 3), (-1, 1, 0), (2, -2, 0)])
+def test_validate_involution_rejects_a_map_of_the_wrong_length_or_range(inv):
+    # each of these fails the length check or one end of the range check
+    # alone; with that check gone it raises some other error or none
+    with pytest.raises(O.InvolutionError, match="must be a total self-map"):
+        O.validate_involution(_chain3(), inv)
+
+
+def test_ortho_repr_names_the_poset_or_its_size():
+    assert repr(O.validate_involution(_chain3(), (2, 1, 0))) == "OrthoPoset(chain3)"
+    assert repr(O.validate_involution(_chain3(""), (2, 1, 0))) == "OrthoPoset(3)"

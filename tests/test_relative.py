@@ -129,3 +129,11 @@ def test_join_semilattice_form_on_cube():
 def test_i4_needs_joins():
     with pytest.raises(R.NotJoinSemilattice):
         R.impl_I4(gallery.load("fig1a"))
+
+
+def test_sectioned_repr_names_the_poset_or_its_size():
+    p = FinitePoset.from_covers("0a1", [("0", "a"), ("a", "1")], name="chain3")
+    rows = [(2, 1, 0), (-1, 2, 1), (-1, -1, 2)]
+    assert repr(R.validate_sections(p, rows)) == "SectionedPoset(chain3)"
+    p = FinitePoset.from_covers("0a1", [("0", "a"), ("a", "1")])
+    assert repr(R.validate_sections(p, rows)) == "SectionedPoset(3)"

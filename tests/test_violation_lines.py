@@ -225,7 +225,7 @@ def _only_changed(clean, failing, tid):
 
 def test_a_failing_min_u_reading_is_reported_by_omui_alone(monkeypatch):
     clean = _sweep()
-    monkeypatch.setattr(O, "om_u_identity", lambda o: (False, False))
+    monkeypatch.setattr(O, "om_u_identity", lambda o: False)
     lines = _only_changed(clean, _sweep(), "omui")
     # one line per orthomodular structure, where the direct reading holds
     assert len(lines) == 5
