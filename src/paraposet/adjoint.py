@@ -1,23 +1,26 @@
 """Adjointness conditions for product/implication pairs.
 
 The element-level conditions (A)/(B) only make sense where both cells
-are singletons; non-singleton cells are counted as not applicable
-instead of being coerced. The subscripted variants work on arbitrary
-set-valued cells through the le1/le2 relations. Each (x, y) pair reads
-all z at once, as masks: le2 is the up-set of the product cell (x, y),
-the z with prod(x, y) le2 {z}; le1 is the implication table's le1 row
-``imp.le1[y][x]``, the z with {x} le1 imp(y, z); and ``single[y]`` is
-the z whose implication cell imp(y, z) is a singleton. A condition
-fails at (x, y) when its mask, such as ``le2 & ~le1`` for the
-subscripted (A), is nonzero, and its witness is the lowest such z, the
-first failing triple in (x, y, z) order. Residuation reads the same
-le1 row as the candidate set of (x, y), and the product is adjoint
-exactly when the up-set of each least candidate equals its candidate
-set. The two condition reports the statements share (the Sasaki pair,
-and the Sasaki product with the cone implication) and the residuation
-of the cone implication are built once per structure, through
-:func:`implication.cached`; the cone implication's le1 rows are built
-once per table and serve both.
+are singletons, so they read only those triples. The subscripted
+variants work on arbitrary set-valued cells through the le1/le2
+relations. Each (x, y) pair reads all z at once, as masks: le2 is the
+up-set of the product cell (x, y), the z with prod(x, y) le2 {z}; le1
+is the implication table's le1 row ``imp.le1[y][x]``, the z with
+{x} le1 imp(y, z); and ``single[y]`` is the z whose implication cell
+imp(y, z) is a singleton. The z at which a condition fails at (x, y)
+form one mask, such as ``le2 & ~le1`` for the subscripted (A); each
+condition ORs these masks over every pair into one accumulator, and
+holds when it ends at zero. Residuation reads the same le1 row as the
+candidate set of (x, y). A product is adjoint exactly when each
+candidate set is a principal filter, the up-set of the one element of
+its cell (Blyth & Janowitz, *Residuation Theory*); the up rows are
+distinct, so a dict from each row to its element finds that element
+with one lookup, and a pair whose candidate set is no up row has no
+adjoint product. The two condition reports the statements share (the
+Sasaki pair, and the Sasaki product with the cone implication) and the
+residuation of the cone implication are built once per structure,
+through :func:`implication.cached`; the cone implication's le1 rows are
+built once per table and serve both.
 
 The lattice-side statement, ``omidentity_equiv``, takes any involution
 of a lattice and reads each of its entries on its own. The orthomodular
@@ -74,52 +77,32 @@ class AdjointnessReport:
     holds_B: bool = True
     holds_A21: bool = True
     holds_B12: bool = True
-    witness_A: Optional[tuple] = None
-    witness_B: Optional[tuple] = None
-    witness_A21: Optional[tuple] = None
-    witness_B12: Optional[tuple] = None
-    not_applicable: int = 0
-
-
-def _low(mask: int) -> int:
-    """The index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
 
 
 def check_conditions(o: OrthoPoset, prod: SetValuedTable,
                      imp: SetValuedTable) -> AdjointnessReport:
     """Evaluate (A), (B) and their subscripted variants over all triples."""
     p = o.poset
-    n = p.n
     up, upset, le1_rows = p.up, p._upset, imp.le1
-    single = [0] * n
+    single = [0] * p.n
     for y, cells in enumerate(imp.cells):
         for z, c in enumerate(cells):
             if c and c & (c - 1) == 0:
                 single[y] |= 1 << z
-    # the z whose implication cell is not a singleton, per y
-    skipped = [n - bin(m).count("1") for m in single]
-    w_a = w_b = w_a21 = w_b12 = None
-    not_applicable = 0
+    # the z at which each condition fails, over every (x, y)
+    f_a = f_b = f_a21 = f_b12 = 0
     for x, cells in enumerate(prod.cells):
         for y, pc in enumerate(cells):
             le1 = le1_rows[y][x]
             if pc and pc & (pc - 1) == 0:
                 le2 = up[pc.bit_length() - 1]
-                not_applicable += skipped[y]
-                if w_a is None and (a := le2 & ~le1 & single[y]):
-                    w_a = (x, y, _low(a))
-                if w_b is None and (b := le1 & ~le2 & single[y]):
-                    w_b = (x, y, _low(b))
+                f_a |= le2 & ~le1 & single[y]
+                f_b |= le1 & ~le2 & single[y]
             else:
                 le2 = upset(pc)
-                not_applicable += n
-            if w_a21 is None and (a := le2 & ~le1):
-                w_a21 = (x, y, _low(a))
-            if w_b12 is None and (b := le1 & ~le2):
-                w_b12 = (x, y, _low(b))
-    return AdjointnessReport(w_a is None, w_b is None, w_a21 is None, w_b12 is None,
-                             w_a, w_b, w_a21, w_b12, not_applicable)
+            f_a21 |= le2 & ~le1
+            f_b12 |= le1 & ~le2
+    return AdjointnessReport(not f_a, not f_b, not f_a21, not f_b12)
 
 
 def _sasaki_conditions(o: OrthoPoset) -> AdjointnessReport:
@@ -252,47 +235,28 @@ def posth3_check(o: OrthoPoset) -> ConditionReport:
 
 # -- residuation ------------------------------------------------------
 
-@dataclass
-class ResiduationResult:
-    product: Optional[SetValuedTable]
-    failure: Optional[Tuple[int, int]] = None
-    adjoint: bool = False
+def residuate(o: OrthoPoset, imp: SetValuedTable) -> Optional[SetValuedTable]:
+    """The product adjoint to ``imp``, or None if there is none.
 
-
-def residuate(o: OrthoPoset, imp: SetValuedTable) -> ResiduationResult:
-    """Try to build the product adjoint to ``imp``.
-
-    For each (x, y) the candidate set is every z with x le1 imp(y, z),
-    the le1 row ``imp.le1[y][x]``; the product cell is its least
-    element, the e in it with ``cand & ~up[e] == 0``, and a pair without
-    one is reported as the ``failure``. In a finite poset an element is
-    least exactly when it is the only minimal one, so these are the
-    pairs whose candidate set has no minimal element or several. The
-    product is adjoint when every cell's up-set is its candidate set.
+    The candidate set of (x, y) is every z with x le1 imp(y, z), the le1
+    row ``imp.le1[y][x]``. The adjoint product's cell (x, y) is {e}
+    exactly when that row is ``up[e]``, the principal filter of e: e is
+    then the least candidate, and its up-set is the candidate set.
     """
     p = o.poset
-    up, le1 = p.up, imp.le1
-    adjoint = True
+    element = {row: e for e, row in enumerate(p.up)}.get
     cells = []
     for x in range(p.n):
-        row = []
-        for y, le1_y in enumerate(le1):
-            cand = le1_y[x]
-            for e in bits(cand):
-                if not cand & ~up[e]:
-                    break
-            else:
-                return ResiduationResult(None, failure=(x, y))
-            adjoint = adjoint and up[e] == cand
-            row.append(1 << e)
-        cells.append(tuple(row))
-    return ResiduationResult(SetValuedTable(p, tuple(cells)), adjoint=adjoint)
+        row = [element(le1_y[x]) for le1_y in imp.le1]
+        if None in row:
+            return None
+        cells.append(tuple([1 << e for e in row]))
+    return SetValuedTable(p, tuple(cells))
 
 
 def cone_adjoint(o: OrthoPoset) -> Optional[SetValuedTable]:
     """The product adjoint to the cone implication, or None if there is none."""
-    res = residuate(o, cached(o, impl_I))
-    return res.product if res.adjoint else None
+    return residuate(o, cached(o, impl_I))
 
 
 def adji_consequences(o: OrthoPoset, prod: SetValuedTable) -> TheoremReport:

@@ -164,10 +164,13 @@ def build(sf: StructureFile, basedir: str = ".") -> Structure:
             if rows[x][p.top] < 0:
                 rows[x][p.top] = x
         if sf.inv_pairs:
-            inv = _inv_map(p, sf.inv_pairs)
+            # the inv lines give the bottom row, and must agree with its section lines
+            inv, row = _inv_map(p, sf.inv_pairs), rows[p.bottom]
             for y in range(p.n):
-                if rows[p.bottom][y] < 0:
-                    rows[p.bottom][y] = inv[y]
+                if row[y] < 0:
+                    row[y] = inv[y]
+                elif row[y] != inv[y]:
+                    raise PosetError(f"conflicting involute for {p.labels[y]}")
         return validate_sections(p, rows)
     return validate_involution(p, _inv_map(p, sf.inv_pairs))
 

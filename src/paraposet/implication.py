@@ -172,10 +172,6 @@ class TheoremReport:
     violations: List[tuple] = field(default_factory=list)
     violations_elementwise: List[tuple] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.violations_elementwise
-
     def identity(self, p: FinitePoset, clause: str, lhs: int, rhs: int, *elems) -> None:
         """Record a set identity lhs = rhs of ``p`` failing literally and under approx2."""
         if lhs != rhs:

@@ -72,14 +72,6 @@ class SectionedPoset:
     sections: Tuple[Tuple[int, ...], ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def sec(self, x: int, y: int) -> int:
-        """The image y^x; y must lie in [x,1]."""
-        v = self.sections[x][y]
-        if v < 0:
-            raise SectionViolation(self.poset.labels[x],
-                                   f"{self.poset.labels[y]} not in the filter")
-        return v
-
     @property
     def n(self) -> int:
         return self.poset.n

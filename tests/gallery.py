@@ -84,3 +84,8 @@ def subset_rel(p: FinitePoset, a: int, b: int, kind: str) -> bool:
     if kind == EQ2:
         return subset_rel(p, a, b, LE2) and subset_rel(p, b, a, LE2)
     raise ValueError(f"unknown subset relation {kind!r}")
+
+
+def clean(rep) -> bool:
+    """Whether a ``TheoremReport`` has no violation under either reading."""
+    return not rep.violations and not rep.violations_elementwise

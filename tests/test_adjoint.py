@@ -31,7 +31,6 @@ def test_fig2a_sasaki_pair_fails():
     o = gallery.ortho("fig2a")
     rep = A.check_conditions(o, I.sasaki_proj(o), I.sasaki_impl(o))
     assert not rep.holds_A and not rep.holds_B
-    assert rep.witness_A is not None
 
 
 def test_forward_backward_equivalence():
@@ -265,17 +264,15 @@ def test_mixed_pair_condition_forces_orthomodularity():
 def test_cube_residuation_recovers_meet():
     cube = figures.boolean_cube()
     p = cube.poset
-    res = A.residuate(cube, I.impl_I(cube))
-    assert res.adjoint and res.failure is None
+    prod = A.residuate(cube, I.impl_I(cube))
     for x in range(p.n):
         for y in range(p.n):
-            assert res.product.cell(x, y) == 1 << p.meet(x, y)
+            assert prod.cell(x, y) == 1 << p.meet(x, y)
 
 
 def test_adjoint_consequences_on_cube():
     cube = figures.boolean_cube()
-    res = A.residuate(cube, I.impl_I(cube))
-    rep = A.adji_consequences(cube, res.product)
+    rep = A.adji_consequences(cube, A.residuate(cube, I.impl_I(cube)))
     assert not rep.violations, rep.violations
 
 
@@ -334,18 +331,16 @@ def _subset_rel_conditions(o, prod, imp):
                 if pc & (pc - 1) == 0 and ic & (ic - 1) == 0:
                     pe = pc.bit_length() - 1
                     ie = ic.bit_length() - 1
-                    if p.leq(pe, z) and not p.leq(x, ie) and rep.holds_A:
-                        rep.holds_A, rep.witness_A = False, (x, y, z)
-                    if p.leq(x, ie) and not p.leq(pe, z) and rep.holds_B:
-                        rep.holds_B, rep.witness_B = False, (x, y, z)
-                else:
-                    rep.not_applicable += 1
+                    if p.leq(pe, z) and not p.leq(x, ie):
+                        rep.holds_A = False
+                    if p.leq(x, ie) and not p.leq(pe, z):
+                        rep.holds_B = False
                 le2 = gallery.subset_rel(p, pc, 1 << z, gallery.LE2)
                 le1 = gallery.subset_rel(p, 1 << x, ic, gallery.LE1)
-                if le2 and not le1 and rep.holds_A21:
-                    rep.holds_A21, rep.witness_A21 = False, (x, y, z)
-                if le1 and not le2 and rep.holds_B12:
-                    rep.holds_B12, rep.witness_B12 = False, (x, y, z)
+                if le2 and not le1:
+                    rep.holds_A21 = False
+                if le1 and not le2:
+                    rep.holds_B12 = False
     return rep
 
 
@@ -363,6 +358,8 @@ def _min_of(p, a):
 
 
 def _subset_rel_residuate(o, imp):
+    """``(product, kind)``: the product adjoint to ``imp`` or None, and
+    "adjoint", "no least candidate" or "up-set too big"."""
     p = o.poset
     r = range(p.n)
     le1 = [[[gallery.subset_rel(p, 1 << x, imp.cell(y, z), gallery.LE1) for z in r]
@@ -373,13 +370,14 @@ def _subset_rel_residuate(o, imp):
         for y in r:
             least = _min_of(p, sum(1 << z for z in r if le1[x][y][z]))
             if least == 0 or least & (least - 1):
-                return A.ResiduationResult(None, failure=(x, y))
+                return None, "no least candidate"
             row.append(least)
         cells.append(tuple(row))
     prod = I.SetValuedTable(p, tuple(cells))
-    adjoint = all(p.leq(_element(prod, x, y), z) == le1[x][y][z]
-                  for x in r for y in r for z in r)
-    return A.ResiduationResult(prod, adjoint=adjoint)
+    if all(p.leq(_element(prod, x, y), z) == le1[x][y][z]
+           for x in r for y in r for z in r):
+        return prod, "adjoint"
+    return None, "up-set too big"
 
 
 def _ortho_structures():
@@ -403,7 +401,7 @@ def _sectioned_structures():
 
 
 def test_conditions_match_subset_relations():
-    reports = []
+    reports, nonsingleton = [], 0
     for o in _ortho_structures():
         try:
             pairs = [(I.sasaki_proj(o), I.sasaki_impl(o)),
@@ -414,13 +412,15 @@ def test_conditions_match_subset_relations():
             rep = A.check_conditions(o, prod, imp)
             assert rep == _subset_rel_conditions(o, prod, imp)
             reports.append(rep)
+            nonsingleton += any(c & (c - 1) for t in (prod, imp) for row in t.cells
+                                for c in row)
         imp = I.impl_I(o)
-        assert A.residuate(o, imp) == _subset_rel_residuate(o, imp)
-    # the comparison covers failing and non-singleton cells
-    assert any(r.not_applicable for r in reports)
-    assert any(r.witness_A21 for r in reports)
-    assert any(r.witness_B12 for r in reports)
-    assert any(r.holds_A21 and r.holds_B12 for r in reports)
+        assert A.residuate(o, imp) == _subset_rel_residuate(o, imp)[0]
+    # the comparison covers non-singleton cells, and each condition
+    # fails somewhere and holds somewhere
+    assert nonsingleton
+    for verdict in ("holds_A", "holds_B", "holds_A21", "holds_B12"):
+        assert {getattr(r, verdict) for r in reports} == {True, False}
 
 
 # -- per-triple references for the bit-parallel theorem kernels --------
@@ -554,7 +554,7 @@ def _cone_kernels(o):
     prod = I.sasaki_proj(o)
     return ((I.check_th1(o), _check_th1_reference(o)),
             (A.check_conditions(o, prod, imp), _subset_rel_conditions(o, prod, imp)),
-            (A.residuate(o, imp), _subset_rel_residuate(o, imp)),
+            (A.residuate(o, imp), _subset_rel_residuate(o, imp)[0]),
             (I.unit_law(imp), _unit_law_reference(imp)))
 
 
@@ -569,15 +569,19 @@ def test_cone_kernels_match_per_triple_references_at_n8():
     # the fixture carriers
     structures = [o for o in gallery.ortho_posets(8) if O.is_orthogonal_poset(o)]
     assert len(structures) == 159
-    residuations = Counter()
+    failing, residuations = Counter(), Counter()
     for o in structures:
         kernels = _cone_kernels(o)
         for got, want in kernels:
             assert got == want, o
-        res = kernels[2][0]
-        residuations[res.failure is not None, res.adjoint] += 1
-    # failed, non-adjoint and adjoint residuations are all compared
-    assert set(residuations) == {(True, False), (False, False), (False, True)}
+        conditions = kernels[1][0]
+        failing.update(v for v in ("holds_A", "holds_B", "holds_A21", "holds_B12")
+                       if not getattr(conditions, v))
+        residuations[_subset_rel_residuate(o, I.cached(o, I.impl_I))[1]] += 1
+    # each condition fails somewhere, and residuate returns None both
+    # where a pair has no least candidate and where its up-set is too big
+    assert set(failing) == {"holds_A", "holds_B", "holds_A21", "holds_B12"}
+    assert set(residuations) == {"no least candidate", "up-set too big", "adjoint"}
 
 
 def test_cone_kernels_match_references_on_perturbed_tables():

@@ -28,7 +28,7 @@ def test_requires_orthogonality():
 def test_th1_clean_on_examples():
     for name in ("fig2a", "fig2b", "fig3", "fig5", "fig8"):
         rep = I.check_th1(gallery.ortho(name))
-        assert rep.ok, rep.violations
+        assert gallery.clean(rep), rep.violations
 
 
 def _th1_cells(o):
@@ -170,7 +170,7 @@ def test_every_ortho_theorem_holds_on_the_orthogonal_non_lattices_at_n10():
 def test_sharp_collapse_laws():
     for name in ("fig2a", "fig2b", "fig8"):
         rep = I.check_lemma_sharply(gallery.ortho(name))
-        assert rep.ok, rep.violations
+        assert gallery.clean(rep), rep.violations
 
 
 def test_unit_law_characterization():

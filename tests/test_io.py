@@ -73,6 +73,19 @@ def test_missing_involute_is_semantic_error():
         ff.build(ff.parse(bad))
 
 
+def test_inv_lines_must_agree_with_the_bottom_section_row(tmp_path, capsys):
+    # fig7s's section lines on [0,1] swap a with a' and b with b'
+    text = (FIXTURES / "fig7s.poset").read_text()
+    assert ff.emit(ff.build(ff.parse(text + "inv a a'\ninv b b'\n"))) == text
+    path = tmp_path / "conflict.poset"
+    path.write_text(text + "inv a b\ninv b' a'\n")
+    with pytest.raises(PosetError, match="conflicting involute for a$"):
+        ff.build(ff.parse(path.read_text()))
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: conflicting involute for a\n")
+
+
 def test_two_chain_dot():
     from paraposet.poset import FinitePoset
     p = FinitePoset.from_covers(["0", "1"], [("0", "1")])
@@ -480,6 +493,20 @@ def test_cli_verify_sweep_matches_golden_report(capsys):
     assert golden["argv"] == ["verify", "--max-n", "7"]
     assert cli.main(golden["argv"]) == golden["exit"]
     assert capsys.readouterr().out == golden["stdout"]
+
+
+@pytest.mark.parametrize("part, full", [
+    ("verify-omid-n9.txt", "verify-n9.txt"),
+    ("verify-omid-n10.txt", "verify-n10.txt"),
+    ("verify-sect-n10.txt", "verify-n10.txt"),
+])
+def test_single_theorem_reports_are_lines_of_the_full_report(part, full):
+    # CI diffs only the full reports, so each committed single-theorem
+    # report must be read off the full one for the same max-n
+    *lines, total = (ROOT / "tests" / "data" / part).read_text().splitlines()
+    *full_lines, full_total = (ROOT / "tests" / "data" / full).read_text().splitlines()
+    assert total.split(", ")[-1] == full_total.split(", ")[-1]
+    assert lines and set(lines) <= set(full_lines)
 
 
 def test_cli_gallery_matches_golden(capsys, monkeypatch):
