@@ -3,18 +3,25 @@
 Each registered check is offered the items of one stream of small
 structures and returns the bare texts of its violations (expected:
 none). ``run_harness`` turns each text into a report line by prefixing
-``_tag(item)``, the one place that names the structure. A run walks
-the bounded posets once per size n and expands each poset into the
-items of every requested stream: its antitone involutions (``ortho``),
-its section families (``sectioned``) and, on lattices, all its
-involutions (``lattice-inv``), enumerated and validated once per size.
-The check of a lattice/involution pair is one frame: one lookup in the
+``_tag(p)``, the one place that names the poset p the item is built on.
+A run walks the bounded posets once per size n and expands each poset
+into the items of every requested stream: its antitone involutions
+(``ortho``), its section families (``sectioned``) and, on lattices, all
+its involutions (``lattice-inv``), enumerated and validated once per
+size. The ``lattice-inv`` items are a sized view, not a list: iterating
+it pairs the lattice with each involution of its size, and it is empty
+on any other poset. Each theorem runs over the items of one poset under
+one timer, with its ``applies`` and ``check`` read once per poset;
+``map`` calls the check on each item and ``chain`` joins the results,
+both at C level, so each item costs one call of the check and no other
+Python frame. The check of a lattice/involution pair reads the
 lattice's fit dict (``adjoint._omidentity_fits``, built once per
-lattice), returning a shared empty result when the two verdicts agree.
-Each theorem then runs over the items of one poset under one timer,
-with its ``applies`` and ``check`` read once per poset. Streams and
-results are fully deterministic, so repeated runs with equal settings
-produce identical reports.
+lattice) and returns a shared empty result when the dict is empty, as
+on most lattices, without hashing the involution, or when the pair's
+two verdicts agree. The tag is computed once per theorem and poset,
+and only for a poset with a violation. Streams and results are fully
+deterministic, so repeated runs with equal settings produce identical
+reports.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import adjoint, implication, relative
@@ -52,9 +59,8 @@ class HarnessResult:
                 "violations": list(self.violations)}
 
 
-def _tag(item) -> str:
-    """The crc32 tag of the poset a stream item is built on."""
-    p = item[0] if isinstance(item, tuple) else item.poset
+def _tag(p) -> str:
+    """The crc32 tag of the poset ``p``, which names its stream items."""
     key = repr((p.labels, p.up)).encode()
     return f"n={p.n}:{zlib.crc32(key):08x}"
 
@@ -161,9 +167,19 @@ def _nary_dist(o):
     return [f"n-ary identity fails at {xs},{z}"]
 
 
-def _lattice_involutions(p, invs):
-    """``p`` with each of ``invs``, the involutions of its size, on a lattice."""
-    return zip(repeat(p), invs) if p.is_lattice else ()
+class _LatticeInvolutions:
+    """``p`` paired with each of ``invs``, the involutions of its size, on
+    a lattice, and nothing on any other poset; sized, and iterable more
+    than once, without a list of the pairs."""
+
+    def __init__(self, p, invs):
+        self.p, self.invs = p, invs if p.is_lattice else ()
+
+    def __len__(self):
+        return len(self.invs)
+
+    def __iter__(self):
+        return zip(repeat(self.p), self.invs)
 
 
 _AGREE = ()     # the result of every pair whose verdicts agree, shared
@@ -172,11 +188,13 @@ _AGREE = ()     # the result of every pair whose verdicts agree, shared
 def _omid(pair):
     # the harness has validated every involution of the size once; an
     # involution missing from the fit dict fits neither mask, so both
-    # verdicts are False
+    # verdicts are False, and an empty dict leaves nothing to look up
     p, inv = pair
     fits = p._memo.get(adjoint._omidentity_fits)
     if fits is None:
         fits = implication.cached(p, adjoint._omidentity_fits)
+    if not fits:
+        return _AGREE
     verdicts = fits.get(inv)
     if verdicts is None or verdicts[0] == verdicts[1]:
         return _AGREE
@@ -267,17 +285,18 @@ _register("completeness-finite", "ortho",
 
 
 def _items(kind: str, p, invs):
-    """The items of stream ``kind`` that the bounded poset ``p`` expands into.
+    """The items of stream ``kind`` that the bounded poset ``p`` expands into,
+    sized and iterable once per theorem of the stream.
 
     ``invs`` holds every involution of ``p.n`` points, enumerated once
     per size for the ``lattice-inv`` stream.
     """
     if kind == "ortho":
-        return ortho_structures(p)
+        return list(ortho_structures(p))
     if kind == "sectioned":
-        return sectioned_structures(p)
+        return list(sectioned_structures(p))
     if kind == "lattice-inv":
-        return _lattice_involutions(p, invs)
+        return _LatticeInvolutions(p, invs)
     raise ValueError(f"unknown stream {kind!r}")
 
 
@@ -296,12 +315,12 @@ def run_harness(max_n: int = 6,
 
     The bounded posets of each size are enumerated once, and the
     involutions of each size are enumerated and checked to be
-    involutions once. Each poset is expanded into the list of items of
-    every stream a requested theorem reads, and each theorem of that
-    stream filters the list by its ``applies`` and checks the items that
-    pass, timed once per poset. A theorem sees its
-    items in (n, poset, item) order, and ``seconds`` is its own
-    ``applies`` and ``check`` time, not the shared enumeration.
+    involutions once. Each poset is expanded into the items of every
+    stream a requested theorem reads (see ``_items``), and each theorem
+    of that stream filters them by its ``applies`` and checks the items
+    that pass, timed once per poset. A theorem sees its items in
+    (n, poset, item) order, and ``seconds`` is its own ``applies`` and
+    ``check`` time, not the shared enumeration.
     """
     wanted = sorted(THEOREMS) if ids is None else list(ids)
     validate_ids(wanted)
@@ -315,14 +334,15 @@ def run_harness(max_n: int = 6,
             adjoint.require_involution(n, inv)
         for p in bounded_posets(n):
             for kind, pairs in by_stream.items():
-                items = list(_items(kind, p, invs))
+                items = _items(kind, p, invs)
                 for th, res in pairs:
                     applies, check = th.applies, th.check
                     t0 = time.perf_counter()
                     chosen = items if applies is None else list(filter(applies, items))
-                    for item in chosen:
-                        for v in check(item):
-                            res.violations.append(f"{_tag(item)} {v}")
+                    found = list(chain.from_iterable(map(check, chosen)))
+                    if found:
+                        tag = _tag(p)
+                        res.violations += [f"{tag} {v}" for v in found]
                     res.seconds += time.perf_counter() - t0
                     res.instances += len(chosen)
     return [results[tid] for tid in wanted]

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import os
 import pathlib
 import random
@@ -84,21 +86,55 @@ def test_om_identity_masks_match_reference():
     assert sum(cube_split.values()) == 764 and cube_split[True, True, True]
 
 
+@functools.lru_cache(maxsize=None)
+def _definition_masks(p):
+    """``(G, H)`` of the lattice ``p`` by definition, every row in full."""
+    meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
+    g = tuple(sum(1 << a for a in r if all(
+        joins[x][meets[joins[x][y]][a]] == joins[x][y]
+        and meets[x][joins[meets[x][y]][a]] == meets[x][y] for y in r))
+        for x in r)
+    h = tuple(sum(1 << b for b in r if all(
+        (up[meets[y][joins[x][b]]] >> z & 1) == (up[x] >> joins[b][meets[y][z]] & 1)
+        for x in r for z in r))
+        for y in r)
+    return g, h
+
+
+def _cube_beside_a_chain():
+    """The cube with one more element e, 0 < e < 1, beside the rest."""
+    cube = figures.boolean_cube().poset
+    covers = [(a, b) for a in range(cube.n) for b in bits(cube.up[a])
+              if a != b and cube.up[a] & cube.down[b] == 1 << a | 1 << b]
+    labels = list(cube.labels) + ["e"]
+    return FinitePoset.from_covers(labels, covers + [("0", "e"), ("e", "1")])
+
+
+def _mask_lattices():
+    # every lattice with n <= 8, the cube, and the cube beside a chain.
+    # On a lattice with n <= 8, a row that would be filled if the u
+    # clause, the d clause or the unit were dropped comes with another
+    # empty row, so the mask stops either way; on the 9-element lattice
+    # it does not
+    return ([p for n in range(2, 9) for p in U.bounded_posets(n) if p.is_lattice]
+            + [figures.boolean_cube().poset, _cube_beside_a_chain()])
+
+
 def test_om_identity_masks_match_their_definition():
     # the verdicts alone would not see a dropped clause: on every lattice
-    # with n <= 8 the two identities fail for the same involutions
-    lattices = [p for n in range(2, 9) for p in U.bounded_posets(n) if p.is_lattice]
-    for p in lattices + [figures.boolean_cube().poset]:
-        meets, joins, up, r = p.meets, p.joins, p.up, range(p.n)
-        g = [sum(1 << a for a in r if all(
-            joins[x][meets[joins[x][y]][a]] == joins[x][y]
-            and meets[x][joins[meets[x][y]][a]] == meets[x][y] for y in r))
-            for x in r]
-        h = [sum(1 << b for b in r if all(
-            (up[meets[y][joins[x][b]]] >> z & 1) == (up[x] >> joins[b][meets[y][z]] & 1)
-            for x in r for z in r))
-            for y in r]
-        assert A._omidentity_masks(p) == (tuple(g), tuple(h)), p.up
+    # with n <= 8 the two identities fail for the same involutions. A mask
+    # is None exactly where its definition has an empty row, and no
+    # involution fits such a mask; otherwise it is the definition, row
+    # for row
+    kept = Counter()
+    for p in _mask_lattices():
+        got = A._omidentity_masks(p)
+        for name, mask, want in zip("GH", got, _definition_masks(p)):
+            assert mask == (None if 0 in want else want), (name, p.up)
+            kept[name, mask is not None] += 1
+    # both masks are kept on some lattices and stopped on others, so a
+    # build that always or never stops fails
+    assert all(kept[name, stopped] for name in "GH" for stopped in (True, False))
 
 
 def test_om_identity_rejects_malformed_involutions():
@@ -111,17 +147,18 @@ def test_om_identity_rejects_malformed_involutions():
 
 
 def test_om_identity_fit_sets_match_the_masks():
-    lattices = [p for n in range(2, 9) for p in U.bounded_posets(n) if p.is_lattice]
+    # read against the masks by definition, so a stopped mask that
+    # reached the backtracker as None, which means every involution,
+    # would fail here
     sizes = Counter()
-    for p in lattices + [figures.boolean_cube().poset]:
-        g, h = A._omidentity_masks(p)
+    for p in _mask_lattices():
         invs = list(U.involutions(p.n))
 
         def fitting(masks):
             return frozenset(inv for inv in invs
                              if all(masks[x] >> a & 1 for x, a in enumerate(inv)))
 
-        fits_g, fits_h = fitting(g), fitting(h)
+        fits_g, fits_h = map(fitting, _definition_masks(p))
         fits = A._omidentity_fits(p)
         # keyed by exactly the involutions that fit a mask, each with both verdicts
         assert fits.keys() == fits_g | fits_h, p.up
@@ -228,6 +265,27 @@ def test_omidentity_sweep_builds_no_pair_bound_table(monkeypatch):
     # the counter sees the builds of a theorem that reads the tables
     [res] = H.run_harness(4, ["completeness-finite"])
     assert res.ok and builds
+
+
+def test_omidentity_check_receives_one_call_per_pair(monkeypatch):
+    # the benchmark's traced pass pins the items the check receives at
+    # n = 7; this is the same pin, with the items themselves: one
+    # (lattice, involution) tuple per call, in poset order and then in
+    # involution order
+    seen = []
+    th = H.THEOREMS["omidentity"]
+
+    def recording(item):
+        seen.append(item)
+        return th.check(item)
+
+    monkeypatch.setitem(H.THEOREMS, "omidentity", dataclasses.replace(th, check=recording))
+    [res] = H.run_harness(7, ["omidentity"])
+    assert res.ok and res.instances == len(seen) == 13592
+    assert sum(p.n == 7 for p, _ in seen) == 12296
+    assert all(type(item) is tuple for item in seen)
+    assert seen == [(p, inv) for n in range(2, 8) for p in U.bounded_posets(n)
+                    if p.is_lattice for inv in U.involutions(n)]
 
 
 @pytest.mark.parametrize("mask", ["G", "H"])
@@ -421,6 +479,48 @@ def test_conditions_match_subset_relations():
     assert nonsingleton
     for verdict in ("holds_A", "holds_B", "holds_A21", "holds_B12"):
         assert {getattr(r, verdict) for r in reports} == {True, False}
+
+
+def test_check_conditions_reads_rows_until_every_condition_has_failed():
+    # Real pairs cannot show where the scan may stop: of the 156 reports
+    # the sweep up to n = 7 builds, 149 fail all four conditions and 7
+    # hold all four. On the cube the Sasaki pair meets all four, so
+    # edited product cells can show it. Each edit below fails the
+    # conditions listed with it, and only in its row: the subscripted (A)
+    # first fails in row x, the subscripted (B) in row y, (A) in row z
+    # and (B) only in the last row, 1. A scan that stopped before all
+    # four accumulators were nonzero would miss (B).
+    cube = figures.boolean_cube()
+    p = cube.poset
+    x, y, z, top = map(p.labels.index, "xyz1")
+    bottom = p.bottom
+    # the Sasaki product of (a, 1) is a, and that of (a, 0) is 0
+    edits = [((x, top), 1 << x | 1 << y, {"A21"}),     # x as {x, y}
+             ((y, bottom), 1 << x | 1 << z, {"B12"}),  # 0 as {x, z}
+             ((z, top), 1 << bottom, {"A", "A21"}),    # z as {0}
+             ((top, bottom), 1 << top, {"B", "B12"})]  # 0 as {1}
+    rows = [row for (row, _), _, _ in edits]
+    assert rows == sorted(set(rows)) and rows[-1] == p.n - 1
+    clean, imp = I.sasaki_proj(cube), I.sasaki_impl(cube)
+
+    def edited(chosen):
+        cells = [list(row) for row in clean.cells]
+        for (a, b), cell, _ in chosen:
+            cells[a][b] = cell
+        return I.SetValuedTable(p, tuple(map(tuple, cells)))
+
+    def failing(rep):
+        return {c for c in ("A", "B", "A21", "B12") if not getattr(rep, f"holds_{c}")}
+
+    assert failing(A.check_conditions(cube, clean, imp)) == set()
+    for edit in edits:
+        assert failing(_subset_rel_conditions(cube, edited([edit]), imp)) == edit[2]
+    assert failing(_subset_rel_conditions(cube, edited(edits[:-1]), imp)) == {
+        "A", "A21", "B12"}
+    prod = edited(edits)
+    rep = A.check_conditions(cube, prod, imp)
+    assert rep == _subset_rel_conditions(cube, prod, imp)
+    assert failing(rep) == {"A", "B", "A21", "B12"}
 
 
 # -- per-triple references for the bit-parallel theorem kernels --------
