@@ -156,7 +156,10 @@ def build(sf: StructureFile, basedir: str = ".") -> Structure:
     if sf.sections:
         rows = [[-1] * p.n for _ in range(p.n)]
         for x, y, z in sf.sections:
-            rows[p.index(x)][p.index(y)] = p.index(z)
+            row, iy, iz = rows[p.index(x)], p.index(y), p.index(z)
+            if row[iy] not in (-1, iz):
+                raise PosetError(f"conflicting section image for {y} in [{x},1]")
+            row[iy] = iz
         # fill forced images
         for x in range(p.n):
             if rows[x][x] < 0:

@@ -10,11 +10,18 @@ into the items of every requested stream: its antitone involutions
 its involutions (``lattice-inv``), enumerated and validated once per
 size. The ``lattice-inv`` items are a sized view, not a list: iterating
 it pairs the lattice with each involution of its size, and it is empty
-on any other poset. Each theorem runs over the items of one poset under
-one timer, with its ``applies`` and ``check`` read once per poset;
-``map`` calls the check on each item and ``chain`` joins the results,
-both at C level, so each item costs one call of the check and no other
-Python frame. The check of a lattice/involution pair reads the
+on any other poset. ``relpara-under-c``, a statement on the section
+families that satisfy the compatibility condition, reads the ``ortho``
+stream and checks the family each orthomodular structure induces: a
+family with the condition is the one its row 0 induces (see
+``relative``), and up to n = 10 these are exactly the induced families
+of the orthomodular structures. Its check raises where the condition
+fails, so the condition is a conclusion there, not a filter.
+
+Each theorem runs over the items of one poset under one timer, with
+its ``applies`` and ``check`` read once per poset; ``map`` calls the
+check on each item and ``chain`` joins the results, both at C level, so
+each item costs one call of the check and no other Python frame. The check of a lattice/involution pair reads the
 lattice's fit dict (``adjoint._omidentity_fits``, built once per
 lattice) and returns a shared empty result when the dict is empty, as
 on most lattices, without hashing the involution, or when the pair's
@@ -93,10 +100,6 @@ def _forces_om(condition):
 
 def _lattice(o):
     return o.poset.is_lattice
-
-
-def _compatible(s):
-    return implication.cached(s, relative.check_C)[0]
 
 
 def _antitone(module, name):
@@ -234,8 +237,10 @@ _register("th2", "sectioned", _report_th(relative.check_th2),
           "elementary laws of the section implication")
 _register("para-via-i3", "sectioned", _agree3(relative.para_via_I3), None,
           "global paraorthomodularity via the section implication")
-_register("relpara-under-c", "sectioned", _agree3(relative.relpara_via_impl_under_C),
-          _compatible, "relative paraorthomodularity via the unit law under compatibility")
+_register("relpara-under-c", "ortho",
+          _agree3(lambda o: relative.relpara_via_impl_under_C(
+              implication.cached(o, relative.sections_from_involution))),
+          is_orthomodular, "relative paraorthomodularity via the unit law under compatibility")
 _register("i4-antitone", "sectioned", _antitone(relative, "impl_I4"), _lattice,
           "join-semilattice implication antitone in the first slot")
 _ab_equiv = _holds(adjoint.lemma_AB_equiv, "A/B verdicts split")

@@ -61,14 +61,6 @@ class SetValuedTable:
     def cell(self, x: int, y: int) -> int:
         return self.cells[x][y]
 
-    @classmethod
-    def from_columns(cls, poset: FinitePoset, cols) -> "SetValuedTable":
-        """The table whose column y is ``cols[y]``; it keeps ``cols``."""
-        t = cls(poset, tuple(zip(*cols)))
-        # the slot ``cols`` fills on first use, filled here
-        t.__dict__["cols"] = tuple(cols)
-        return t
-
     @cached_property
     def cols(self) -> Tuple[Tuple[int, ...], ...]:
         """``cols[y][x]``: the cell (x, y)."""

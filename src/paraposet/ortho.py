@@ -315,10 +315,15 @@ def is_boolean_algebra(o: OrthoPoset) -> bool:
 
 
 def is_kleene_lattice(o: OrthoPoset) -> bool:
-    """Distributive, regular, paraorthomodular lattice."""
-    if not (o.poset.is_lattice and o.poset.is_distributive):
-        return False
-    return is_regular(o) and is_paraorthomodular(o)
+    """Distributive, regular, paraorthomodular lattice.
+
+    Paraorthomodularity is not tested: a distributive lattice is
+    paraorthomodular under every antitone involution. Take x <= y with
+    x' ^ y = 0. Then x v y' = (x' ^ y)' = 1, and y' <= x' gives
+    y ^ y' <= x' ^ y = 0, so by distributivity
+    y = y ^ (x v y') = (y ^ x) v (y ^ y') = x.
+    """
+    return o.poset.is_lattice and o.poset.is_distributive and is_regular(o)
 
 
 def nonorthogonal_zero_meets(o: OrthoPoset) -> Iterator[Tuple[int, int]]:

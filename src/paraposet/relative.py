@@ -21,11 +21,19 @@ The families of a poset are the product of its filters' rows, so each
 row recurs in many families. Each of these results is therefore built
 once per poset for each (filter, row) it reads and kept on the poset,
 in one ``poset.LazyDict`` per builder (``_per_row``), and a family's
-result combines its n entries. An entry read off a column is keyed by
-that column as well, as read from the family's own table, so a table
-kept on the structure in place of the built one is read as it is. The
+result combines its n entries. The ``th2`` and ``para-via-i3`` entries
+read their I3 column from the column entries of the same poset, so no
+family assembles an I3 table for them; the I3 and I4 tables are built
+from the same columns, for the statements that read whole tables. The
 ``th2`` violations of the columns are merged in (x, y, clause) order,
 the order of a cell-by-cell scan.
+
+A family that satisfies the compatibility condition C is the family
+z^y = z' v y induced by its own row 0 (``sections_from_involution``),
+since C at x = 0 reads z^y = z^0 v y. So ``relpara-under-c``, whose
+hypothesis is C, is checked on the induced family of each orthomodular
+structure, where C is a conclusion; up to n = 10 these are exactly the
+families with C, and no family is scanned for C.
 
 The scans of one row on its filter are those of ``ortho``: antitonicity
 (``_antitone_failure``) and relative paraorthomodularity
@@ -166,8 +174,8 @@ def impl_I3(s: SectionedPoset) -> SetValuedTable:
     Column y reads row y alone, and is built once per poset and row.
     """
     memo = _per_row(s.poset, _i3_column)
-    return SetValuedTable.from_columns(
-        s.poset, [memo[y, row] for y, row in enumerate(s.sections)])
+    cols = [memo[y, row] for y, row in enumerate(s.sections)]
+    return SetValuedTable(s.poset, tuple(zip(*cols)))
 
 
 def _i4_column(p: FinitePoset, y: int, row) -> Tuple[int, ...]:
@@ -186,18 +194,19 @@ def impl_I4(s: SectionedPoset) -> SetValuedTable:
             y = joins_x.index(None)
             raise NotJoinSemilattice(f"join of {p.labels[x]} and {p.labels[y]} missing")
     memo = _per_row(p, _i4_column)
-    return SetValuedTable.from_columns(
-        p, [memo[y, row] for y, row in enumerate(s.sections)])
+    cols = [memo[y, row] for y, row in enumerate(s.sections)]
+    return SetValuedTable(p, tuple(zip(*cols)))
 
 
-def _th2_column(p: FinitePoset, y: int, row, col) -> Optional[tuple]:
-    """The ``th2`` violations of column ``col`` of I3, where ``row`` is the
+def _th2_column(p: FinitePoset, y: int, row) -> Optional[tuple]:
+    """The ``th2`` violations of column y of I3, where ``row`` is the
     section on [y,1]: None, or the (clause, x, y) tuples, literal and
     elementwise, in (x, clause) order.
 
     Clause (iii-ge) follows from (iii-join), since y <= x gives
     x v y = x; it is checked on its own all the same.
     """
+    col = _per_row(p, _i3_column)[y, row]
     up, up_y = p.up, p.up[y]
     one, approx2 = 1 << p.top, p._approx2
     literal, elementwise = [], []
@@ -234,12 +243,11 @@ _BY_CELL = itemgetter(1, 2)
 def check_th2(s: SectionedPoset) -> TheoremReport:
     """Elementary properties of the section implication.
 
-    Each column is checked once per poset, row and column.
+    Each column is checked once per poset and row.
     """
-    t = cached(s, impl_I3)
     memo = _per_row(s.poset, _th2_column)
     rep = TheoremReport("th2")
-    found = [memo[y, row, col] for y, (row, col) in enumerate(zip(s.sections, t.cols))]
+    found = [memo[y, row] for y, row in enumerate(s.sections)]
     if any(found):
         rep.violations = sorted(chain.from_iterable(f[0] for f in found if f),
                                 key=_BY_CELL)
@@ -248,10 +256,10 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
     return rep
 
 
-def _law_column(p: FinitePoset, y: int, gy: int, col) -> bool:
-    """Whether column ``col`` of I3 keeps the law at y, where gy = y^0:
-    no x < y^0 has x -> y = {y}."""
-    bit = 1 << y
+def _law_column(p: FinitePoset, y: int, gy: int, row) -> bool:
+    """Whether column y of I3 keeps the law at y, where gy = y^0 and
+    ``row`` is the section on [y,1]: no x < y^0 has x -> y = {y}."""
+    col, bit = _per_row(p, _i3_column)[y, row], 1 << y
     return all(col[x] != bit for x in bits(p.down[gy] & ~(1 << gy)))
 
 
@@ -261,21 +269,22 @@ def para_via_I3(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     The law: x <= y^0 and x -> y = {y} together force x = y^0. The
     direct verdict is relative paraorthomodularity on [0,1], read once
     per poset and row 0, and the law at y reads column y and y^0 once
-    per poset.
+    per poset, row y and y^0.
     """
-    t = cached(s, impl_I3)
     p = s.poset
     g = s.sections[p.bottom]
     direct = _per_row(p, _para_row)[p.bottom, g] is None
     laws = _per_row(p, _law_column)
-    law = all(laws[y, gy, col] for y, (gy, col) in enumerate(zip(g, t.cols)))
+    law = all(laws[y, gy, row] for y, (gy, row) in enumerate(zip(g, s.sections)))
     return direct, law, direct == law
 
 
 def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
     """Relative paraorthomodularity against 'x -> y = {1} forces x <= y'.
 
-    The equivalence needs the compatibility condition on sections.
+    The equivalence needs the compatibility condition on sections,
+    which is checked first: a family where it fails raises
+    ``CompatibilityFailed``.
     """
     ok, w = cached(s, check_C)
     if not ok:
@@ -288,8 +297,10 @@ def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
 def sections_from_involution(o) -> SectionedPoset:
     """Sections z^y := z' v y induced by a global involution.
 
-    Needs every join z' v y with y <= z to exist; on orthomodular
-    lattices this family satisfies the compatibility condition.
+    Needs every join z' v y with y <= z to exist. On an orthomodular
+    structure this family satisfies the compatibility condition, and a
+    family that satisfies it is the one induced by its own row 0, since
+    C at x = 0 reads z^y = z^0 v y.
     """
     p = o.poset
     rows = []

@@ -10,7 +10,7 @@ literal form, as the reference the row-union kernels are tested against.
 import pathlib
 from itertools import chain
 
-from paraposet import fileformat, universe
+from paraposet import fileformat, relative, universe
 from paraposet.ortho import validate_involution
 from paraposet.poset import FinitePoset, bits
 from paraposet.relative import SectionedPoset
@@ -30,6 +30,22 @@ def ortho(name: str):
     """
     obj = load(name)
     return obj.ortho if isinstance(obj, SectionedPoset) else obj
+
+
+def with_i3_columns(s, cols):
+    """``s`` on a fresh copy of its poset whose I3 column y, for the row y
+    of ``s``, is ``cols[y]``.
+
+    The columns are planted in the per-row entries of the copy, which
+    the I3 table and every section statement read, so they stand in for
+    the built ones on every family of the copy and on no other poset.
+    """
+    p = s.poset
+    q = FinitePoset(p.labels, p.up, p.name)
+    memo = relative._per_row(q, relative._i3_column)
+    for y, (row, col) in enumerate(zip(s.sections, cols)):
+        memo[y, row] = tuple(col)
+    return SectionedPoset(q, s.sections)
 
 
 def ortho_posets(n: int):

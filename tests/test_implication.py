@@ -156,15 +156,17 @@ def test_every_ortho_theorem_holds_on_the_orthogonal_non_lattices_at_n10():
     applied = Counter()
     for o in structures:
         assert O.is_orthogonal_poset(o) and not o.poset.is_lattice
+        assert not O.is_orthomodular(o)
         for th in H.THEOREMS.values():
             if th.stream == "ortho" and (th.applies is None or th.applies(o)):
                 applied[th.id] += 1
                 assert th.check(o) == [], (th.id, o)
-    # every ortho theorem but the four stated for lattices
-    lattice_only = {"i1-matches-i2", "i2-antitone", "lemadj", "th3"}
+    # every ortho theorem but the four stated for lattices and
+    # relpara-under-c, stated for orthomodular structures
+    unmet = {"i1-matches-i2", "i2-antitone", "lemadj", "th3", "relpara-under-c"}
     assert applied == {tid: 2 if tid == "lemma-sharply" else 8
                        for tid, th in H.THEOREMS.items()
-                       if th.stream == "ortho" and tid not in lattice_only}
+                       if th.stream == "ortho" and tid not in unmet}
 
 
 def test_sharp_collapse_laws():
@@ -327,11 +329,16 @@ def test_orthomodularity_read_once_per_structure(monkeypatch):
 
 
 def test_compatibility_read_once_per_structure(monkeypatch):
-    # a structure meeting the hypothesis of relpara-under-c
-    s = next(s for s in gallery.sectioned_posets(4) if R.check_C(s)[0])
+    # relpara-under-c induces one family on an orthomodular structure and
+    # checks the compatibility condition on it once
+    o = next(o for o in gallery.ortho_posets(4) if O.is_orthomodular(o))
+    families = _count_builds(monkeypatch, "sections_from_involution", (R,))
     builds = _count_builds(monkeypatch, "check_C", (R,))
-    _run_theorems(s, "sectioned")
-    assert builds == [s]
+    _run_theorems(o, "ortho")
+    assert len(families) == 1 and families[0] is o
+    [s] = builds
+    assert s is I.cached(o, R.sections_from_involution)
+    assert I.cached(s, R.check_C) == (True, None)
 
 
 def test_orthogonality_read_once_by_hypotheses(monkeypatch):

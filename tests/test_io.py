@@ -86,6 +86,26 @@ def test_inv_lines_must_agree_with_the_bottom_section_row(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"error: {path}: conflicting involute for a\n")
 
 
+def test_section_lines_must_agree_with_each_other(tmp_path, capsys):
+    # fig7s's row 0 swaps a with a' and b with b'; the other antitone
+    # involution of its poset swaps a with b' and b with a'
+    text = (FIXTURES / "fig7s.poset").read_text()
+    assert ff.emit(ff.build(ff.parse(text + "section 0 a a'\nsection 0 1 0\n"))) == text
+    other = "section 0 a b'\nsection 0 b a'\nsection 0 b' a\nsection 0 a' b\n"
+    path = tmp_path / "conflict.poset"
+    path.write_text(text + other)
+    with pytest.raises(PosetError, match=r"conflicting section image for a in \[0,1\]$"):
+        ff.build(ff.parse(path.read_text()))
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}: conflicting section image for a in [0,1]\n")
+    # the other family's own lines load, as that family
+    rows = [line for line in text.splitlines() if not line.startswith("section 0 ")]
+    s = ff.build(ff.parse("\n".join(rows) + "\n" + other))
+    assert s.ortho.inv == (5, 3, 4, 1, 2, 0)
+
+
 def test_two_chain_dot():
     from paraposet.poset import FinitePoset
     p = FinitePoset.from_covers(["0", "1"], [("0", "1")])

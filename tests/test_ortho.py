@@ -78,6 +78,22 @@ def test_kleene_block():
     assert not O.is_orthomodular(o)
 
 
+def test_kleene_lattices_counted_per_n():
+    # every distributive lattice with an antitone involution is
+    # paraorthomodular, so is_kleene_lattice does not test it; the
+    # regular ones are the Kleene lattices
+    distributive, kleene = [], []
+    for n in range(2, 10):
+        structures = list(gallery.ortho_posets(n))
+        lattices = [o for o in structures
+                    if o.poset.is_lattice and o.poset.is_distributive]
+        assert all(map(O.is_paraorthomodular, lattices))
+        distributive.append(len(lattices))
+        kleene.append(sum(map(O.is_kleene_lattice, structures)))
+    assert distributive == [1, 1, 3, 1, 4, 3, 12, 7]
+    assert kleene == [1, 1, 2, 1, 3, 3, 7, 6]
+
+
 def test_regularity_undefined_without_meets():
     # layered bowtie: x and y share two maximal lower bounds, so x meet x'
     # does not exist once the involution swaps them

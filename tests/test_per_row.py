@@ -322,20 +322,25 @@ def test_section_checks_match_family_by_family_on_fixtures():
     _check_sectioned(_fixture_sectioned())
 
 
-def test_section_checks_read_a_table_kept_on_the_structure():
-    # a table kept in place of the built one is read as it is, also where
-    # the family's own row was read before
+def test_section_checks_read_the_columns_kept_on_the_poset():
+    # an I3 column kept on the poset in place of the built one is read as
+    # it is by the table and by both checks, which match their references
+    # on the table it gives
     rng = random.Random(4)
     clauses, laws = Counter(), Counter()
     for n in range(2, 8):
         for s in gallery.sectioned_posets(n):
             table = I.cached(s, R.impl_I3)
             for _ in range(3):
-                s._memo[R.impl_I3] = _perturbed(table, rng)
-                c, v = _check_sectioned([s])
-                clauses.update(c)
-                laws.update(law for _, law, _ in v)
-            s._memo[R.impl_I3] = table
+                t = _perturbed(table, rng)
+                planted = gallery.with_i3_columns(s, t.cols)
+                assert R.impl_I3(planted).cells == t.cells
+                got = R.check_th2(planted)
+                assert _report(got) == _report(_check_th2(planted)), s
+                clauses.update(v[0] for v in got.violations)
+                got = R.para_via_I3(planted)
+                assert got == _para_via_I3(planted), s
+                laws[got[1]] += 1
     assert set(clauses) >= {"i", "ii", "iii-le", "iii-join", "iii-ge", "iv", "v"}
     assert laws[True] and laws[False]
 

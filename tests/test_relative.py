@@ -3,6 +3,7 @@ import pytest
 from paraposet import figures
 from paraposet import harness as H
 from paraposet import implication as I
+from paraposet import ortho as O
 from paraposet import relative as R
 from paraposet import universe as U
 from paraposet.poset import FinitePoset, bits
@@ -90,8 +91,12 @@ def test_compatibility_fails_where_a_join_is_missing():
     assert s is families[2304]
     assert R.check_C(s) == (False, (0, 5, 1))
     assert p.joins[s.sections[0][1]][5] is None
-    # relpara-under-c reads the failed condition as an unmet hypothesis
-    assert H.THEOREMS["relpara-under-c"].applies(s) is False
+    # the statement checks the condition it needs and reports the chain,
+    # and the harness never offers it this family: its row 0 is not
+    # orthomodular
+    with pytest.raises(R.CompatibilityFailed, match=r"chain \(0, 5, 1\)"):
+        R.relpara_via_impl_under_C(s)
+    assert H.THEOREMS["relpara-under-c"].applies(s.ortho) is False
 
 
 def _first_broken_join(s):
@@ -104,6 +109,24 @@ def _first_broken_join(s):
                 if j != s.sections[y][z]:
                     return j
     return None
+
+
+def test_compatible_families_are_the_induced_families_of_orthomodular_structures():
+    # relpara-under-c checks only the induced families: poset by poset and
+    # in stream order, they are the section families that satisfy C, and
+    # each is valid (sections_from_involution validates it) with C
+    counts = []
+    for n in range(2, 10):
+        count = 0
+        for p in U.bounded_posets(n):
+            compatible = [s.sections for s in U.sectioned_structures(p) if R.check_C(s)[0]]
+            induced = [R.sections_from_involution(o) for o in U.ortho_structures(p)
+                       if O.is_orthomodular(o)]
+            assert all(R.check_C(s) == (True, None) for s in induced)
+            assert compatible == [s.sections for s in induced], p
+            count += len(induced)
+        counts.append(count)
+    assert counts == [1, 0, 1, 0, 3, 0, 16, 0]
 
 
 def test_compatibility_holds_on_cube():

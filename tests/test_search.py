@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import islice, permutations, product
 
 import pytest
@@ -148,6 +150,33 @@ def test_involution_counts():
     # the involutions of n points, A000085
     expected = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
     assert [sum(1 for _ in U.involutions(n)) for n in range(11)] == expected
+
+
+# the stream items at n = 7, as the benchmark's traced pass pins them
+STREAM_ITEMS_N7 = {"ortho": 51, "sectioned": 50, "lattice-inv": 12296}
+
+
+def test_each_theorem_is_offered_its_stream_at_n7(monkeypatch):
+    # the items each theorem's applies (or its check, where it has none)
+    # receives at n = 7; every applies rejects its items, so no check runs
+    offered = Counter()
+
+    def counting(tid, result):
+        def first(item):
+            n = item[0].n if isinstance(item, tuple) else item.n
+            offered[tid] += n == 7
+            return result
+        return first
+
+    for tid, th in harness.THEOREMS.items():
+        if th.applies is None:
+            th = replace(th, check=counting(tid, []))
+        else:
+            th = replace(th, applies=counting(tid, False))
+        monkeypatch.setitem(harness.THEOREMS, tid, th)
+    harness.run_harness(7)
+    assert offered == {tid: STREAM_ITEMS_N7[th.stream]
+                       for tid, th in harness.THEOREMS.items()}
 
 
 @st.composite

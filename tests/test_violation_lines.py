@@ -3,8 +3,9 @@
 No stored report contains a violation, so each case makes its check fail
 on one structure and runs the harness over that structure alone. A case
 either stubs the statement the check reads (a table or report kept on the
-structure, or a module function) or offers a structure outside the
-theorem's hypothesis where one of its clauses fails. The hypothesis
+structure, a table column kept on its poset, or a module function) or
+offers a structure outside the theorem's hypothesis where one of its
+clauses fails. The hypothesis
 filter is switched off, so the check always sees the item.
 """
 
@@ -20,6 +21,8 @@ from paraposet import relative as R
 from paraposet.implication import SetValuedTable
 from paraposet.ortho import validate_involution
 from paraposet.poset import FinitePoset
+
+import gallery
 
 
 def _ortho(labels, covers, inv):
@@ -64,6 +67,13 @@ def _altered(build, s, x, y, cell):
     cells[x][y] = cell
     s._memo[build] = SetValuedTable(t.poset, tuple(map(tuple, cells)))
     return s
+
+
+def _i3_altered(s, x, y, cell):
+    """``s`` on a fresh poset whose I3 column y has ``cell`` at x."""
+    cols = [list(col) for col in R.impl_I3(s).cols]
+    cols[y][x] = cell
+    return gallery.with_i3_columns(s, cols)
 
 
 def _kept(build, s, value):
@@ -144,16 +154,17 @@ CASES = {
                       [f"{B2} cells differ at (0,0)"]),
     "duality": (lambda mp: _altered(I.sasaki_impl, b2(), 1, 2, 1 << 0),
                 [f"{B2} duality broken"]),
-    "th2": (lambda mp: _altered(R.impl_I3, b2_sections(), 0, 1, 1 << 0), [
+    "th2": (lambda mp: _i3_altered(b2_sections(), 0, 1, 1 << 0), [
         f"{B2} clause ('i', 0, 1)",
         f"{B2} clause ('ii', 0, 1)",
         f"{B2} clause ('iii-le', 0, 1)",
         f"{B2} clause ('iii-join', 0, 1)",
         f"{B2} clause ('iv', 0, 1)",
         f"{B2} clause ('iv', 0, 1) (elementwise)"]),
-    "para-via-i3": (lambda mp: _altered(R.impl_I3, b2_sections(), 0, 1, 1 << 1),
+    "para-via-i3": (lambda mp: _i3_altered(b2_sections(), 0, 1, 1 << 1),
                     [f"{B2} verdicts True vs False"]),
-    "relpara-under-c": (lambda mp: _altered(R.impl_I3, b2_sections(), 1, 2, 1 << 3),
+    # the check induces the family of b2 again, on the altered poset
+    "relpara-under-c": (lambda mp: _i3_altered(b2_sections(), 1, 2, 1 << 3).ortho,
                         [f"{B2} verdicts True vs False"]),
     "i4-antitone": (lambda mp: _altered(R.impl_I4, b2_sections(), 0, 0, 1 << 0),
                     [f"{B2} not antitone"]),
