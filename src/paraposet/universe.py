@@ -15,6 +15,18 @@ down-degree) and only permuted within their block. The keys are
 yielded in sorted order, so identical specs always produce identical
 streams.
 
+The least matrix is found by a search over positions, not by trying
+every relabelling. Every point above a point lies in an earlier block,
+so a position's relabelled row is known once the position is filled,
+and three arguments prune the search without changing the key (McKay
+& Piperno, "Practical graph isomorphism, II", 2014). A branch whose
+prefix already exceeds the best key's, or a sibling's, cannot win.
+Twins, points with equal strict up and down rows, can be swapped by an
+automorphism, so the search places them in index order; with an
+involution that swap need not preserve it, so there it does not. And a
+down-set that takes a twin without that twin's predecessor gives a
+child isomorphic to one the generator keeps, so it is skipped.
+
 Each bounded poset expands into its ortho structures (one per antitone
 involution) and its sectioned structures (one per section family);
 ``ortho_structures`` and ``sectioned_structures`` do this for one poset,
@@ -36,7 +48,7 @@ them are orthoisomorphic exactly when their keys are equal.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, groupby, permutations, product
+from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .poset import FinitePoset, bits
@@ -50,18 +62,51 @@ def _middle_posets(m: int) -> Tuple[Tuple[int, ...], ...]:
 
     A key is a tuple of strict-up masks. Level m extends every key of
     the memoised level m-1 by a maximal point above each down-set: the
-    masks that no point outside them lies below.
+    masks that no point outside them lies below. A down-set that takes
+    a twin without that twin's predecessor is skipped: swapping twins
+    is an automorphism, so its child is isomorphic to the one on the
+    down-set that takes the predecessor instead, which is kept.
     """
     if m == 0:
         return ((),)
     k = m - 1
     children = set()
     for up in _middle_posets(k):
-        for mask in range(1 << k):
-            if all(up[i] & mask == 0 for i in range(k) if not mask >> i & 1):
+        down = _down_rows(up)
+        twins = [(i, j) for i, j in enumerate(_twin_predecessors(up, down)) if j >= 0]
+        # a key lists every point after the points above it, so a point
+        # joins a down-set once every later point below it is in
+        masks = [0]
+        for i in reversed(range(k)):
+            masks += [mask | 1 << i for mask in masks if down[i] & ~mask == 0]
+        for mask in masks:
+            if all(mask >> j & 1 for i, j in twins if mask >> i & 1):
                 child = tuple(row | (mask >> i & 1) << k for i, row in enumerate(up))
                 children.add(_canon_middle(child + (0,)))
     return tuple(sorted(children))
+
+
+def _down_rows(up: Sequence[int]) -> List[int]:
+    """The strict-down masks of a strict order given by its strict-up masks."""
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in bits(row):
+            down[j] |= 1 << i
+    return down
+
+
+def _twin_predecessors(up: Sequence[int], down: Sequence[int]) -> List[int]:
+    """For each point, the last earlier point with its up and down rows, or -1.
+
+    Points with equal strict up and down rows are twins, and swapping
+    two twins is an automorphism of the order.
+    """
+    last = {}
+    pred = []
+    for i, rows in enumerate(zip(up, down)):
+        pred.append(last.get(rows, -1))
+        last[rows] = i
+    return pred
 
 
 def _canon_middle(up: Tuple[int, ...],
@@ -69,37 +114,96 @@ def _canon_middle(up: Tuple[int, ...],
     """Least relabelled matrix over the relabellings that keep degree order.
 
     Points are put in blocks by (up-degree, down-degree); block k takes
-    the k-th run of new labels, and only orders within a block are tried.
-    Isomorphic orders reach the same set of matrices, so the minimum is
-    a canonical form. With ``inv`` the relabelled involution follows the
-    rows in the key, so the key is canonical for the pair.
+    the k-th run of new labels, and only orders within a block are
+    allowed. Isomorphic orders reach the same set of matrices, so the
+    minimum is a canonical form. With ``inv`` the relabelled involution
+    follows the rows in the key, so the key is canonical for the pair.
+
+    The minimum is found by a depth-first search that fills the new
+    labels in order. Every point above a point has a smaller up-degree,
+    so it lies in an earlier block, and a position's relabelled row is
+    known as soon as the position is filled. So at each position only
+    the points with the least row are tried, since any other continues
+    to a larger matrix, and a branch whose prefix already exceeds the
+    best key's is dropped. Without ``inv``, twins (equal strict up and
+    down rows) are placed only in index order: swapping two of them is
+    an automorphism and leaves the matrix as it is. The third argument,
+    that a down-set taking a twin without its predecessor adds nothing,
+    prunes ``_middle_posets`` before it calls this function.
     """
     m = len(up)
-    down = [0] * m
-    for i in range(m):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    degree = [(bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(m)]
-    order = sorted(range(m), key=degree.__getitem__)
-    blocks = [tuple(g) for _, g in groupby(order, key=degree.__getitem__)]
-    best = None
-    for choice in product(*(permutations(b) for b in blocks)):
-        old = tuple(chain.from_iterable(choice))
-        new = [0] * m
-        for k, i in enumerate(old):
-            new[i] = k
-        relabeled = [0] * m
-        for i in range(m):
+    down = _down_rows(up)
+    degree = [row.bit_count() << 16 | col.bit_count() for row, col in zip(up, down)]
+    blocks = {}
+    for i, d in enumerate(degree):
+        blocks[d] = blocks.get(d, 0) | 1 << i
+    # the points that may take each position: those of its block
+    slots = [blocks[d] for d in sorted(degree)]
+    pred = [-1] * m if inv is not None else _twin_predecessors(up, down)
+    best = []
+    ctx = (m, slots, [bits(row) for row in up], pred, [0] * m, [0] * m, [0] * m,
+           best, inv)
+    _canon_search(0, 0, False, ctx)
+    return tuple(best)
+
+
+def _canon_search(k: int, used: int, tight: bool, ctx) -> bool:
+    """Fill positions k.. of ``_canon_middle``'s search; True if the best key moved.
+
+    ``used`` holds the points placed at positions 0..k-1, and ``tight``
+    says their rows equal the best key's. ``ctx`` holds the inputs and
+    the search state: the new label of each placed point as a one-bit
+    mask, the point at each position, the rows so far and the best key,
+    which is replaced in place. A position with one least row is filled
+    in the loop; the search branches only where several points tie.
+    """
+    m, slots, ups, pred, label, old, rows, best, inv = ctx
+    while k < m:
+        least = None
+        for i in bits(slots[k] & ~used):
+            j = pred[i]
+            if j >= 0 and not used >> j & 1:
+                continue
             row = 0
-            for j in bits(up[i]):
-                row |= 1 << new[j]
-            relabeled[new[i]] = row
-        key = tuple(relabeled)
-        if inv is not None:
-            key += tuple(new[inv[i]] for i in old)
-        if best is None or key < best:
-            best = key
-    return best
+            for j in ups[i]:
+                row |= label[j]
+            if least is None or row < least:
+                least, ties = row, [i]
+            elif row == least:
+                ties.append(i)
+        if tight:
+            if least > best[k]:
+                return False
+            tight = least == best[k]
+        rows[k] = least
+        if len(ties) > 1:
+            break
+        i = ties[0]
+        label[i] = 1 << k
+        old[k] = i
+        used |= 1 << i
+        k += 1
+    else:
+        if inv is None:
+            if tight:
+                return False
+            best[:] = rows
+            return True
+        tail = [label[inv[i]].bit_length() - 1 for i in old]
+        if tight:
+            if tail >= best[m:]:
+                return False
+            best[m:] = tail
+        else:
+            best[:] = rows + tail
+        return True
+    moved = False
+    for i in ties:
+        label[i] = 1 << k
+        old[k] = i
+        if _canon_search(k + 1, used | 1 << i, tight, ctx):
+            moved = tight = True
+    return moved
 
 
 def bounded_posets(n: int) -> Iterator[FinitePoset]:

@@ -1,7 +1,8 @@
+import gc
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import islice, permutations, product
+from itertools import chain, groupby, islice, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,11 +61,12 @@ def test_middle_posets_match_leaf_filter(m):
 
 
 def _counted_canon(monkeypatch):
+    # the orders the generator keys, one entry per call
     calls = []
     canon = U._canon_middle
 
     def counted(up, inv=None):
-        calls.append(len(up))
+        calls.append(up)
         return canon(up, inv)
 
     monkeypatch.setattr(U, "_canon_middle", counted)
@@ -128,6 +130,120 @@ def test_canonical_form_invariant_under_relabelling():
             perm = list(range(6))
             rng.shuffle(perm)
             assert U._canon_middle(_relabel(up, perm)) == key
+
+
+def _canon_reference(up, inv=None):
+    # the least key over every product of permutations of the blocks
+    m = len(up)
+    down = [0] * m
+    for i in range(m):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+    degree = [(bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(m)]
+    order = sorted(range(m), key=degree.__getitem__)
+    blocks = [tuple(g) for _, g in groupby(order, key=degree.__getitem__)]
+    best = None
+    for choice in product(*(permutations(b) for b in blocks)):
+        old = tuple(chain.from_iterable(choice))
+        new = [0] * m
+        for k, i in enumerate(old):
+            new[i] = k
+        relabeled = [0] * m
+        for i in range(m):
+            row = 0
+            for j in bits(up[i]):
+                row |= 1 << new[j]
+            relabeled[new[i]] = row
+        key = tuple(relabeled)
+        if inv is not None:
+            key += tuple(new[inv[i]] for i in old)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _middle_reference(m):
+    # every down-set child of the level below, keyed by the reference
+    if m == 0:
+        return ((),)
+    k = m - 1
+    children = set()
+    for up in _middle_reference(k):
+        for mask in range(1 << k):
+            if all(up[i] & mask == 0 for i in range(k) if not mask >> i & 1):
+                child = tuple(row | (mask >> i & 1) << k for i, row in enumerate(up))
+                children.add(_canon_reference(child + (0,)))
+    return tuple(sorted(children))
+
+
+def _strict(o):
+    return tuple(row & ~(1 << i) for i, row in enumerate(o.poset.up))
+
+
+def test_middle_keys_match_the_reference(monkeypatch):
+    # every child the generator keys, and every level it builds, for m <= 6
+    canon = U._canon_middle
+    calls = _counted_canon(monkeypatch)
+    U._middle_posets.cache_clear()
+    try:
+        levels = [U._middle_posets(m) for m in range(7)]
+    finally:
+        U._middle_posets.cache_clear()
+    # 1164 down-set children, less those that take a twin without its predecessor
+    assert len(calls) == 731
+    assert all(canon(up) == _canon_reference(up) for up in calls)
+    assert levels == [_middle_reference(m) for m in range(7)]
+    assert [len(level) for level in levels] == [1, 1, 2, 5, 16, 63, 318]
+
+
+def test_ortho_keys_match_the_reference():
+    keyed = 0
+    for n in range(2, 9):
+        for o in gallery.ortho_posets(n):
+            assert U._ortho_key(o) == _canon_reference(_strict(o), o.inv)
+            keyed += 1
+    assert keyed == 273
+
+
+@pytest.mark.parametrize("name", ["chain", "fig5", "triangle"])
+def test_carrier_keys_match_the_reference(name):
+    o = amalgam.build_amalgam(gallery.load(f"{name}/family"))
+    up = _strict(o)
+    assert U._canon_middle(up) == _canon_reference(up)
+    assert U._ortho_key(o) == _canon_reference(up, o.inv)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "square"])
+def test_carrier_keys_invariant_under_relabelling(name):
+    o = amalgam.build_amalgam(gallery.load(f"{name}/family"))
+    up = _strict(o)
+    plain, ortho = U._canon_middle(up), U._ortho_key(o)
+    rng = random.Random(name)
+    for _ in range(5):
+        perm = list(range(o.n))
+        rng.shuffle(perm)
+        inv = [0] * o.n
+        for x, y in enumerate(o.inv):
+            inv[perm[x]] = perm[y]
+        assert U._canon_middle(_relabel(up, perm)) == plain
+        assert U._canon_middle(_relabel(up, perm), inv) == ortho
+
+
+def test_canonical_search_leaves_no_garbage_cycles():
+    # the search is a module-level function, so a call builds no cycle
+    # that only the collector could free
+    carrier = amalgam.build_amalgam(gallery.load("triangle/family"))
+    gc.collect()
+    gc.disable()
+    try:
+        for up in U._middle_posets(5):
+            U._canon_middle(up)
+        U._canon_middle(_strict(carrier))
+        U._ortho_key(carrier)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_smallest_ortho_universe():
@@ -314,6 +430,22 @@ def test_orthoisomorphic_matches_brute_force():
                 assert U.is_orthoisomorphic(a, b) == _brute_orthoisomorphic(a, b)
                 pairs += 1
     assert pairs == 488
+
+
+def test_n10_figures_appear_in_universe():
+    # the drawings with n = 10, each reached by the full n = 10 sweep; a
+    # poset's automorphisms can conjugate two of its involutions, so a
+    # figure may match more than one structure
+    targets = {name: gallery.ortho(name) for name in ("fig1b", "fig2b", "fig8")}
+    posets = 0
+    found = Counter()
+    for p in U.bounded_posets(10):
+        posets += 1
+        for o in U.ortho_structures(p):
+            found.update(name for name, t in targets.items()
+                         if U.is_orthoisomorphic(o, t))
+    assert posets == 16999
+    assert found == {"fig1b": 2, "fig2b": 2, "fig8": 6}
 
 
 def test_fig1a_appears_in_universe():
