@@ -50,11 +50,11 @@ row or two: 49 of the 77 lattices with n <= 7 have an element with no
 complement, and 1,368 of the 1,377 with n <= 9 have an empty row in
 both G and H.
 
-From the masks, one backtracker (``universe.involutions`` with the
+From the masks, the pairing search (``universe.involutions`` with the
 masks as allowed partners) lists the involutions that fit G and those
 that fit H, once per lattice, into one dict from each of them to its
-two verdicts (``_omidentity_fits``). A stopped mask runs no
-backtracker: ``involutions`` reads a missing mask as every involution.
+two verdicts (``_omidentity_fits``). A stopped mask runs no search:
+``involutions`` reads a missing mask as every involution.
 An involution the dict lacks fits neither mask, so the identities fail
 and the Sasaki pair is not adjoint. ``omidentity_equiv`` checks that
 ``inv`` is an involution (``require_involution``) and reads its entry.
@@ -280,7 +280,7 @@ def cone_adjoint(o: OrthoPoset) -> Optional[SetValuedTable]:
 def adji_consequences(o: OrthoPoset, prod: SetValuedTable) -> TheoremReport:
     """Consequences of having a product adjoint to the cone implication."""
     p = o.poset
-    rep = TheoremReport("adji")
+    rep = TheoremReport()
     zero = 1 << p.bottom
     for x in range(p.n):
         if prod.cell(x, o.inv[x]) != zero:

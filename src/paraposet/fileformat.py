@@ -16,6 +16,10 @@ no section lines, and the element identifications:
     block K1 k1.poset
     identify K1:a2 K2:a2
 
+A file names itself at most once, and a line that its kind never reads
+(a block or identify line in a poset file, an elements, cover, inv or
+section line in a family file) fails to parse, naming the line.
+
 Comments start with '#'. Emission is canonical: the element line keeps
 declaration order, cover/inv/section lines are regenerated from the
 built structure and sorted, so emit is idempotent and fixtures
@@ -55,15 +59,25 @@ class StructureFile:
     identify: List[List[Tuple[str, str]]] = field(default_factory=list)
 
 
+# the keywords that only a poset file, or only a family file, reads
+_POSET_KEYWORDS = ("elements", "cover", "inv", "section")
+_FAMILY_KEYWORDS = ("block", "identify")
+
+
 def parse(text: str) -> StructureFile:
+    """Read a poset or family file; a line the file's kind would not read is an error."""
     sf = StructureFile()
+    first = {}  # keyword -> the number of its first line
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         kw, args = parts[0], parts[1:]
+        first.setdefault(kw, no)
         if kw == "name":
+            if sf.name:
+                raise ParseError(no, "duplicate name line")
             if len(args) != 1:
                 raise ParseError(no, "name takes one word")
             sf.name = args[0]
@@ -105,6 +119,11 @@ def parse(text: str) -> StructureFile:
             sf.identify.append(group)
         else:
             raise ParseError(no, f"unknown keyword {kw!r}")
+    unread = _POSET_KEYWORDS if sf.is_family else _FAMILY_KEYWORDS
+    stray = min(((first[kw], kw) for kw in unread if kw in first), default=None)
+    if stray:
+        kind = "family" if sf.is_family else "poset"
+        raise ParseError(stray[0], f"{stray[1]} line in a {kind} file")
     if sf.is_family:
         if not sf.blocks:
             raise ParseError(0, "family file lists no blocks")

@@ -160,7 +160,6 @@ class TheoremReport:
     clauses under the two-sided le2 reading.
     """
 
-    theorem: str
     violations: List[tuple] = field(default_factory=list)
     violations_elementwise: List[tuple] = field(default_factory=list)
 
@@ -244,7 +243,7 @@ def check_th1(o: OrthoPoset) -> TheoremReport:
     t = cached(o, impl_I)
     p = o.poset
     n = p.n
-    rep = TheoremReport("th1")
+    rep = TheoremReport()
     violations, identity = rep.violations, rep.identity
     inv, up, meets, joins = o.inv, p.up, p.meets, p.joins
     max_lower, min_upper = p.max_lower, p.min_upper
@@ -314,7 +313,7 @@ def check_lemma_sharply(o: OrthoPoset) -> TheoremReport:
     p = o.poset
     zero, one = 1 << p.bottom, 1 << p.top
     up, down = p.up, p.down
-    rep = TheoremReport("lemma-sharply")
+    rep = TheoremReport()
     violations = rep.violations
     for b, (bi, col) in enumerate(zip(o.inv, t.cols)):
         bit = 1 << b

@@ -246,7 +246,7 @@ def check_th2(s: SectionedPoset) -> TheoremReport:
     Each column is checked once per poset and row.
     """
     memo = _per_row(s.poset, _th2_column)
-    rep = TheoremReport("th2")
+    rep = TheoremReport()
     found = [memo[y, row] for y, row in enumerate(s.sections)]
     if any(found):
         rep.violations = sorted(chain.from_iterable(f[0] for f in found if f),

@@ -31,18 +31,23 @@ Each bounded poset expands into its ortho structures (one per antitone
 involution) and its sectioned structures (one per section family);
 ``ortho_structures`` and ``sectioned_structures`` do this for one poset,
 so a caller walking ``bounded_posets`` once can feed every stream. One
-backtracker, ``filter_involutions``, pairs the points of a principal
-filter [x,1] on the poset's own rows; an antitone involution of the
-poset is the one of its bottom filter [0,1], and a section family takes
-one of each filter. The rows of [0,1] are kept on the poset, so the
-ortho and the sectioned expansion build them once between them. The
-other filters' rows are built in index order, and the first filter
-with none ends the sectioned expansion of its poset, since no family
-can then take a row of it. ``involutions`` pairs bare points, with no
-order, optionally within a mask of allowed partners per point. The same
-canonical form, applied to the strict-up rows of the whole poset with
-the involution relabelled alongside, keys ortho structures, and two of
-them are orthoisomorphic exactly when their keys are equal.
+search, ``_pairings``, lists every involution: it pairs the first
+unpaired point with each allowed partner in turn, and each pair narrows
+the partner masks of the points still unpaired (forward checking:
+Haralick & Elliott, "Increasing tree search efficiency for constraint
+satisfaction problems", 1980). ``filter_involutions`` runs it on the
+points of a principal filter [x,1], with x paired with 1 and masks of
+the points whose degrees mirror; an antitone involution of the poset is
+one of its bottom filter [0,1], and a section family takes one of each
+filter. The rows of [0,1] are kept on the poset, so the ortho and the
+sectioned expansion build them once between them. The other filters'
+rows are built in index order, and the first filter with none ends the
+sectioned expansion of its poset, since no family can then take a row
+of it. ``involutions`` runs it on bare points, an antichain, optionally
+within a mask of allowed partners per point. The same canonical form,
+applied to the strict-up rows of the whole poset with the involution
+relabelled alongside, keys ortho structures, and two of them are
+orthoisomorphic exactly when their keys are equal.
 """
 
 from __future__ import annotations
@@ -224,78 +229,98 @@ def bounded_posets(n: int) -> Iterator[FinitePoset]:
         yield FinitePoset(labels, up, name=f"P{n}")
 
 
+def _pairings(k: int, free: int, order: Sequence[int], allowed: Sequence[int],
+              inv: List[int], up: Sequence[int], down: Sequence[int],
+              out: List[Tuple[int, ...]]) -> None:
+    """Append to ``out`` every pairing of the points in ``free``, as rows of ``inv``.
+
+    The first point a of ``order[k:]`` still in ``free`` is paired with
+    each b in ``allowed[a] & free`` whose own mask admits a, in
+    ascending order of b (b == a makes a fixed point). Pairing a with b
+    narrows the masks of the unpaired points above a, in a copy per
+    branch: each may then take only a partner below b. ``up`` and
+    ``down`` are the reflexive up and down masks. On an antichain no
+    point lies above another, so nothing is narrowed and no mask list
+    is copied.
+
+    Say that a pair (a, b) fits a point c when c ≥ a ⇔ c′ ≤ b and
+    c ≤ a ⇔ c′ ≥ b; an involution is antitone when every pair fits
+    every point. The narrowing is the whole test when ``order`` lists
+    the points by down-degree, every allowed pair mirrors degrees inside
+    the set the finished rows pair, |↑a| = |↓b| and |↓a| = |↑b|, and the
+    pairs already in ``inv`` fit every point, as in
+    ``filter_involutions``. Take the pairs in the order they are made,
+    and assume that every earlier pair fits every point. (a, b) fits c
+    exactly when (c, c′) fits a, so (a, b) fits the points of the
+    earlier pairs, and c ↦ c′ maps the paired points above a onto those
+    below b. The equal counts then leave as many unpaired points above
+    a as below b. The narrowing maps the former into the latter, so
+    onto them, and c ≥ a ⇔ c′ ≤ b for every c. No unpaired point lies
+    below a, since its down-degree would be smaller, so by the same
+    count none lies above b, and c ≤ a ⇔ c′ ≥ b holds too. So (a, b)
+    fits every point. Read at c′, the two conditions are the ones the
+    pair puts on b, so no mask is narrowed for b, nor for a point
+    comparable with neither a nor b.
+    """
+    if not free:
+        out.append(tuple(inv))
+        return
+    while not free >> order[k] & 1:
+        k += 1
+    a = order[k]
+    for b in bits(allowed[a] & free):
+        if not allowed[b] >> a & 1:
+            continue
+        inv[a], inv[b] = b, a
+        rest = free & ~(1 << a | 1 << b)
+        above = up[a] & rest
+        narrowed = allowed
+        if above:
+            narrowed = list(allowed)
+            for c in bits(above):
+                narrowed[c] &= down[b]
+        _pairings(k + 1, rest, order, narrowed, inv, up, down, out)
+
+
 def involutions(n: int,
                 allowed: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, ...]]:
     """Self-inverse permutations of 0..n-1, in lexicographic order.
 
     With ``allowed``, only those with inv[x] in the mask ``allowed[x]``
-    for every x: the least unpaired x is paired with an unpaired a
-    only when a is in allowed[x] and x is in allowed[a].
+    for every x. They are the pairings of the antichain on n points,
+    which ``_pairings`` lists with the least unpaired x first.
     """
     full = (1 << n) - 1
     if allowed is None:
         allowed = [full] * n
-    inv = [-1] * n
-
-    def rec(free):
-        if not free:
-            yield tuple(inv)
-            return
-        x = (free & -free).bit_length() - 1
-        for a in bits(allowed[x] & free):
-            if not allowed[a] >> x & 1:
-                continue
-            inv[x], inv[a] = a, x
-            yield from rec(free & ~(1 << x | 1 << a))
-
-    yield from rec(full)
+    points = [1 << i for i in range(n)]
+    rows = []
+    _pairings(0, full, range(n), allowed, [-1] * n, points, points, rows)
+    yield from rows
 
 
 def filter_involutions(p: FinitePoset, x: int) -> List[Tuple[int, ...]]:
     """Antitone involutions of [x,1], as rows over the whole poset.
 
-    The points of the filter are paired by backtracking, in order of
-    their down-degree inside the filter; points outside it map to -1.
+    x is paired with 1, and ``_pairings`` pairs the other points of the
+    filter in order of their down-degree inside it, then of index;
+    points outside it map to -1. A point may take a partner only when
+    their (down-degree inside the filter, up-degree) profiles mirror
+    each other, one mask per profile.
     """
     n, up, down, filt = p.n, p.up, p.down, p.up[x]
     inv = [-1] * n
     inv[x], inv[p.top] = p.top, x
-    # pair only points whose up/down profiles inside the filter mirror each other
-    down_sizes = [bin(down[i] & filt).count("1") for i in range(n)]
-    up_sizes = [bin(up[i]).count("1") for i in range(n)]
-    points = sorted(bits(filt), key=lambda i: (down_sizes[i], i))
+    free = filt & ~(1 << x | 1 << p.top)
+    down_sizes = [(row & filt).bit_count() for row in down]
+    by_profile = {}
+    for i in bits(free):
+        key = down_sizes[i], up[i].bit_count()
+        by_profile[key] = by_profile.get(key, 0) | 1 << i
+    allowed = [by_profile.get((up[i].bit_count(), down_sizes[i]), 0) for i in range(n)]
     rows = []
-
-    def compatible(a, b):
-        return down_sizes[a] == up_sizes[b] and up_sizes[a] == down_sizes[b]
-
-    def antitone_ok(a, b):
-        # against every already assigned pair (c, d): c >= a exactly when
-        # d <= b, and c <= a exactly when d >= b
-        up_a, down_a, up_b, down_b = up[a], down[a], up[b], down[b]
-        for c in points:
-            d = inv[c]
-            if d >= 0 and (up_a >> c & 1 != down_b >> d & 1
-                           or down_a >> c & 1 != up_b >> d & 1):
-                return False
-        return True
-
-    def rec(k):
-        while k < len(points) and inv[points[k]] >= 0:
-            k += 1
-        if k == len(points):
-            rows.append(tuple(inv))
-            return
-        a = points[k]
-        for b in bits(filt):
-            if (inv[b] >= 0 and b != a) or not compatible(a, b):
-                continue
-            inv[a], inv[b] = b, a
-            if antitone_ok(a, b) and (b == a or antitone_ok(b, a)):
-                rec(k + 1)
-            inv[a] = inv[b] = -1
-
-    rec(0)
+    _pairings(0, free, sorted(bits(free), key=down_sizes.__getitem__), allowed, inv,
+              up, down, rows)
     return rows
 
 

@@ -545,7 +545,7 @@ def _lift_reference(t, a, y):
 def _check_th1_reference(o):
     t = I.cached(o, I.impl_I)
     p = o.poset
-    rep = I.TheoremReport("th1")
+    rep = I.TheoremReport()
     n = p.n
     for x in range(n):
         xi = o.inv[x]
@@ -593,7 +593,7 @@ def _check_th1_reference(o):
 def _check_th2_reference(s):
     t = I.cached(s, R.impl_I3)
     p = s.poset
-    rep = I.TheoremReport("th2")
+    rep = I.TheoremReport()
     one = 1 << p.top
     for x in range(p.n):
         for y in range(p.n):

@@ -58,6 +58,42 @@ def test_parse_error_positions():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name a\nelements 0 1\nname b\n", "line 3: duplicate name line"),
+    ("elements 0 1\nblock K1 K1.poset\n", "line 2: block line in a poset file"),
+    ("elements 0 1\nidentify K1:a K2:a\n", "line 2: identify line in a poset file"),
+    ("family\nblock K1 K1.poset\nelements 0 1\n", "line 3: elements line in a family file"),
+    ("cover 0 1\nfamily\nblock K1 K1.poset\n", "line 1: cover line in a family file"),
+    ("family\nblock K1 K1.poset\ninv 0 1\ncover 0 1\n",
+     "line 3: inv line in a family file"),
+    ("family\nblock K1 K1.poset\nsection 0 1 0\n", "line 3: section line in a family file"),
+], ids=["second-name", "block-in-poset", "identify-in-poset", "elements-in-family",
+        "cover-before-family", "inv-in-family", "section-in-family"])
+def test_parse_rejects_lines_it_would_drop(text, message):
+    # a second name would overwrite the first, and a line the file's
+    # kind never reads would be dropped: both name their line instead
+    with pytest.raises(ff.ParseError, match=f"^{message}$"):
+        ff.parse(text)
+
+
+def test_family_line_may_follow_the_block_lines():
+    sf = ff.parse("name fam\nblock K1 K1.poset\nblock K2 K2.poset\nfamily\n")
+    assert sf.is_family and sf.blocks == [("K1", "K1.poset"), ("K2", "K2.poset")]
+
+
+def test_cli_names_a_line_the_family_file_would_drop(tmp_path, capsys):
+    for name in ("K1.poset", "K2.poset"):
+        (tmp_path / name).write_text((FIXTURES / "chain" / name).read_text())
+    path = tmp_path / "family.poset"
+    path.write_text((FIXTURES / "chain" / "family.poset").read_text() + "inv 0 1\n")
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: line ")
+    assert line.endswith(": inv line in a family file")
+
+
 def test_cycle_is_semantic_error():
     text = ("elements 0 a b 1\ncover 0 a\ncover a b\ncover b a\ncover b 1\n")
     with pytest.raises(PosetError):

@@ -108,7 +108,7 @@ def _check_lemma_sharply(o):
     t = I.cached(o, I.impl_I)
     p = o.poset
     zero = 1 << p.bottom
-    rep = I.TheoremReport("lemma-sharply")
+    rep = I.TheoremReport()
     for b in range(p.n):
         bi = o.inv[b]
         if t.cell(bi, b) != 1 << b:
@@ -138,7 +138,7 @@ def _relative_paraortho_witness(s):
 def _check_th2(s):
     t = I.cached(s, R.impl_I3)
     p = s.poset
-    rep = I.TheoremReport("th2")
+    rep = I.TheoremReport()
     up, joins, min_upper, sec = p.up, p.joins, p.min_upper, s.sections
     one = 1 << p.top
     for x, row in enumerate(t.cells):

@@ -2,12 +2,13 @@ import gc
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from itertools import chain, groupby, islice, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from paraposet import amalgam, figures
+from paraposet import adjoint, amalgam, figures
 from paraposet import harness
 from paraposet import universe as U
 from paraposet import ortho as O
@@ -246,6 +247,33 @@ def test_canonical_search_leaves_no_garbage_cycles():
     assert found == 0
 
 
+def test_enumeration_leaves_no_garbage_cycles():
+    # the pairing search is a module-level function too, so listing
+    # involutions, filter rows and the structures built on them, with or
+    # without masks, leaves nothing that only the collector could free
+    posets = [p for n in range(2, 7) for p in U.bounded_posets(n)]
+    lattices = [p for n in range(2, 8) for p in U.bounded_posets(n) if p.is_lattice]
+    rng = random.Random(0)
+    masks = [(n, [rng.getrandbits(n + 1) for _ in range(n)]) for n in range(8)]
+    gc.collect()
+    gc.disable()
+    try:
+        for n, allowed in masks:
+            list(U.involutions(n))
+            list(U.involutions(n, allowed))
+        for p in posets:
+            for x in range(p.n):
+                U.filter_involutions(p, x)
+            list(U.ortho_structures(p))
+            list(U.sectioned_structures(p))
+        for p in lattices:
+            adjoint._omidentity_fits(p)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
 def test_smallest_ortho_universe():
     structures = list(gallery.ortho_posets(2))
     assert len(structures) == 1
@@ -266,6 +294,18 @@ def test_involution_counts():
     # the involutions of n points, A000085
     expected = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
     assert [sum(1 for _ in U.involutions(n)) for n in range(11)] == expected
+
+
+@lru_cache(maxsize=None)
+def _self_inverse_permutations(n):
+    # every permutation of 0..n-1 that is its own inverse, in lexicographic order
+    return tuple(perm for perm in permutations(range(n))
+                 if all(perm[i] == j for j, i in enumerate(perm)))
+
+
+def test_involutions_are_the_self_inverse_permutations_in_order():
+    for n in range(9):
+        assert list(U.involutions(n)) == list(_self_inverse_permutations(n))
 
 
 # the stream items at n = 7, as the benchmark's traced pass pins them
@@ -303,12 +343,34 @@ def involution_masks(draw):
                             min_size=n, max_size=n))
 
 
+def _involutions_reference(n, allowed=None):
+    # the backtracker on bare points that the pairing search replaced
+    full = (1 << n) - 1
+    if allowed is None:
+        allowed = [full] * n
+    inv = [-1] * n
+
+    def rec(free):
+        if not free:
+            yield tuple(inv)
+            return
+        x = (free & -free).bit_length() - 1
+        for a in bits(allowed[x] & free):
+            if not allowed[a] >> x & 1:
+                continue
+            inv[x], inv[a] = a, x
+            yield from rec(free & ~(1 << x | 1 << a))
+
+    yield from rec(full)
+
+
 @given(involution_masks())
 def test_masked_involutions_filter_the_unmasked_ones(case):
     n, allowed = case
-    want = [inv for inv in U.involutions(n)
+    want = [inv for inv in _self_inverse_permutations(n)
             if all(allowed[x] >> a & 1 for x, a in enumerate(inv))]
     assert list(U.involutions(n, allowed)) == want
+    assert list(_involutions_reference(n, allowed)) == want
 
 
 def test_involutions_are_antitone():
@@ -321,7 +383,7 @@ def _filter_reference(p, x):
     # each involution of the filter's points that reverses the order
     points = list(bits(p.up[x]))
     rows = set()
-    for inv in U.involutions(len(points)):
+    for inv in _self_inverse_permutations(len(points)):
         row = [-1] * p.n
         for k, o in enumerate(points):
             row[o] = points[inv[k]]
