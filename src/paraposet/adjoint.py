@@ -31,8 +31,8 @@ implication y' v (y ^ z) read only inv[y], and so does their
 adjointness at y over every (x, z). So two masks per element, built
 once per lattice, hold the admissible values: ``G[x]`` those a for
 which both identities hold at x when inv[x] = a, and ``H[y]`` those b
-for which adjointness holds at y when inv[y] = b. Each row is read
-straight off ``meets`` and ``joins``. With u = x v y and d = x ^ y,
+for which adjointness holds at y when inv[y] = b. Each row of G and H
+is read straight off ``meets`` and ``joins``. With u = x v y and d = x ^ y,
 G[x] keeps a when x v (u ^ a) = u for every u >= x and x ^ (d v a) = d
 for every d <= x. With b fixed, f(x) = y ^ (x v b) and
 g(z) = b v (y ^ z) are monotone, so f is left adjoint to g exactly
@@ -42,13 +42,17 @@ both hold. Each candidate is rejected at its first failing u, d, x or
 z. At u = 1 and d = 0 the identities read x v a = 1 and x ^ a = 0, and
 at x = 1 and z = 0 the unit and counit read y v b = 1 and y ^ b = 0,
 so both rows keep only complements: the complement rows are read
-first, and only their elements are tested. An involution fits a mask
-when inv[x] lies in row x for every x, so no involution fits a mask
-with an empty row. Each mask, the complements' too, therefore stops at
-its first empty row and is None. Almost every lattice stops after a
-row or two: 49 of the 77 lattices with n <= 7 have an element with no
-complement, and 1,368 of the 1,377 with n <= 9 have an empty row in
-both G and H.
+first, and only their elements are tested. In a lattice x v a = 1
+exactly when U{x,a} = {1}, and x ^ a = 0 exactly when L{x,a} = {0},
+so the complement rows are read off the up and down rows, and
+``meets`` and ``joins`` are read only for G and H. An involution fits
+a mask when inv[x] lies in row x for every x, so no involution fits a
+mask with an empty row. Each mask, the complements' too, therefore
+stops at its first empty row and is None, and a lattice whose
+complement mask stops builds no meet or join table. Almost every
+lattice stops after a row or two: 49 of the 77 lattices with n <= 7
+have an element with no complement, and 1,368 of the 1,377 with n <= 9
+have an empty row in both G and H.
 
 From the masks, the pairing search (``universe.involutions`` with the
 masks as allowed partners) lists the involutions that fit G and those
@@ -145,22 +149,27 @@ def _omidentity_masks(p: FinitePoset) -> Tuple[Optional[Tuple[int, ...]],
     G[x] keeps a when x v (u ^ a) = u for every u >= x and
     x ^ (d v a) = d for every d <= x. H[y] keeps b when the unit
     x <= b v (y ^ (x v b)) holds for every x and the counit
-    y ^ (b v (y ^ z)) <= z for every z. Both keep only complements, and
-    a mask is None from its first empty row on (see the module
-    docstring).
+    y ^ (b v (y ^ z)) <= z for every z. Both keep only complements,
+    whose rows are read off the cones, and a mask is None from its
+    first empty row on; the meet and join tables are read only once
+    every complement row is nonempty (see the module docstring).
     """
     if not p.is_lattice:
         raise NotALattice("Sasaki lattice operators need a lattice")
-    n, meets, joins, up, down = p.n, p.meets, p.joins, p.up, p.down
-    top, bottom, r = p.top, p.bottom, range(n)
+    n, up, down = p.n, p.up, p.down
+    top, bottom, r = 1 << p.top, 1 << p.bottom, range(n)
+    cols = tuple(zip(r, up, down))
 
     def complements(x):
-        jx, mx = joins[x], meets[x]
-        return sum(1 << a for a in r if jx[a] == top and mx[a] == bottom)
+        # x v a = 1 exactly when U{x,a} = {1}, and x ^ a = 0 when L{x,a} = {0}
+        u_x, d_x = up[x], down[x]
+        return sum(1 << a for a, u_a, d_a in cols
+                   if u_x & u_a == top and d_x & d_a == bottom)
 
     comp = _fit_mask(map(complements, r), n)
     if comp is None:
         return None, None
+    meets, joins = p.meets, p.joins
 
     def g_row(x):
         jx, mx, row = joins[x], meets[x], 0

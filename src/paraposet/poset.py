@@ -10,7 +10,12 @@ common lower cone L{x,y} is the principal ideal of m (m lies in it and
 everything in it lies below m). The down rows are distinct, so a dict
 from each row to its element makes every meet one lookup, and a pair
 whose cone is no principal ideal reads None; joins are the dual on the
-up rows. The pair bounds ``max_lower[x][y]`` = Max L{x,y} and
+up rows. The lattice test builds neither table. A finite bounded poset
+is a lattice once every pair has a meet, for x v y is then the meet of
+U{x,y}, which holds 1; and a comparable pair has one, its lower
+element. So ``is_lattice`` tests the common down cone of each
+incomparable pair against the set of down rows, and stops at the first
+that is none of them. The pair bounds ``max_lower[x][y]`` = Max L{x,y} and
 ``min_upper[x][y]`` = Min U{x,y} are two n x n tables of masks, built
 from the cones on first use and only where the set-valued operators and
 ``has_maximality`` read them. A build scans each distinct common cone
@@ -321,8 +326,24 @@ class FinitePoset:
 
     @cached_property
     def is_lattice(self) -> bool:
-        return all(None not in row for table in (self.meets, self.joins)
-                   for row in table)
+        """Whether every pair has a meet and a join, read off the down rows.
+
+        The poset is finite and bounded, so it is a lattice once every
+        pair has a meet: every finite nonempty subset then has one, and
+        the meet of U{x,y}, which holds 1, is x v y. A comparable pair
+        has a meet, its lower element. x ^ y exists exactly when
+        ``down[x] & down[y]`` is one of the down rows, so only the
+        incomparable pairs are tested, up to the first that fails. No
+        meet or join table is built.
+        """
+        down, full = self.down, self.full
+        rows = set(down)
+        for x, (d_x, u_x) in enumerate(zip(down, self.up)):
+            # the y > x that are incomparable with x
+            for y in bits(full >> (x + 1) << (x + 1) & ~(d_x | u_x)):
+                if d_x & down[y] not in rows:
+                    return False
+        return True
 
     # -- structural predicates ----------------------------------------
 

@@ -43,7 +43,9 @@ the global involution.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Tuple
@@ -121,12 +123,21 @@ def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
     return s
 
 
+def _build_row(poset_ref, build, key):
+    return build(poset_ref(), *key)
+
+
 def _per_row(p: FinitePoset, build) -> LazyDict:
     """``memo[key]``: ``build(p, *key)``, kept on ``p._memo`` under
-    ``build`` for every family of ``p``."""
+    ``build`` for every family of ``p``.
+
+    The memo holds ``p`` by a weak reference, so it makes no reference
+    cycle through ``p._memo`` and is freed with the poset, without the
+    collector. A hit is a plain dict lookup.
+    """
     memo = p._memo.get(build)
     if memo is None:
-        memo = p._memo[build] = LazyDict(lambda key: build(p, *key))
+        memo = p._memo[build] = LazyDict(partial(_build_row, weakref.ref(p), build))
     return memo
 
 

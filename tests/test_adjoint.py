@@ -15,6 +15,7 @@ from paraposet import adjoint as A
 from paraposet import amalgam as AM
 from paraposet import implication as I
 from paraposet import ortho as O
+from paraposet import poset as P
 from paraposet import relative as R
 from paraposet import universe as U
 from paraposet.poset import FinitePoset, PosetError, bits
@@ -265,6 +266,47 @@ def test_omidentity_sweep_builds_no_pair_bound_table(monkeypatch):
     # the counter sees the builds of a theorem that reads the tables
     [res] = H.run_harness(4, ["completeness-finite"])
     assert res.ok and builds
+
+
+def test_omidentity_sweep_builds_meet_join_tables_only_where_read(monkeypatch):
+    # the lattice test and the complement rows read the order rows, so
+    # only a lattice whose every element has a complement builds its meet
+    # and join tables: 28 lattices with n <= 7
+    builds = []
+    principal = P._principal
+
+    def counted(rows):
+        builds.append(rows)
+        return principal(rows)
+
+    monkeypatch.setattr(P, "_principal", counted)
+    [res] = H.run_harness(7, ["omidentity"])
+    assert res.ok and res.instances == 13592
+    assert len(builds) == 56
+    lattices = 0
+    for n in range(2, 9):
+        for p in U.bounded_posets(n):
+            lattices += p.is_lattice
+            assert not {"meets", "joins"} & vars(p).keys(), p.up
+    assert lattices == 299
+    # a stopped complement mask: a has no complement in the chain 0 < a < 1
+    chain = FinitePoset.from_covers("0a1", ["0a", "a1"])
+    assert A._omidentity_fits(chain) == {}
+    assert not {"meets", "joins"} & vars(chain).keys()
+
+
+def test_lattice_and_fit_entry_counts():
+    # the lattices of each size are A006966, and the entries of their fit
+    # dicts are the involutions that fit G or H, here all with both
+    # verdicts True; at n = 10 CI pins the 5,994 lattices and 108 entries
+    lattices, entries = [], []
+    for n in range(2, 10):
+        fits = [A._omidentity_fits(p) for p in U.bounded_posets(n) if p.is_lattice]
+        lattices.append(len(fits))
+        entries.append(sum(map(len, fits)))
+        assert all(v == (True, True) for f in fits for v in f.values())
+    assert lattices == [1, 1, 2, 5, 15, 53, 222, 1078]
+    assert entries == [1, 0, 1, 0, 3, 0, 16, 0]
 
 
 def test_omidentity_check_receives_one_call_per_pair(monkeypatch):

@@ -129,6 +129,13 @@ def _min_of(p, a):
 
 def _assert_bound_tables_match_cones(p):
     r = range(p.n)
+    # the lattice test on a fresh copy, so no table built before it can
+    # serve it; it must agree with both meets and joins by definition
+    fresh = FinitePoset(p.labels, p.up)
+    assert fresh.is_lattice == p.is_lattice == all(
+        _singleton(_max_of(p, p.down[x] & p.down[y])) is not None
+        and _singleton(_min_of(p, p.up[x] & p.up[y])) is not None
+        for x in r for y in r)
     for x in r:
         for y in r:
             maxl = _max_of(p, p.down[x] & p.down[y])
@@ -138,10 +145,6 @@ def _assert_bound_tables_match_cones(p):
             assert p.meets[x][y] == _singleton(maxl)
             assert p.joins[x][y] == _singleton(minu)
             assert p.meet(x, y) == p.meets[x][y] and p.join(x, y) == p.joins[x][y]
-    assert p.is_lattice == all(
-        _singleton(_max_of(p, p.down[x] & p.down[y])) is not None
-        and _singleton(_min_of(p, p.up[x] & p.up[y])) is not None
-        for x in r for y in r)
     assert p.is_distributive == _cone_distributive(p)
 
 

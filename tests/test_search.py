@@ -12,6 +12,7 @@ from paraposet import adjoint, amalgam, figures
 from paraposet import harness
 from paraposet import universe as U
 from paraposet import ortho as O
+from paraposet import relative as R
 from paraposet.poset import bits
 
 import gallery
@@ -247,27 +248,35 @@ def test_canonical_search_leaves_no_garbage_cycles():
     assert found == 0
 
 
+def _enumerate_and_check_sections():
+    # every poset is built here and unreachable once this returns, so a
+    # cycle through one of them is garbage by then
+    rng = random.Random(0)
+    for n in range(8):
+        list(U.involutions(n))
+        list(U.involutions(n, [rng.getrandbits(n + 1) for _ in range(n)]))
+    for p in (p for n in range(2, 7) for p in U.bounded_posets(n)):
+        for x in range(p.n):
+            U.filter_involutions(p, x)
+        list(U.ortho_structures(p))
+        for s in U.sectioned_structures(p):
+            R.relative_paraortho_witness(s)
+            R.check_th2(s)
+            R.para_via_I3(s)
+    for p in (p for n in range(2, 8) for p in U.bounded_posets(n)):
+        if p.is_lattice:
+            adjoint._omidentity_fits(p)
+
+
 def test_enumeration_leaves_no_garbage_cycles():
     # the pairing search is a module-level function too, so listing
     # involutions, filter rows and the structures built on them, with or
-    # without masks, leaves nothing that only the collector could free
-    posets = [p for n in range(2, 7) for p in U.bounded_posets(n)]
-    lattices = [p for n in range(2, 8) for p in U.bounded_posets(n) if p.is_lattice]
-    rng = random.Random(0)
-    masks = [(n, [rng.getrandbits(n + 1) for _ in range(n)]) for n in range(8)]
+    # without masks, leaves nothing that only the collector could free;
+    # nor do the per-row memos the section statements keep on a poset
     gc.collect()
     gc.disable()
     try:
-        for n, allowed in masks:
-            list(U.involutions(n))
-            list(U.involutions(n, allowed))
-        for p in posets:
-            for x in range(p.n):
-                U.filter_involutions(p, x)
-            list(U.ortho_structures(p))
-            list(U.sectioned_structures(p))
-        for p in lattices:
-            adjoint._omidentity_fits(p)
+        _enumerate_and_check_sections()
         found = gc.collect()
     finally:
         gc.enable()
