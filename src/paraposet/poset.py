@@ -39,7 +39,9 @@ and up rows (``_lower``, ``_upper``), and the down-set and up-set of a,
 their unions (``_downset``, ``_upset``), so A le1 B exactly when A lies
 in the down-set of B, and A le2 B when B lies in the up-set of A. Each
 is read through its dict's ``__getitem__``, so a repeated mask costs
-one dict lookup.
+one dict lookup. The four, and the label index, are built on first
+read, so a poset that never reads one (most enumerated posets) builds
+none.
 
 The LU-distributivity identities read two more n x n tables, the pair
 cones ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``, built once
@@ -191,10 +193,11 @@ class FinitePoset:
             raise PosetError("element labels must be unique")
         self.n = n
         self.name = name
-        self.labels = tuple(str(x) for x in labels)
-        self.full = (1 << n) - 1
+        self.labels = tuple(map(str, labels))
+        self.full = full = (1 << n) - 1
         up = tuple(up)
-        if len(up) != n or any(row & ~self.full for row in up):
+        # for ints, the same test as any(row & ~full for row in up)
+        if len(up) != n or min(up) < 0 or max(up) > full:
             raise BadIndex("order rows do not match the element count")
         down = [0] * n
         for i in range(n):
@@ -210,21 +213,38 @@ class FinitePoset:
                     raise PosetError("order must be transitive")
         self.up = up
         self.down = tuple(down)
-        bottoms = [i for i in range(n) if up[i] == self.full]
-        tops = [i for i in range(n) if down[i] == self.full]
-        if not bottoms or not tops:
-            raise NotBounded("poset has no bottom or no top element")
-        self.bottom = bottoms[0]
-        self.top = tops[0]
-        self._index = {lbl: i for i, lbl in enumerate(self.labels)}
-        # the cones L(a), U(a) and the down- and up-set of a mask a known
-        # to lie in the poset (no validation), each a lookup in a
-        # per-poset memo (see the module docstring)
-        self._lower = LazyDict(partial(intersection, self.down, self.full)).__getitem__
-        self._upper = LazyDict(partial(intersection, up, self.full)).__getitem__
-        self._downset = LazyDict(partial(union, self.down)).__getitem__
-        self._upset = LazyDict(partial(union, up)).__getitem__
+        # antisymmetry makes the bottom and the top unique when they exist
+        try:
+            self.bottom = up.index(full)
+            self.top = down.index(full)
+        except ValueError:
+            raise NotBounded("poset has no bottom or no top element") from None
         self._memo: dict = {}
+
+    # the label index, and the cones L(a), U(a) and the down- and up-set
+    # of a mask a known to lie in the poset (no validation), each a lookup
+    # in a per-poset memo (see the module docstring); each is built on
+    # first read, which most enumerated posets never make
+
+    @cached_property
+    def _index(self) -> dict:
+        return {lbl: i for i, lbl in enumerate(self.labels)}
+
+    @cached_property
+    def _lower(self):
+        return LazyDict(partial(intersection, self.down, self.full)).__getitem__
+
+    @cached_property
+    def _upper(self):
+        return LazyDict(partial(intersection, self.up, self.full)).__getitem__
+
+    @cached_property
+    def _downset(self):
+        return LazyDict(partial(union, self.down)).__getitem__
+
+    @cached_property
+    def _upset(self):
+        return LazyDict(partial(union, self.up)).__getitem__
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], name: str = "") -> "FinitePoset":

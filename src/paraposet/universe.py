@@ -27,6 +27,15 @@ involution that swap need not preserve it, so there it does not. And a
 down-set that takes a twin without that twin's predecessor gives a
 child isomorphic to one the generator keeps, so it is skipped.
 
+The generator builds the search inputs of each parent once (up rows,
+degrees, twin predecessors) and reads each child's off them. The new
+point k lies above the mask alone, so no down row of a parent point
+changes: a parent twin pair splits only when the mask takes one of its
+points, and since the mask takes the predecessor of each twin it takes,
+the later point then loses its predecessor. The new point's up row is
+empty and its down row is the mask, so its twin predecessor is the
+last maximal parent point whose down row is the mask.
+
 Each bounded poset expands into its ortho structures (one per antitone
 involution) and its sectioned structures (one per section family);
 ``ortho_structures`` and ``sectioned_structures`` do this for one poset,
@@ -66,28 +75,58 @@ def _middle_posets(m: int) -> Tuple[Tuple[int, ...], ...]:
     """Strict partial orders on m points, one canonical key per class, sorted.
 
     A key is a tuple of strict-up masks. Level m extends every key of
-    the memoised level m-1 by a maximal point above each down-set: the
+    the memoised level m-1 by a maximal point k above each down-set: the
     masks that no point outside them lies below. A down-set that takes
     a twin without that twin's predecessor is skipped: swapping twins
     is an automorphism, so its child is isomorphic to the one on the
     down-set that takes the predecessor instead, which is kept.
+
+    The search inputs of each child are read off its parent's, which
+    are built once. Its up rows are the parent's with bit k over the
+    mask, and its degrees the parent's with one more up-degree there,
+    plus the new point's down-degree, the mask's size. No down row of
+    a parent point changes, so a parent twin pair stays one unless the
+    mask takes one point of it and not the other; the mask takes the
+    predecessor of every twin it takes, so that is the later point. The
+    new point's up row is empty and its down row is the mask, so its
+    twin predecessor is the last maximal parent point with down row
+    ``mask``, if any.
     """
     if m == 0:
         return ((),)
     k = m - 1
+    bit = 1 << k
     children = set()
     for up in _middle_posets(k):
         down = _down_rows(up)
-        twins = [(i, j) for i, j in enumerate(_twin_predecessors(up, down)) if j >= 0]
+        degree = [row.bit_count() << 16 | col.bit_count() for row, col in zip(up, down)]
+        pred = _twin_predecessors(up, down)
+        twins = [(i, j) for i, j in enumerate(pred) if j >= 0]
+        # the last maximal point with each down row
+        maximal = {d: i for i, (row, d) in enumerate(zip(up, down)) if not row}
         # a key lists every point after the points above it, so a point
         # joins a down-set once every later point below it is in
         masks = [0]
         for i in reversed(range(k)):
             masks += [mask | 1 << i for mask in masks if down[i] & ~mask == 0]
         for mask in masks:
-            if all(mask >> j & 1 for i, j in twins if mask >> i & 1):
-                child = tuple(row | (mask >> i & 1) << k for i, row in enumerate(up))
-                children.add(_canon_middle(child + (0,)))
+            child_pred = pred
+            if twins:
+                if not all(mask >> j & 1 for i, j in twins if mask >> i & 1):
+                    continue
+                child_pred = list(pred)
+                for i, j in twins:
+                    if mask >> j & 1 and not mask >> i & 1:
+                        child_pred[i] = -1
+            child = list(up)
+            child_degree = list(degree)
+            for i in bits(mask):
+                child[i] |= bit
+                child_degree[i] += 1 << 16
+            child.append(0)
+            child_degree.append(mask.bit_count())
+            children.add(_canon_key(child, child_degree,
+                                    child_pred + [maximal.get(mask, -1)]))
     return tuple(sorted(children))
 
 
@@ -123,6 +162,21 @@ def _canon_middle(up: Tuple[int, ...],
     allowed. Isomorphic orders reach the same set of matrices, so the
     minimum is a canonical form. With ``inv`` the relabelled involution
     follows the rows in the key, so the key is canonical for the pair.
+    This builds the search inputs from the up rows alone; ``_canon_key``
+    runs the search.
+    """
+    down = _down_rows(up)
+    degree = [row.bit_count() << 16 | col.bit_count() for row, col in zip(up, down)]
+    pred = [-1] * len(up) if inv is not None else _twin_predecessors(up, down)
+    return _canon_key(up, degree, pred, inv)
+
+
+def _canon_key(up: Sequence[int], degree: Sequence[int], pred: Sequence[int],
+               inv: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
+    """The key of ``_canon_middle`` from its search inputs.
+
+    ``degree`` holds each point's ``up-degree << 16 | down-degree`` and
+    ``pred`` its twin predecessor, or -1 (all -1 with ``inv``).
 
     The minimum is found by a depth-first search that fills the new
     labels in order. Every point above a point has a smaller up-degree,
@@ -137,14 +191,11 @@ def _canon_middle(up: Tuple[int, ...],
     prunes ``_middle_posets`` before it calls this function.
     """
     m = len(up)
-    down = _down_rows(up)
-    degree = [row.bit_count() << 16 | col.bit_count() for row, col in zip(up, down)]
     blocks = {}
     for i, d in enumerate(degree):
         blocks[d] = blocks.get(d, 0) | 1 << i
     # the points that may take each position: those of its block
     slots = [blocks[d] for d in sorted(degree)]
-    pred = [-1] * m if inv is not None else _twin_predecessors(up, down)
     best = []
     ctx = (m, slots, [bits(row) for row in up], pred, [0] * m, [0] * m, [0] * m,
            best, inv)
@@ -153,7 +204,7 @@ def _canon_middle(up: Tuple[int, ...],
 
 
 def _canon_search(k: int, used: int, tight: bool, ctx) -> bool:
-    """Fill positions k.. of ``_canon_middle``'s search; True if the best key moved.
+    """Fill positions k.. of ``_canon_key``'s search; True if the best key moved.
 
     ``used`` holds the points placed at positions 0..k-1, and ``tight``
     says their rows equal the best key's. ``ctx`` holds the inputs and

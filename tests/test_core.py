@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraposet import amalgam, figures, fileformat, harness
-from paraposet.poset import (SMALL_SUBSET, FinitePoset, NotAntisymmetric, NotBounded,
-                             bits)
+from paraposet.poset import (SMALL_SUBSET, BadIndex, FinitePoset, NotAntisymmetric,
+                             NotBounded, PosetError, bits, intersection, union)
 from paraposet.universe import bounded_posets
 
 import gallery
@@ -41,6 +41,45 @@ def test_cycle_rejected():
 def test_unbounded_rejected():
     with pytest.raises(NotBounded):
         FinitePoset.from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])
+
+
+@pytest.mark.parametrize("labels, up, error, message", [
+    # a negative row, a bit at position n, too few and too many rows
+    (["0", "1"], [3, -1], BadIndex, "order rows do not match the element count"),
+    (["0", "1"], [3, 2 | 4], BadIndex, "order rows do not match the element count"),
+    (["0", "1"], [3], BadIndex, "order rows do not match the element count"),
+    (["0", "1"], [3, 2, 2], BadIndex, "order rows do not match the element count"),
+    # 0 does not lie below itself
+    (["0", "1"], [2, 2], PosetError, "order must be reflexive"),
+    # 0 < a < 1 without 0 < 1
+    (["0", "a", "1"], [0b011, 0b110, 0b100], PosetError, "order must be transitive"),
+    # a and b below 1 with nothing below both, and the dual
+    (["a", "b", "1"], [0b101, 0b110, 0b100], NotBounded,
+     "poset has no bottom or no top element"),
+    (["0", "a", "b"], [0b111, 0b010, 0b100], NotBounded,
+     "poset has no bottom or no top element"),
+    (["0", "0"], [3, 2], PosetError, "element labels must be unique"),
+    ([], [], PosetError, "poset needs at least one element"),
+])
+def test_constructor_errors(labels, up, error, message):
+    with pytest.raises(PosetError) as caught:
+        FinitePoset(labels, up)
+    assert caught.type is error
+    assert str(caught.value) == message
+
+
+def test_memos_are_built_on_first_read():
+    memos = ("_index", "_lower", "_upper", "_downset", "_upset")
+    for n in range(1, 9):
+        for p in bounded_posets(n):
+            assert not set(memos) & vars(p).keys(), p.up
+            assert p._index == {label: i for i, label in enumerate(p.labels)}
+            for mask in range(1 << n):
+                assert p._lower(mask) == intersection(p.down, p.full, mask)
+                assert p._upper(mask) == intersection(p.up, p.full, mask)
+                assert p._downset(mask) == union(p.down, mask)
+                assert p._upset(mask) == union(p.up, mask)
+            assert set(memos) <= vars(p).keys()
 
 
 def test_cones_and_extrema():

@@ -62,21 +62,24 @@ def test_middle_posets_match_leaf_filter(m):
             assert all(up[j] & ~up[i] == 0 for j in bits(up[i]))
 
 
-def _counted_canon(monkeypatch):
-    # the orders the generator keys, one entry per call
+def _counted_keys(monkeypatch):
+    # the orders the generator keys and their keys, one entry per call;
+    # the generator derives each child's search inputs from its parent
+    # and calls the search core, not _canon_middle
     calls = []
-    canon = U._canon_middle
+    key_of = U._canon_key
 
-    def counted(up, inv=None):
-        calls.append(up)
-        return canon(up, inv)
+    def counted(up, degree, pred, inv=None):
+        key = key_of(up, degree, pred, inv)
+        calls.append((tuple(up), key))
+        return key
 
-    monkeypatch.setattr(U, "_canon_middle", counted)
+    monkeypatch.setattr(U, "_canon_key", counted)
     return calls
 
 
 def test_middle_levels_built_once_per_process(monkeypatch):
-    calls = _counted_canon(monkeypatch)
+    calls = _counted_keys(monkeypatch)
     U._middle_posets.cache_clear()
     for n in range(2, 8):
         for _ in range(2):
@@ -86,6 +89,64 @@ def test_middle_levels_built_once_per_process(monkeypatch):
     calls.clear()
     U._middle_posets(5)
     assert swept == len(calls) > 0
+
+
+def _generated_setups(m):
+    # the search inputs the generator derives for each child on level m,
+    # from the memoised level m - 1, which is left as it is
+    U._middle_posets(m - 1)
+    setups = []
+    key_of = U._canon_key
+
+    def record(up, degree, pred, inv=None):
+        setups.append((tuple(up), tuple(degree), tuple(pred)))
+        return key_of(up, degree, pred, inv)
+
+    U._canon_key = record
+    try:
+        U._middle_posets.__wrapped__(m)
+    finally:
+        U._canon_key = key_of
+    return setups
+
+
+def _rebuilt_setups(m):
+    # the same inputs built from each child's own rows, for every down-set
+    # child of level m - 1 that takes the predecessor of each twin it takes
+    k = m - 1
+    setups = []
+    for up in U._middle_posets(k):
+        pred = U._twin_predecessors(up, U._down_rows(up))
+        for mask in range(1 << k):
+            if any(up[i] & mask for i in range(k) if not mask >> i & 1):
+                continue
+            if any(mask >> i & 1 and not mask >> j & 1 for i, j in enumerate(pred) if j >= 0):
+                continue
+            child = tuple(row | (mask >> i & 1) << k for i, row in enumerate(up)) + (0,)
+            down = U._down_rows(child)
+            degree = tuple(bin(r).count("1") << 16 | bin(c).count("1")
+                           for r, c in zip(child, down))
+            setups.append((child, degree, tuple(U._twin_predecessors(child, down))))
+    return setups
+
+
+def _setup_mismatches(m):
+    """The derived set-ups at level m that the rebuilt ones lack, and the
+    rebuilt ones the generator did not derive, each with its count."""
+    got, want = Counter(_generated_setups(m)), Counter(_rebuilt_setups(m))
+    return got - want, want - got, sum(got.values())
+
+
+def test_derived_setups_match_the_rebuilt_ones():
+    # the generator derives each child's up rows, degrees and twin
+    # predecessors from its parent's; a wrong twin row changes the search
+    # but not always the key, so this is the only test that sees some
+    counts = []
+    for m in range(1, 8):
+        extra, missing, count = _setup_mismatches(m)
+        assert not extra and not missing, (m, extra, missing)
+        counts.append(count)
+    assert counts == [1, 2, 6, 22, 104, 596, 4339]
 
 
 def test_middle_levels_are_shared_immutable_tuples():
@@ -184,8 +245,7 @@ def _strict(o):
 
 def test_middle_keys_match_the_reference(monkeypatch):
     # every child the generator keys, and every level it builds, for m <= 6
-    canon = U._canon_middle
-    calls = _counted_canon(monkeypatch)
+    calls = _counted_keys(monkeypatch)
     U._middle_posets.cache_clear()
     try:
         levels = [U._middle_posets(m) for m in range(7)]
@@ -193,7 +253,7 @@ def test_middle_keys_match_the_reference(monkeypatch):
         U._middle_posets.cache_clear()
     # 1164 down-set children, less those that take a twin without its predecessor
     assert len(calls) == 731
-    assert all(canon(up) == _canon_reference(up) for up in calls)
+    assert all(key == _canon_reference(up) for up, key in calls)
     assert levels == [_middle_reference(m) for m in range(7)]
     assert [len(level) for level in levels] == [1, 1, 2, 5, 16, 63, 318]
 
