@@ -11,6 +11,17 @@ family does not paste, or when the operation asked for is undefined on
 the structure. ``verify`` and ``search`` read no file, so an exception
 raised there is a program fault and propagates; ``search`` passes over a
 structure on which a predicate is undefined and counts it on stderr.
+
+``COMMANDS`` defines each command once: its help line and the function
+that adds its arguments. ``main`` parses argv with the invoked
+command's own parser (``command_parser``, one cached per command), the
+parser that the full parser's subparser for that command would be. The
+full parser (``make_parser``, cached too) is built only when that
+cannot decide the call: no command, a first word that is no command
+(top-level usage, help, an unknown name) or arguments the command does
+not take. It then parses argv again and prints what it always printed,
+so every exit code, stdout and stderr is the one of a parse by the full
+parser alone.
 """
 
 from __future__ import annotations
@@ -213,26 +224,19 @@ def cmd_export(args) -> int:
     return 0
 
 
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every ``main``."""
-    ap = argparse.ArgumentParser(
-        prog="paraposet",
-        description="Checks and tables for finite ordered structures "
-                    "with antitone involutions.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="evaluate structural predicates")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--predicate", action="append",
                    help="predicate name (repeatable; default: all)")
 
-    p = sub.add_parser("table", help="print an implication or product table")
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--op", required=True,
                    choices=["i1", "i2", "i3", "i4", "sasaki-impl", "sasaki-prod"])
 
-    p = sub.add_parser("amalgam", help="build and classify a pasted family")
+
+def _amalgam_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", metavar="family")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--classify", action="store_true",
@@ -240,23 +244,71 @@ def make_parser() -> argparse.ArgumentParser:
     mode.add_argument("--loops", type=int, metavar="N",
                       help="list atomic loops of the given order")
 
-    p = sub.add_parser("verify", help="run the exhaustive theorem harness")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorems", default="all",
                    help="comma-separated theorem ids, or 'all'")
     p.add_argument("--max-n", type=int, default=6)
 
-    p = sub.add_parser("search", help="hunt for a counterexample to A implies B")
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--implies", required=True, metavar="A,B")
     p.add_argument("--max-n", type=int, default=6)
 
-    p = sub.add_parser("export", help="write a DOT cover diagram")
+
+def _export_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--dot", action="store_true", default=True)
+
+
+# each command's help line and the function that adds its arguments, in
+# the order the top-level help lists them
+COMMANDS = {
+    "check": ("evaluate structural predicates", _check_arguments),
+    "table": ("print an implication or product table", _table_arguments),
+    "amalgam": ("build and classify a pasted family", _amalgam_arguments),
+    "verify": ("run the exhaustive theorem harness", _verify_arguments),
+    "search": ("hunt for a counterexample to A implies B", _search_arguments),
+    "export": ("write a DOT cover diagram", _export_arguments),
+}
+
+
+@functools.cache
+def make_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser, built on first use."""
+    ap = argparse.ArgumentParser(
+        prog="paraposet",
+        description="Checks and tables for finite ordered structures "
+                    "with antitone involutions.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return ap
 
 
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on first use: the same parser as
+    the full parser's subparser for ``name``."""
+    ap = argparse.ArgumentParser(prog=f"paraposet {name}")
+    COMMANDS[name][1](ap)
+    return ap
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    # argparse's subparser action makes this same parse_known_args call;
+    # the full parser does the rest: top-level usage, help, an unknown
+    # command and the report of leftover arguments
+    if argv and argv[0] in COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return make_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # looked up per call, so a replaced ``cmd_*`` attribute is the one that runs
     cmd = globals()[f"cmd_{args.command}"]
     path = getattr(args, "file", None)

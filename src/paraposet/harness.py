@@ -18,10 +18,13 @@ family with the condition is the one its row 0 induces (see
 of the orthomodular structures. Its check raises where the condition
 fails, so the condition is a conclusion there, not a filter.
 
-Each theorem runs over the items of one poset under one timer, with
-its ``applies`` and ``check`` read once per poset; ``map`` calls the
-check on each item and ``chain`` joins the results, both at C level, so
-each item costs one call of the check and no other Python frame. The check of a lattice/involution pair reads the
+A stream with no items on a poset, such as ``lattice-inv`` on a poset
+that is no lattice, is passed over before its theorems are looked at.
+Each theorem of a stream with items runs over the items of one poset
+under one timer, with its ``applies`` and ``check`` read once per
+poset; ``map`` calls the check on each item and ``chain`` joins the
+results, both at C level, so each item costs one call of the check and
+no other Python frame. The check of a lattice/involution pair reads the
 lattice's fit dict (``adjoint._omidentity_fits``, built once per
 lattice) and returns a shared empty result when the dict is empty, as
 on most lattices, without hashing the involution, or when the pair's
@@ -322,10 +325,10 @@ def run_harness(max_n: int = 6,
     involutions of each size are enumerated and checked to be
     involutions once. Each poset is expanded into the items of every
     stream a requested theorem reads (see ``_items``), and each theorem
-    of that stream filters them by its ``applies`` and checks the items
-    that pass, timed once per poset. A theorem sees its items in
-    (n, poset, item) order, and ``seconds`` is its own ``applies`` and
-    ``check`` time, not the shared enumeration.
+    of a stream with items on the poset filters them by its ``applies``
+    and checks the items that pass, timed once per poset. A theorem sees
+    its items in (n, poset, item) order, and ``seconds`` is its own
+    ``applies`` and ``check`` time, not the shared enumeration.
     """
     wanted = sorted(THEOREMS) if ids is None else list(ids)
     validate_ids(wanted)
@@ -340,6 +343,8 @@ def run_harness(max_n: int = 6,
         for p in bounded_posets(n):
             for kind, pairs in by_stream.items():
                 items = _items(kind, p, invs)
+                if not items:
+                    continue
                 for th, res in pairs:
                     applies, check = th.applies, th.check
                     t0 = time.perf_counter()

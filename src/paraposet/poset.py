@@ -189,11 +189,12 @@ class FinitePoset:
         n = len(labels)
         if n == 0:
             raise PosetError("poset needs at least one element")
-        if len(set(labels)) != n:
+        # unique as the strings that name them, so 1 and "1" clash
+        self.labels = tuple(map(str, labels))
+        if len(set(self.labels)) != n:
             raise PosetError("element labels must be unique")
         self.n = n
         self.name = name
-        self.labels = tuple(map(str, labels))
         self.full = full = (1 << n) - 1
         up = tuple(up)
         # for ints, the same test as any(row & ~full for row in up)
@@ -429,13 +430,20 @@ class FinitePoset:
 
     @cached_property
     def is_distributive(self) -> bool:
-        """First binary LU-identity, checked over all triples."""
+        """The first binary LU-identity holds at every triple.
+
+        Both sides are symmetric in x and y, and on a comparable pair,
+        x = y among them, the identity only restates a closed cone (see
+        the module docstring), so only the incomparable pairs with x < y
+        are scanned.
+        """
         lu, ul = self.pair_cones
         L, down, n = self._lower, self.down, self.n
-        # both sides are symmetric in x and y
         for x in range(n):
-            lu_x, ul_x = lu[x], ul[x]
-            for y in range(x, n):
+            lu_x, ul_x, comparable = lu[x], ul[x], self.up[x] | self.down[x]
+            for y in range(x + 1, n):
+                if comparable >> y & 1:
+                    continue
                 lu_xy = lu_x[y]
                 for d_z, ul_xz, ul_yz in zip(down, ul_x, ul[y]):
                     if lu_xy & d_z != L(ul_xz & ul_yz):

@@ -60,6 +60,8 @@ def test_unbounded_rejected():
      "poset has no bottom or no top element"),
     (["0", "0"], [3, 2], PosetError, "element labels must be unique"),
     ([], [], PosetError, "poset needs at least one element"),
+    # labels are compared as the strings that name them
+    ([1, "1"], [3, 2], PosetError, "element labels must be unique"),
 ])
 def test_constructor_errors(labels, up, error, message):
     with pytest.raises(PosetError) as caught:

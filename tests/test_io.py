@@ -688,3 +688,78 @@ def test_cli_runs_a_command_replaced_after_an_earlier_call(capsys, monkeypatch):
     assert cli.main(["export", path]) == 5
     assert seen == [path]
     assert capsys.readouterr().out == ""
+
+
+# ``main`` parses with the invoked command's own parser and builds the
+# full parser only for what that parser cannot decide; every outcome
+# must be the one of a parse by the full parser alone.
+
+FIG2A = "fixtures/fig2a.poset"
+SQUARE = "fixtures/square/family.poset"
+
+
+@pytest.mark.parametrize("argv", [
+    # top-level usage, help and unknown commands
+    [], ["--help"], ["-h"], ["-h", "table"], ["bogus"], ["tab"],
+    ["--", "table", FIG2A, "--op", "i1"],
+    # a command's own help, also when more follows
+    ["table", "-h"], ["verify", "--help"], ["verify", "-h", "extra"],
+    ["table", FIG2A, "--op", "i1", "--he"],
+    # errors a command's parser reports
+    ["table", FIG2A], ["table", FIG2A, "--op", "bogus"], ["check"],
+    ["amalgam", SQUARE, "--classify", "--loops", "3"], ["amalgam", SQUARE, "--loops", "x"],
+    ["verify", "--theorems"], ["check", FIG2A, "--predicate"], ["table", FIG2A, "-"],
+    ["table", "--", FIG2A, "--op", "i1"],
+    # leftover arguments, which the full parser reports
+    ["table", FIG2A, "--op", "i1", "extra"], ["table", "--bogus", FIG2A, "--op", "i1"],
+    ["table", FIG2A, "--op", "i1", "--"], ["verify", "--max-n", "3", "extra"],
+    ["table", FIG2A, "--op=i1", "-x"],
+    # errors a command reports, and abbreviated and joined options
+    ["table", "missing.poset", "--op", "i1"], ["verify", "--max-n", "-1"],
+    ["verify", "--max", "3"], ["check", FIG2A, "--pred", "lattice"],
+    ["search", "--implies", "lattice,orthomodular", "--max-n=3"],
+    ["export", FIG2A, "--dot", "--dot"],
+    # a valid run of every command
+    ["check", FIG2A], ["table", FIG2A, "--op", "i1"], ["amalgam", SQUARE],
+    ["amalgam", SQUARE, "--loops", "4"], ["verify", "--max-n", "4"],
+    ["search", "--implies", "orthomodular,paraorthomodular", "--max-n", "5"],
+    ["export", FIG2A],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_outcomes_equal_those_of_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+
+    def outcome():
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_parse", lambda args: cli.make_parser().parse_args(args))
+    assert got == outcome()
+
+
+def test_cli_command_builds_no_full_parser(capsys):
+    cli.make_parser.cache_clear()
+    assert cli.main(["table", str(FIXTURES / "fig2a.poset"), "--op", "i1"]) == 0
+    assert cli.make_parser.cache_info().currsize == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("---+")
+    assert cli.command_parser("table") is cli.command_parser("table")
+    assert cli.command_parser("table").prog == "paraposet table"
+
+
+def test_cli_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    path = str(FIXTURES / "fig2a.poset")
+    assert cli.main(["table", path, "--op", "i1"]) == 0
+    table = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["paraposet", "table", path, "--op", "i1"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == table
+    monkeypatch.setattr(sys, "argv", ["paraposet", "bogus"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "paraposet: error: argument command: invalid choice: 'bogus'")
