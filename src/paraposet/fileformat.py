@@ -20,13 +20,19 @@ A file names itself at most once, and a line that its kind never reads
 (a block or identify line in a poset file, an elements, cover, inv or
 section line in a family file) fails to parse, naming the line.
 
-Comments start with '#'. Emission is canonical: the element line keeps
-declaration order, cover/inv/section lines are regenerated from the
-built structure and sorted, so emit is idempotent and fixtures
-round-trip byte for byte. A family emitted from its parsed file keeps
-the file's name line (or its absence) and block paths, and regenerates
-the identify lines; a family built in code is named by its joined block
-names and lists block NAME as NAME.poset.
+Comments start with '#'. Each line is split into words once. A poset
+file is built through one index from label to element: the cover and
+inv lines are resolved through it before the order is built, which
+reads index pairs, and the section lines after. The inv lines pair the
+bottom with the top only when neither has an inv line of its own.
+
+Emission is canonical: the element line keeps declaration order,
+cover/inv/section lines are regenerated from the built structure and
+sorted, so emit is idempotent and fixtures round-trip byte for byte.
+A family emitted from its parsed file keeps the file's name line (or
+its absence) and block paths, and regenerates the identify lines; a
+family built in code is named by its joined block names and lists block
+NAME as NAME.poset.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .poset import FinitePoset, PosetError, bits
+from .poset import BadIndex, FinitePoset, PosetError, bits
 from .ortho import OrthoPoset, validate_involution
 from .relative import SectionedPoset, validate_sections
 from .amalgam import PastedFamily, validate_family
@@ -67,63 +73,63 @@ _FAMILY_KEYWORDS = ("block", "identify")
 def parse(text: str) -> StructureFile:
     """Read a poset or family file; a line the file's kind would not read is an error."""
     sf = StructureFile()
-    first = {}  # keyword -> the number of its first line
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    # each line split once: its words before any '#'
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    for no, parts in enumerate(lines, start=1):
+        if not parts:
             continue
-        parts = line.split()
-        kw, args = parts[0], parts[1:]
-        first.setdefault(kw, no)
-        if kw == "name":
+        kw = parts[0]
+        if kw == "cover":
+            if len(parts) != 3:
+                raise ParseError(no, "cover takes two elements")
+            sf.covers.append((parts[1], parts[2]))
+        elif kw == "section":
+            if len(parts) != 4:
+                raise ParseError(no, "section takes base, element, image")
+            sf.sections.append((parts[1], parts[2], parts[3]))
+        elif kw == "inv":
+            if len(parts) != 3:
+                raise ParseError(no, "inv takes two elements")
+            sf.inv_pairs.append((parts[1], parts[2]))
+        elif kw == "name":
             if sf.name:
                 raise ParseError(no, "duplicate name line")
-            if len(args) != 1:
+            if len(parts) != 2:
                 raise ParseError(no, "name takes one word")
-            sf.name = args[0]
+            sf.name = parts[1]
         elif kw == "elements":
             if sf.elements:
                 raise ParseError(no, "duplicate elements line")
-            if len(set(args)) != len(args) or not args:
+            sf.elements = parts[1:]
+            if len(set(sf.elements)) != len(sf.elements) or not sf.elements:
                 raise ParseError(no, "elements must be nonempty and unique")
-            sf.elements = args
-        elif kw == "cover":
-            if len(args) != 2:
-                raise ParseError(no, "cover takes two elements")
-            sf.covers.append((args[0], args[1]))
-        elif kw == "inv":
-            if len(args) != 2:
-                raise ParseError(no, "inv takes two elements")
-            sf.inv_pairs.append((args[0], args[1]))
-        elif kw == "section":
-            if len(args) != 3:
-                raise ParseError(no, "section takes base, element, image")
-            sf.sections.append((args[0], args[1], args[2]))
         elif kw == "family":
-            if args:
+            if len(parts) != 1:
                 raise ParseError(no, "family takes no arguments")
             sf.is_family = True
         elif kw == "block":
-            if len(args) != 2:
+            if len(parts) != 3:
                 raise ParseError(no, "block takes a name and a file")
-            sf.blocks.append((args[0], args[1]))
+            sf.blocks.append((parts[1], parts[2]))
         elif kw == "identify":
             group = []
-            for a in args:
+            for a in parts[1:]:
                 if ":" not in a:
                     raise ParseError(no, f"expected BLOCK:ELEMENT, got {a!r}")
-                b, e = a.split(":", 1)
-                group.append((b, e))
+                group.append(tuple(a.split(":", 1)))
             if len(group) < 2:
                 raise ParseError(no, "identify needs at least two entries")
             sf.identify.append(group)
         else:
             raise ParseError(no, f"unknown keyword {kw!r}")
-    unread = _POSET_KEYWORDS if sf.is_family else _FAMILY_KEYWORDS
-    stray = min(((first[kw], kw) for kw in unread if kw in first), default=None)
-    if stray:
-        kind = "family" if sf.is_family else "poset"
-        raise ParseError(stray[0], f"{stray[1]} line in a {kind} file")
+    # a poset file with no block or identify entry has no stray line
+    if sf.is_family or sf.blocks or sf.identify:
+        unread = _POSET_KEYWORDS if sf.is_family else _FAMILY_KEYWORDS
+        stray = next(((no, parts[0]) for no, parts in enumerate(lines, start=1)
+                      if parts and parts[0] in unread), None)
+        if stray:
+            kind = "family" if sf.is_family else "poset"
+            raise ParseError(stray[0], f"{stray[1]} line in a {kind} file")
     if sf.is_family:
         if not sf.blocks:
             raise ParseError(0, "family file lists no blocks")
@@ -142,8 +148,6 @@ def build(sf: StructureFile, basedir: str = ".") -> Structure:
     """Turn a parsed file into the richest structure it describes."""
     if sf.is_family:
         blocks = []
-        names = []
-        by_name = {}
         for bname, path in sf.blocks:
             path = os.path.join(basedir, path)
             bsf = _read(path)
@@ -151,31 +155,31 @@ def build(sf: StructureFile, basedir: str = ".") -> Structure:
             # checked before building, so a family block never recurses
             if bsf.is_family or bsf.sections or not bsf.inv_pairs:
                 raise PosetError(f"block {bname} must carry a global involution")
-            names.append(bname)
-            by_name[bname] = len(blocks)
             blocks.append(build(bsf, os.path.dirname(path) or "."))
-        glue = []
-        for group in sf.identify:
-            resolved = []
-            for bname, elem in group:
-                if bname not in by_name:
-                    raise PosetError(f"unknown block {bname!r} in identify")
-                resolved.append((by_name[bname], elem))
-            glue.append(resolved)
+        names = [bname for bname, _ in sf.blocks]
+        by_name = {bname: i for i, bname in enumerate(names)}
+        try:
+            glue = [[(by_name[bname], elem) for bname, elem in group] for group in sf.identify]
+        except KeyError as exc:
+            raise PosetError(f"unknown block {exc.args[0]!r} in identify") from None
         return validate_family(blocks, glue, names=names)
 
-    known = set(sf.elements)
-    for pair in sf.covers + sf.inv_pairs:
-        for e in pair:
-            if e not in known:
-                raise PosetError(f"unknown element {e!r}")
-    p = FinitePoset.from_covers(sf.elements, sf.covers, name=sf.name)
-    if not sf.inv_pairs and not sf.sections:
+    index = {lbl: i for i, lbl in enumerate(sf.elements)}
+    try:
+        covers = [(index[a], index[b]) for a, b in sf.covers]
+        inv_pairs = [(index[a], index[b]) for a, b in sf.inv_pairs]
+    except KeyError as exc:
+        raise PosetError(f"unknown element {exc.args[0]!r}") from None
+    p = FinitePoset.from_covers(sf.elements, covers, name=sf.name)
+    if not inv_pairs and not sf.sections:
         return p
     if sf.sections:
         rows = [[-1] * p.n for _ in range(p.n)]
         for x, y, z in sf.sections:
-            row, iy, iz = rows[p.index(x)], p.index(y), p.index(z)
+            try:
+                row, iy, iz = rows[index[x]], index[y], index[z]
+            except KeyError as exc:
+                raise BadIndex(f"no element labelled {exc.args[0]!r}") from None
             if row[iy] not in (-1, iz):
                 raise PosetError(f"conflicting section image for {y} in [{x},1]")
             row[iy] = iz
@@ -185,27 +189,28 @@ def build(sf: StructureFile, basedir: str = ".") -> Structure:
                 rows[x][x] = p.top
             if rows[x][p.top] < 0:
                 rows[x][p.top] = x
-        if sf.inv_pairs:
+        if inv_pairs:
             # the inv lines give the bottom row, and must agree with its section lines
-            inv, row = _inv_map(p, sf.inv_pairs), rows[p.bottom]
+            inv, row = _inv_map(p, inv_pairs), rows[p.bottom]
             for y in range(p.n):
                 if row[y] < 0:
                     row[y] = inv[y]
                 elif row[y] != inv[y]:
                     raise PosetError(f"conflicting involute for {p.labels[y]}")
         return validate_sections(p, rows)
-    return validate_involution(p, _inv_map(p, sf.inv_pairs))
+    return validate_involution(p, _inv_map(p, inv_pairs))
 
 
 def _inv_map(p: FinitePoset, pairs) -> list:
+    """The map the ``inv`` index pairs declare; bottom and top are paired
+    only when neither is in a pair."""
     inv = [-1] * p.n
     for a, b in pairs:
-        ia, ib = p.index(a), p.index(b)
-        for i, j in ((ia, ib), (ib, ia)):
+        for i, j in ((a, b), (b, a)):
             if inv[i] not in (-1, j):
                 raise PosetError(f"conflicting involute for {p.labels[i]}")
             inv[i] = j
-    if inv[p.bottom] < 0:
+    if inv[p.bottom] < 0 and inv[p.top] < 0:
         inv[p.bottom], inv[p.top] = p.top, p.bottom
     missing = [p.labels[i] for i in range(p.n) if inv[i] < 0]
     if missing:

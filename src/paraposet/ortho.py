@@ -10,6 +10,12 @@ pair where the row is not antitone (``_antitone_failure``), and the
 first pair that breaks paraorthomodularity relative to the filter
 (``_para_row``). On the whole poset, the filter of the bottom, they are
 the antitonicity of an involution and its paraorthomodularity.
+
+Orthogonality and regularity read meets and joins off the order rows,
+with no meet or join table: x ^ y is the element whose down row is
+``down[x] & down[y]``, if any, and x v y dually on the up rows. For an
+antitone involution x <= y' exactly when y <= x' (apply the involution
+to either side), so the y orthogonal to x are the bits of ``down[x']``.
 """
 
 from __future__ import annotations
@@ -102,11 +108,17 @@ def validate_involution(poset: FinitePoset, inv: Sequence[int]) -> OrthoPoset:
 # -- orthogonality ----------------------------------------------------
 
 def orthogonality_witness(o: OrthoPoset) -> Optional[Tuple[int, int]]:
-    """An orthogonal pair without a join, if any."""
+    """An orthogonal pair without a join, if any: the first (x, y), x <= y
+    as indices, with x <= y' and no x v y. The partners y of x are read
+    off ``down[x']`` (see the module docstring); a comparable pair has a
+    join, so only the incomparable ones are tested."""
     p = o.poset
-    for x in range(p.n):
-        for y in range(x, p.n):
-            if p.leq(x, o.inv[y]) and p.join(x, y) is None:
+    up, down = p.up, p.down
+    rows = set(up)
+    for x, (u_x, d_x, xi) in enumerate(zip(up, down, o.inv)):
+        # the y >= x, as indices, below x' and incomparable with x
+        for y in bits(down[xi] & ~(u_x | d_x) >> x << x):
+            if u_x & up[y] not in rows:
                 return (x, y)
     return None
 
@@ -200,20 +212,23 @@ def is_complementation(o: OrthoPoset) -> bool:
 def is_regular(o: OrthoPoset) -> bool:
     """x meet x' lies below y join y' for all pairs.
 
-    On orthogonal posets both terms always exist; elsewhere a missing
-    term raises UndefinedTerm.
+    x ^ x' and x v x' are read off the order rows. On orthogonal posets
+    both terms always exist; elsewhere a missing term raises
+    UndefinedTerm.
     """
     p = o.poset
+    up, down = p.up, p.down
+    meet_of = {row: m for m, row in enumerate(down)}.get
+    join_of = {row: j for j, row in enumerate(up)}.get
     meets = joins = 0
-    for x in range(p.n):
-        m = p.meet(x, o.inv[x])
-        j = p.join(x, o.inv[x])
+    for x, xi in enumerate(o.inv):
+        m, j = meet_of(down[x] & down[xi]), join_of(up[x] & up[xi])
         if m is None or j is None:
-            raise UndefinedTerm(p.labels[x], p.labels[o.inv[x]])
+            raise UndefinedTerm(p.labels[x], p.labels[xi])
         meets |= 1 << m
         joins |= 1 << j
     # each distinct meet lies below every join
-    return all(joins & ~p.up[m] == 0 for m in bits(meets))
+    return all(joins & ~up[m] == 0 for m in bits(meets))
 
 
 def orthomodular_witness(o: OrthoPoset) -> Optional[tuple]:

@@ -249,22 +249,28 @@ class FinitePoset:
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], name: str = "") -> "FinitePoset":
-        """Build from cover pairs (lower, upper), given as labels or indices."""
+        """Build from cover pairs (lower, upper), given as labels or indices.
+
+        The rows are closed by passes over the covers, highest lower
+        element first, until one changes nothing: when covers run up in
+        index order, as files list them, the second pass confirms the first.
+        """
         labels = [str(x) for x in labels]
         index = {lbl: i for i, lbl in enumerate(labels)}
         n = len(labels)
-        up = [1 << i for i in range(n)]
+        pairs = []
         for lo, hi in covers:
             i = lo if isinstance(lo, int) else index.get(str(lo))
             j = hi if isinstance(hi, int) else index.get(str(hi))
             if i is None or j is None or not (0 <= i < n and 0 <= j < n):
                 raise BadIndex(f"unknown element in cover pair ({lo}, {hi})")
-            up[i] |= 1 << j
-        for k in range(n):
-            kbit = 1 << k
-            for i in range(n):
-                if up[i] & kbit:
-                    up[i] |= up[k]
+            pairs.append((i, j))
+        pairs.sort(reverse=True)
+        up, closed = [1 << i for i in range(n)], None
+        while up != closed:
+            closed = up[:]
+            for i, j in pairs:
+                up[i] |= up[j]
         return cls(labels, up, name=name)
 
     # -- basic access -------------------------------------------------

@@ -96,29 +96,32 @@ class SectionedPoset:
 
 
 def validate_sections(poset: FinitePoset, sections) -> SectionedPoset:
-    """Check every row is an antitone involution of its filter."""
+    """Check every row is an antitone involution of its filter.
+
+    Row x is read against the mask ``up[x]``: each y in the filter has
+    an image in it that maps back to y, each y outside a negative entry.
+    """
+    n, labels = poset.n, poset.labels
     rows = []
-    for x in range(poset.n):
-        row = list(sections[x])
-        lx = poset.labels[x]
-        filt = poset.up[x]
-        if len(row) != poset.n:
-            raise SectionViolation(lx, "row length mismatch")
-        for y in range(poset.n):
-            inside = bool(filt >> y & 1)
-            if inside != (row[y] >= 0):
-                raise SectionViolation(lx, f"domain mismatch at {poset.labels[y]}")
-            if inside and not (poset.leq(x, row[y]) and row[row[y]] == y):
-                raise SectionViolation(lx, f"not an involution of the filter at {poset.labels[y]}")
+    for x, filt in enumerate(poset.up):
+        row = tuple(sections[x])
+        if len(row) != n:
+            raise SectionViolation(labels[x], "row length mismatch")
+        for y, r in enumerate(row):
+            if (r >= 0) != (filt >> y & 1):
+                raise SectionViolation(labels[x], f"domain mismatch at {labels[y]}")
+            if r >= 0 and not (filt >> r & 1 and row[r] == y):
+                raise SectionViolation(
+                    labels[x], f"not an involution of the filter at {labels[y]}")
         w = _antitone_failure(poset, row, filt)
         if w is not None:
             raise SectionViolation(
-                lx, f"not antitone on ({poset.labels[w[0]]}, {poset.labels[w[1]]})")
-        rows.append(tuple(row))
+                labels[x], f"not antitone on ({labels[w[0]]}, {labels[w[1]]})")
+        rows.append(row)
     s = SectionedPoset(poset, tuple(rows))
     # forced for antitone involutions on bounded filters
     if not all(rows[x][x] == poset.top and rows[x][poset.top] == x
-               for x in range(poset.n)):
+               for x in range(n)):
         raise AssertionError("a section must swap the bottom and top of its filter")
     return s
 
@@ -308,20 +311,22 @@ def relpara_via_impl_under_C(s: SectionedPoset) -> Tuple[bool, bool, bool]:
 def sections_from_involution(o) -> SectionedPoset:
     """Sections z^y := z' v y induced by a global involution.
 
-    Needs every join z' v y with y <= z to exist. On an orthomodular
-    structure this family satisfies the compatibility condition, and a
-    family that satisfies it is the one induced by its own row 0, since
-    C at x = 0 reads z^y = z^0 v y.
+    Needs every join z' v y with y <= z to exist; each is the element
+    whose up row is ``up[z'] & up[y]``. On an orthomodular structure this
+    family satisfies the compatibility condition, and a family that
+    satisfies it is the one induced by its own row 0, since C at x = 0
+    reads z^y = z^0 v y.
     """
-    p = o.poset
+    p, inv = o.poset, o.inv
+    up, labels = p.up, p.labels
+    join_of = {row: j for j, row in enumerate(up)}.get
     rows = []
-    for x in range(p.n):
+    for x, u_x in enumerate(up):
         row = [-1] * p.n
-        for y in bits(p.up[x]):
-            j = p.join(o.inv[y], x)
+        for y in bits(u_x):
+            j = join_of(up[inv[y]] & u_x)
             if j is None:
-                raise JoinMissing(
-                    f"join of {p.labels[o.inv[y]]} and {p.labels[x]} missing")
+                raise JoinMissing(f"join of {labels[inv[y]]} and {labels[x]} missing")
             row[y] = j
-        rows.append(tuple(row))
+        rows.append(row)
     return validate_sections(p, rows)

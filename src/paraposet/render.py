@@ -1,4 +1,10 @@
-"""Text renderings: DOT diagrams and implication tables."""
+"""Text renderings: DOT diagrams and implication tables.
+
+A DOT label is quoted with each backslash escaped, then each double
+quote, so no label ends its string early. A table is rendered in one
+pass over its rows: each distinct cell mask is formatted once, and a
+column is as wide as its label or its widest distinct cell.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from .implication import SetValuedTable
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(structure) -> str:
@@ -46,16 +52,16 @@ def format_cell(p: FinitePoset, mask: int) -> str:
 
 
 def render_table(table: SetValuedTable) -> str:
-    """Grid of cells in element order; each distinct cell mask is formatted once."""
+    """Grid of cells in element order, made in one pass over the rows."""
     p = table.poset
-    text = {m: format_cell(p, m) for m in set().union(*table.cells)}
-    cells = [[text[m] for m in row] for row in table.cells]
-    widths = [max(map(len, (p.labels[y],) + col)) for y, col in enumerate(zip(*cells))]
-    head = max(len(l) for l in p.labels)
-    out = [" " * head + " | " + "  ".join(
-        p.labels[y].ljust(widths[y]) for y in range(p.n)).rstrip()]
-    out.append("-" * head + "-+-" + "-" * (sum(widths) + 2 * (p.n - 1)))
-    for x in range(p.n):
-        out.append(p.labels[x].ljust(head) + " | " + "  ".join(
-            cells[x][y].ljust(widths[y]) for y in range(p.n)).rstrip())
+    labels, cells = p.labels, table.cells
+    cell = {m: format_cell(p, m) for m in set().union(*cells)}.__getitem__
+    widths = [max(len(lbl), *map(len, map(cell, set(col))))
+              for lbl, col in zip(labels, zip(*cells))]
+    head = max(map(len, labels))
+    out = [" " * head + " | " + "  ".join(map(str.ljust, labels, widths)).rstrip(),
+           "-" * head + "-+-" + "-" * (sum(widths) + 2 * (p.n - 1))]
+    for lbl, row in zip(labels, cells):
+        out.append(lbl.ljust(head) + " | "
+                   + "  ".join(map(str.ljust, map(cell, row), widths)).rstrip())
     return "\n".join(out) + "\n"

@@ -10,12 +10,13 @@ literal form, as the reference the row-union kernels are tested against.
 import pathlib
 from itertools import chain
 
-from paraposet import fileformat, relative, universe
+from paraposet import amalgam, fileformat, relative, universe
 from paraposet.ortho import validate_involution
 from paraposet.poset import FinitePoset, bits
 from paraposet.relative import SectionedPoset
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+NONLATTICES_N10 = pathlib.Path(__file__).resolve().parent / "data" / "ortho-nonlattice-n10"
 
 
 def load(name: str):
@@ -51,6 +52,19 @@ def with_i3_columns(s, cols):
 def ortho_posets(n: int):
     """Every ortho structure of size n, in the order the harness sees them."""
     return chain.from_iterable(map(universe.ortho_structures, universe.bounded_posets(n)))
+
+
+def reference_orthos() -> list:
+    """The structures the row readings of ``ortho`` and ``relative`` are
+    compared with their pairwise definitions on: every ortho structure
+    with n <= 8, the orthogonal non-lattices with n = 10 and the fixture
+    carriers."""
+    structures = [o for n in range(2, 9) for o in ortho_posets(n)]
+    structures += [fileformat.load(str(path))
+                   for path in sorted(NONLATTICES_N10.glob("*.poset"))]
+    structures += [amalgam.build_amalgam(fileformat.load(str(path)))
+                   for path in sorted(FIXTURES.glob("*/family.poset"))]
+    return structures
 
 
 def sectioned_posets(n: int):

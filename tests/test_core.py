@@ -1,3 +1,4 @@
+import random
 from functools import cached_property
 from itertools import combinations
 
@@ -36,6 +37,46 @@ def test_cycle_rejected():
     with pytest.raises(NotAntisymmetric):
         FinitePoset.from_covers(["0", "a", "b", "1"],
                                 [("0", "a"), ("a", "b"), ("b", "a"), ("b", "1")])
+
+
+def _warshall_closure(labels, covers):
+    # the reference: the cover relation closed by Warshall's loop over the rows
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for i, j in covers:
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return FinitePoset(labels, up)
+
+
+def _rows_or_error(build, labels, covers):
+    try:
+        return build(labels, covers).up
+    except PosetError as exc:
+        return type(exc), str(exc)
+
+
+def test_from_covers_closes_any_cover_relation_as_warshall_does():
+    # random relations with a bottom and a top at random indices, so covers
+    # run both ways in index order, and random extra pairs, cycles among them
+    rng = random.Random(0)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        labels = [f"e{i}" for i in range(n)]
+        lo, hi = rng.sample(range(n), 2)
+        covers = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        covers += [(lo, i) for i in range(n)] + [(i, hi) for i in range(n)]
+        rng.shuffle(covers)
+        want = _rows_or_error(_warshall_closure, labels, covers)
+        assert _rows_or_error(FinitePoset.from_covers, labels, covers) == want
+        named = [(labels[i], labels[j]) for i, j in covers]
+        assert _rows_or_error(FinitePoset.from_covers, labels, named) == want
+        kinds.add(want[0] if isinstance(want[0], type) else "poset")
+    assert kinds == {"poset", NotAntisymmetric}
 
 
 def test_unbounded_rejected():

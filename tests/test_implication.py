@@ -1,4 +1,3 @@
-import pathlib
 from collections import Counter
 
 import pytest
@@ -110,7 +109,7 @@ def _om_u_identity_reference(o):
 def test_om_u_identity_matches_the_reference_on_orthogonal_structures():
     structures = [o for n in range(2, 9) for o in gallery.ortho_posets(n)]
     structures += [fileformat.load(str(path))
-                   for path in sorted(NONLATTICES_N10.glob("*.poset"))]
+                   for path in sorted(gallery.NONLATTICES_N10.glob("*.poset"))]
     structures += _fixture_structures()
     verdicts = Counter()
     for o in structures:
@@ -144,14 +143,11 @@ def test_statements_checked_only_by_their_theorems_hold_on_the_fixtures():
     assert sum(map(O.is_kleene_lattice, structures)) == 18
 
 
-NONLATTICES_N10 = pathlib.Path(__file__).resolve().parent / "data" / "ortho-nonlattice-n10"
-
-
 def test_every_ortho_theorem_holds_on_the_orthogonal_non_lattices_at_n10():
     # the first orthogonal structures of the sweep that are not lattices;
     # CI checks that the files are exactly those of bounded_posets(10)
     structures = [fileformat.load(str(path))
-                  for path in sorted(NONLATTICES_N10.glob("*.poset"))]
+                  for path in sorted(gallery.NONLATTICES_N10.glob("*.poset"))]
     assert len(structures) == 8
     applied = Counter()
     for o in structures:

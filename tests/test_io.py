@@ -109,6 +109,61 @@ def test_missing_involute_is_semantic_error():
         ff.build(ff.parse(bad))
 
 
+B2 = "elements 0 a b 1\ncover 0 a\ncover 0 b\ncover a 1\ncover b 1\n"
+CHAIN3 = "elements 0 a 1\ncover 0 a\ncover a 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (B2 + "inv 1 1\ninv a b\n", "no involute declared for 0"),
+    (CHAIN3 + "inv 1 a\n", "no involute declared for 0"),
+    (CHAIN3 + "inv 0 a\n", "no involute declared for 1"),
+], ids=["square-top-fixed", "chain-top-to-middle", "chain-bottom-to-middle"])
+def test_bounds_are_paired_only_when_neither_has_an_inv_line(tmp_path, capsys, text, message):
+    # a declared involute of the top (or the bottom) is kept, so the other
+    # bound has none; pairing them would overwrite the declared one
+    path = tmp_path / "bounds.poset"
+    path.write_text(text)
+    with pytest.raises(PosetError, match=f"^{message}$"):
+        ff.build(ff.parse(text))
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("kind, lines, message", [
+    ("poset", "cover a z\n", "unknown element 'z'"),
+    ("poset", "inv a z\n", "unknown element 'z'"),
+    ("poset", "inv a b\nsection a z 1\n", "no element labelled 'z'"),
+    ("poset", "inv a b\ninv a a\n", "conflicting involute for a"),
+    # the covers are resolved before the inv lines, and both before the order
+    ("poset", "inv a y\ncover a z\n", "unknown element 'z'"),
+    ("poset", "cover 1 0\ninv a z\n", "unknown element 'z'"),
+    ("poset", "cover 1 a\ninv a b\nsection a z 1\n", "cycle through element a"),
+    ("poset", "inv a b\nsection a 1 a\nsection a 1 b\nsection z 1 1\n",
+     "conflicting section image for 1 in [a,1]"),
+    ("poset", "cover a\n", "line 6: cover takes two elements"),
+    ("poset", "inv a b c\n", "line 6: inv takes two elements"),
+    ("poset", "section a 1\n", "line 6: section takes base, element, image"),
+    ("family", "identify K1:zz K2:p\n", "no element labelled 'zz'"),
+    ("family", "identify K1:p K9:p\n", "unknown block 'K9' in identify"),
+    ("family", "identify K1:p\n", "line 5: identify needs at least two entries"),
+    ("family", "identify K1:p K2\n", "line 5: expected BLOCK:ELEMENT, got 'K2'"),
+], ids=["cover-label", "inv-label", "section-label", "inv-conflict", "cover-before-inv",
+        "label-before-cycle", "cycle-before-section", "section-conflict-first",
+        "cover-arity", "inv-arity", "section-arity", "identify-label", "identify-block",
+        "identify-one", "identify-entry"])
+def test_load_errors_keep_their_text(tmp_path, capsys, kind, lines, message):
+    if kind == "family":
+        for name in ("K1.poset", "K2.poset"):
+            (tmp_path / name).write_text((FIXTURES / "chain" / name).read_text())
+        text = "name fam\nfamily\nblock K1 K1.poset\nblock K2 K2.poset\n" + lines
+    else:
+        text = B2 + lines
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_inv_lines_must_agree_with_the_bottom_section_row(tmp_path, capsys):
     # fig7s's section lines on [0,1] swap a with a' and b with b'
     text = (FIXTURES / "fig7s.poset").read_text()
@@ -148,6 +203,14 @@ def test_two_chain_dot():
     dot = render.export_dot(p)
     assert dot.count("->") == 1
     assert dot.count("label=") == 2
+
+
+def test_dot_labels_escape_backslash_and_quote():
+    # the backslash is escaped first, so neither label closes its string early
+    p = FinitePoset.from_covers(["a\\", 'b"'], [("a\\", 'b"')])
+    dot = render.export_dot(p)
+    assert '  n0 [label="a\\\\"];\n' in dot
+    assert '  n1 [label="b\\""];\n' in dot
 
 
 def test_benzene_dot():

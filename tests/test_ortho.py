@@ -1,11 +1,10 @@
 import pytest
 
-from paraposet import amalgam as am, figures, fileformat
+from paraposet import figures
 from paraposet import ortho as O
 from paraposet.poset import FinitePoset, PosetError
 
 import gallery
-from gallery import FIXTURES
 
 
 def test_validate_involution_rejects_monotone():
@@ -140,13 +139,29 @@ def _regular(o):
 
 
 def test_regularity_matches_the_pairwise_definition():
-    structures = [o for n in range(2, 9) for o in gallery.ortho_posets(n)]
-    structures += [am.build_amalgam(fileformat.load(str(path)))
-                   for path in sorted(FIXTURES.glob("*/family.poset"))]
+    structures = gallery.reference_orthos()
     verdicts = [_regular(o) for o in structures]
     assert verdicts == [_regular_pairwise(o) for o in structures]
     # each outcome occurs, so the comparison is not vacuous
     assert {True, False, "undefined"} <= set(verdicts)
+
+
+def _orthogonality_witness_pairwise(o):
+    # the definition: the first x <= y, as indices, with x <= y' and no x v y
+    p = o.poset
+    for x in range(p.n):
+        for y in range(x, p.n):
+            if p.leq(x, o.inv[y]) and p.join(x, y) is None:
+                return (x, y)
+    return None
+
+
+def test_orthogonality_witness_matches_the_pairwise_definition():
+    structures = gallery.reference_orthos()
+    witnesses = [O.orthogonality_witness(o) for o in structures]
+    assert witnesses == [_orthogonality_witness_pairwise(o) for o in structures]
+    # both outcomes occur, so the comparison is not vacuous
+    assert None in witnesses and any(w is not None for w in witnesses)
 
 
 # -- validation and repr -------------------------------------------------

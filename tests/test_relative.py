@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from paraposet import figures
@@ -6,7 +8,7 @@ from paraposet import implication as I
 from paraposet import ortho as O
 from paraposet import relative as R
 from paraposet import universe as U
-from paraposet.poset import FinitePoset, bits
+from paraposet.poset import FinitePoset, PosetError, bits
 
 import gallery
 
@@ -160,3 +162,100 @@ def test_sectioned_repr_names_the_poset_or_its_size():
     assert repr(R.validate_sections(p, rows)) == "SectionedPoset(chain3)"
     p = FinitePoset.from_covers("0a1", [("0", "a"), ("a", "1")])
     assert repr(R.validate_sections(p, rows)) == "SectionedPoset(3)"
+
+
+def _validate_sections_pairwise(poset, sections):
+    # the definition, read pair by pair: every row is an antitone
+    # involution of its filter, the first failing y in index order reported
+    rows = []
+    for x in range(poset.n):
+        row = list(sections[x])
+        lx = poset.labels[x]
+        if len(row) != poset.n:
+            raise R.SectionViolation(lx, "row length mismatch")
+        for y in range(poset.n):
+            inside = poset.leq(x, y)
+            if inside != (row[y] >= 0):
+                raise R.SectionViolation(lx, f"domain mismatch at {poset.labels[y]}")
+            if inside and not (poset.leq(x, row[y]) and row[row[y]] == y):
+                raise R.SectionViolation(
+                    lx, f"not an involution of the filter at {poset.labels[y]}")
+        for y in range(poset.n):
+            for z in range(poset.n):
+                if poset.leq(x, y) and poset.leq(y, z) and not poset.leq(row[z], row[y]):
+                    raise R.SectionViolation(lx, f"not antitone on ({poset.labels[y]}, "
+                                                 f"{poset.labels[z]})")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _sections_from_involution_pairwise(o):
+    # the definition: z^y = z' v y, each join read from the join table
+    p = o.poset
+    rows = []
+    for x in range(p.n):
+        row = [-1] * p.n
+        for y in bits(p.up[x]):
+            j = p.join(o.inv[y], x)
+            if j is None:
+                raise I.JoinMissing(f"join of {p.labels[o.inv[y]]} and {p.labels[x]} missing")
+            row[y] = j
+        rows.append(row)
+    return _validate_sections_pairwise(p, rows)
+
+
+def _outcome(fn, *args):
+    """The section rows ``fn`` returns, or the type and text of its error."""
+    try:
+        res = fn(*args)
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return res if isinstance(res, tuple) else res.sections
+
+
+def test_induced_sections_match_the_pairwise_definition():
+    structures = gallery.reference_orthos()
+    outcomes = [_outcome(R.sections_from_involution, o) for o in structures]
+    assert outcomes == [_outcome(_sections_from_involution_pairwise, o) for o in structures]
+    # a family, a missing join and an induced map that is no section all
+    # occur, so the comparison is not vacuous
+    assert {out[0] if isinstance(out[0], type) else "family" for out in outcomes} \
+        == {"family", I.JoinMissing, R.SectionViolation}
+
+
+def _altered_rows(s):
+    """Copies of the rows of ``s``: with each entry set in turn to every
+    value a row may hold and some it may not, and with each row
+    conjugated by each transposition of its filter, an involution of the
+    filter that need not be antitone."""
+    n = s.poset.n
+    for x, row in enumerate(s.sections):
+        for y in range(n):
+            for value in range(-2, n + 1):
+                yield x, row[:y] + (value,) + row[y + 1:]
+        for y, z in combinations(bits(s.poset.up[x]), 2):
+            swap = list(range(n))
+            swap[y], swap[z] = z, y
+            yield x, tuple(r if r < 0 else swap[row[swap[w]]] for w, r in enumerate(row))
+
+
+def test_validate_sections_reports_the_pairwise_first_failure():
+    # every section family with n <= 5, and fig7s, altered entry by entry
+    # and row by row
+    families = [s for n in range(2, 6) for s in gallery.sectioned_posets(n)]
+    families.append(gallery.load("fig7s"))
+    kinds = set()
+    for s in families:
+        p = s.poset
+        for x, row in _altered_rows(s):
+            rows = s.sections[:x] + (row,) + s.sections[x + 1:]
+            got = _outcome(R.validate_sections, p, rows)
+            assert got == _outcome(_validate_sections_pairwise, p, rows), (s, x, row)
+            kinds.add(got[1].split(": ")[1].split(" at ")[0].split(" on ")[0]
+                      if got[0] is R.SectionViolation else "valid")
+        short = [list(row) for row in s.sections]
+        short[-1].pop()
+        assert _outcome(R.validate_sections, p, short) == (
+            R.SectionViolation, f"bad section at {p.labels[-1]}: row length mismatch")
+    assert kinds == {"valid", "domain mismatch", "not an involution of the filter",
+                     "not antitone"}
