@@ -2,9 +2,10 @@
 
 Blocks are glued along {0,1} or along 4-element atomic subalgebras
 {0, a, a', 1}, with a an atom of both blocks. Validation enforces the
-pasting rules and checks each distinct block once, however many copies
-the family pastes; the builder re-checks the order and involution axioms
-on the glued carrier instead of trusting them, and returns the carrier.
+pasting rules off the order rows and checks each distinct block once,
+however many copies the family pastes; the builder re-checks the order
+and involution axioms on the glued carrier instead of trusting them,
+and returns the carrier.
 ``build_amalgam`` is the one place that checks that a carrier is
 paraorthomodular: it raises otherwise, so no consumer re-checks it.
 
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
-from .poset import FinitePoset, PosetError, bits
+from .poset import BadIndex, FinitePoset, PosetError, bits
 from .ortho import (OrthoPoset, is_kleene_lattice, is_paraorthomodular,
                     is_sharply_paraorthomodular, validate_involution, InvolutionError)
 
@@ -80,7 +81,7 @@ class PastedFamily:
         for i, j in combinations(range(len(self.blocks)), 2):
             p = self.blocks[i].poset
             for c in self.shared(i, j) - {self.zero, self.one}:
-                if p.covers_pair(p.bottom, self.class_of[i].index(c)):
+                if _atom_or_coatom(p, self.class_of[i].index(c)) == "atom":
                     links[i, j] = links[j, i] = c
         return links
 
@@ -107,10 +108,20 @@ def _paste(blocks: Sequence[OrthoPoset], names: Sequence[str],
 
 
 def _atom_or_coatom(p: FinitePoset, e: int) -> Optional[str]:
-    """'atom', 'coatom' or None; no element of a Kleene block (n >= 6) is both."""
-    if p.covers_pair(p.bottom, e):
+    """'atom', 'coatom' or None for an element e other than the bottom and
+    the top: an atom when ``down[e]`` is {0, e}, a coatom when ``up[e]`` is
+    {e, 1}; no element of a Kleene block (n >= 6) is both."""
+    if p.down[e] == 1 << p.bottom | 1 << e:
         return "atom"
-    return "coatom" if p.covers_pair(e, p.top) else None
+    return "coatom" if p.up[e] == 1 << e | 1 << p.top else None
+
+
+def _shared_order(blk: OrthoPoset, row: Sequence[int], elems: Sequence[int]) -> dict:
+    """``{c: mask}``: for each element of ``elems``, of class c under
+    ``row``, the mask of the classes of ``elems`` above it."""
+    up = blk.poset.up
+    within = sum(1 << e for e in elems)
+    return {row[e]: sum(1 << row[f] for f in bits(up[e] & within)) for e in elems}
 
 
 def validate_family(blocks: Sequence[OrthoPoset], glue,
@@ -119,7 +130,9 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
 
     ``glue`` is an iterable of groups; each group is a list of
     (block index, element index or label) identified with each other.
-    Block bottoms and block tops are identified automatically.
+    Block bottoms and block tops are identified automatically. An index
+    out of range raises BadIndex: the union-find key block * stride + e
+    would name another block's element.
 
     The Kleene check reads only order rows and involution, so it runs
     once per distinct ``(poset.up, inv)``, at its first block. That zero
@@ -169,8 +182,16 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
     for group in glue:
         resolved = []
         for i, e in group:
+            if not 0 <= i < len(blocks):
+                raise BadIndex(f"no block with index {i} in the family")
+            p = blocks[i].poset
             if not isinstance(e, int):
-                e = blocks[i].poset.index(str(e))
+                try:
+                    e = p.labels.index(str(e))
+                except ValueError:
+                    raise BadIndex(f"no element labelled {str(e)!r}") from None
+            elif not 0 <= e < p.n:
+                raise BadIndex(f"no element with index {e} in block {names[i]}")
             resolved.append((i, e))
         seen = {}
         for i, e in resolved:
@@ -221,10 +242,9 @@ def validate_family(blocks: Sequence[OrthoPoset], glue,
             cj = fam.class_of[j][bj.inv[ej[c]]]
             if ci != cj or ci not in s:
                 raise FamilyError(f"{bad}: not closed under the involutions")
-        for c, d in combinations(s, 2):
-            if bi.poset.leq(ei[c], ei[d]) != bj.poset.leq(ej[c], ej[d]) \
-                    or bi.poset.leq(ei[d], ei[c]) != bj.poset.leq(ej[d], ej[c]):
-                raise FamilyError(f"{bad}: orders disagree on the shared set")
+        if (_shared_order(bi, fam.class_of[i], tuple(ei.values()))
+                != _shared_order(bj, fam.class_of[j], tuple(ej.values()))):
+            raise FamilyError(f"{bad}: orders disagree on the shared set")
     return fam
 
 

@@ -244,7 +244,9 @@ _register("relpara-under-c", "ortho",
           _agree3(lambda o: relative.relpara_via_impl_under_C(
               implication.cached(o, relative.sections_from_involution))),
           is_orthomodular, "relative paraorthomodularity via the unit law under compatibility")
-_register("i4-antitone", "sectioned", _antitone(relative, "impl_I4"), _lattice,
+# looked up at each call, as in _antitone
+_register("i4-antitone", "sectioned",
+          _holds(lambda s: relative.i4_antitone(s), "not antitone"), _lattice,
           "join-semilattice implication antitone in the first slot")
 _ab_equiv = _holds(adjoint.lemma_AB_equiv, "A/B verdicts split")
 _register("lemadj", "ortho", _ab_equiv, _lattice,

@@ -11,11 +11,13 @@ first pair that breaks paraorthomodularity relative to the filter
 (``_para_row``). On the whole poset, the filter of the bottom, they are
 the antitonicity of an involution and its paraorthomodularity.
 
-Orthogonality and regularity read meets and joins off the order rows,
-with no meet or join table: x ^ y is the element whose down row is
-``down[x] & down[y]``, if any, and x v y dually on the up rows. For an
-antitone involution x <= y' exactly when y <= x' (apply the involution
-to either side), so the y orthogonal to x are the bits of ``down[x']``.
+Orthogonality, regularity and the orthomodular law read meets and
+joins off the order rows, with no meet or join table: x ^ y is the
+element whose down row is ``down[x] & down[y]``, if any, and x v y
+dually on the up rows, so x v y = z exactly when
+``up[x] & up[y] == up[z]``. For an antitone involution x <= y' exactly
+when y <= x' (apply the involution to either side), so the y orthogonal
+to x are the bits of ``down[x']``.
 """
 
 from __future__ import annotations
@@ -234,23 +236,21 @@ def is_regular(o: OrthoPoset) -> bool:
 def orthomodular_witness(o: OrthoPoset) -> Optional[tuple]:
     """First failure of the orthomodular law x <= y => x v (y ^ x') = y.
 
-    A missing meet y ^ x' counts as a failure at that pair.
+    A missing meet y ^ x' counts as a failure at that pair. Both terms
+    are read off the order rows: y ^ x' is the element whose down row is
+    ``down[y] & down[x']``, and x v m = y exactly when
+    ``up[x] & up[m] == up[y]``. No meet or join table is built.
     """
     p = o.poset
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            if not om_law_holds(o, x, y):
+    up, down = p.up, p.down
+    meet_of = {row: m for m, row in enumerate(down)}.get
+    for x, (u_x, xi) in enumerate(zip(up, o.inv)):
+        d_xi = down[xi]
+        for y in bits(u_x):
+            m = meet_of(down[y] & d_xi)
+            if m is None or u_x & up[m] != up[y]:
                 return (x, y)
     return None
-
-
-def om_law_holds(o: OrthoPoset, x: int, y: int) -> bool:
-    """Whether x v (y ^ x') = y for a specific pair with x <= y."""
-    p = o.poset
-    m = p.meet(y, o.inv[x])
-    if m is None:
-        return False
-    return p.join(x, m) == y
 
 
 def om_u_identity(o: OrthoPoset) -> bool:

@@ -43,11 +43,14 @@ one dict lookup. The four, and the label index, are built on first
 read, so a poset that never reads one (most enumerated posets) builds
 none.
 
-The LU-distributivity identities read two more n x n tables, the pair
-cones ``lu[x][y] = L(U{x,y})`` and ``ul[x][y] = U(L{x,y})``, built once
-per poset on first use. Cones turn unions into intersections,
-L(A u B) = L(A) n L(B) and U(A u B) = U(A) n U(B), so the first binary
-identity L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})) at (x, y, z) reads
+A lattice is distributive exactly when its join-irreducibles are
+join-prime, which ``is_distributive`` reads off the order rows. On any
+other poset the LU-distributivity identities decide it. They read two
+more n x n tables, the pair cones ``lu[x][y] = L(U{x,y})`` and
+``ul[x][y] = U(L{x,y})``, built once per poset on first use. Cones
+turn unions into intersections, L(A u B) = L(A) n L(B) and
+U(A u B) = U(A) n U(B), so the first binary identity
+L(U{x,y} u {z}) = L(U(L{x,z} u L{y,z})) at (x, y, z) reads
 
     lu[x][y] & down[z] == L(ul[x][z] & ul[y][z])
 
@@ -64,14 +67,16 @@ read from the poset's cone memo.
 
 Bound completeness (``is_mub_complete``, ``is_mlb_complete``) is a
 statement about the cones of the subsets of up to ``SMALL_SUBSET``
-elements, and distinct subsets often share a cone, so each distinct
-cone is tested once, as one mask: every element of U(A) lies above a
-minimal element of U(A) exactly when U(A) lies in the up-set of its
-minimal elements, and dually for L(A) and the down-set of its maximal
-elements. ``_memo`` holds what other modules build from the order
-alone, through ``ortho.cached``, and what they build from the order and
-one section row, which every section family with that row shares
-(``relative._per_row``, a ``LazyDict`` per builder).
+elements, and distinct subsets often share a cone, so the distinct
+cones are collected by closing the rows under intersection
+(``subset_cones``) and each is tested once, as one mask: every element
+of U(A) lies above a minimal element of U(A) exactly when U(A) lies in
+the up-set of its minimal elements, and dually for L(A) and the
+down-set of its maximal elements. ``_memo`` holds what other modules
+build from the order alone, through ``ortho.cached``, and what they
+build from the order and one section row, which every section family
+with that row shares (``relative._per_row``, a ``LazyDict`` per
+builder).
 
 The order is immutable after construction and every operation is pure;
 the tables and the cone memo are filled on demand with values that
@@ -163,6 +168,17 @@ def extremal(rows: Sequence[int], cone: int) -> int:
     return out
 
 
+def subset_cones(rows: Sequence[int]) -> set:
+    """The distinct intersections of 1 to ``SMALL_SUBSET`` of ``rows``: on
+    up rows the cones U(A) of the small subsets A, on down rows the L(A).
+    A round of intersection with each row keeps every set it is given
+    (c & r = c for the row r of a member of its subset)."""
+    level = set(rows)
+    for _ in range(SMALL_SUBSET - 1):
+        level = {c & r for c in level for r in rows}
+    return level
+
+
 class LazyDict(dict):
     """``memo[key]``: ``build(key)``, computed on first lookup and kept, so
     a repeated key costs one dict lookup."""
@@ -251,17 +267,22 @@ class FinitePoset:
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], name: str = "") -> "FinitePoset":
         """Build from cover pairs (lower, upper), given as labels or indices.
 
-        The rows are closed by passes over the covers, highest lower
-        element first, until one changes nothing: when covers run up in
-        index order, as files list them, the second pass confirms the first.
+        A label index is built only when a cover names a label. The rows
+        are closed by passes over the covers, highest lower element first,
+        until one changes nothing: when covers run up in index order, as
+        files list them, the second pass confirms the first.
         """
         labels = [str(x) for x in labels]
-        index = {lbl: i for i, lbl in enumerate(labels)}
         n = len(labels)
+        index = None
         pairs = []
         for lo, hi in covers:
-            i = lo if isinstance(lo, int) else index.get(str(lo))
-            j = hi if isinstance(hi, int) else index.get(str(hi))
+            i, j = lo, hi
+            if not (isinstance(lo, int) and isinstance(hi, int)):
+                if index is None:
+                    index = {lbl: k for k, lbl in enumerate(labels)}
+                i = lo if isinstance(lo, int) else index.get(str(lo))
+                j = hi if isinstance(hi, int) else index.get(str(hi))
             if i is None or j is None or not (0 <= i < n and 0 <= j < n):
                 raise BadIndex(f"unknown element in cover pair ({lo}, {hi})")
             pairs.append((i, j))
@@ -436,12 +457,45 @@ class FinitePoset:
 
     @cached_property
     def is_distributive(self) -> bool:
+        """On a lattice, every join-irreducible is join-prime; on any other
+        poset, the first binary LU-identity holds (``_lu_distributive``).
+
+        In a lattice, j is join-irreducible exactly when its strict
+        down-set ``down[j] & ~(1 << j)`` has a greatest element, that is,
+        is a down row. Let J(a) be the join-irreducibles below a; J(x) u
+        J(y) lies in J(x v y). If the lattice is distributive, j <= x v y
+        gives j = (j ^ x) v (j ^ y), so j <= x or j <= y: equality. If
+        J(x v y) = J(x) u J(y) always, a -> J(a) preserves joins and meets
+        and is one-to-one (each a is the join of J(a)), so the lattice
+        embeds in a powerset and is distributive (Birkhoff 1937; Davey
+        and Priestley, *Introduction to Lattices and Order*, 2002). A
+        comparable pair holds trivially, so only the incomparable pairs
+        x < y are read, x v y as the element whose up row is
+        ``up[x] & up[y]``. No pair-cone table is built.
+        """
+        if not self.is_lattice:
+            return self._lu_distributive()
+        down, up, full = self.down, self.up, self.full
+        rows = set(down)
+        irreducible = 0
+        for j, d_j in enumerate(down):
+            if d_j & ~(1 << j) in rows:
+                irreducible |= 1 << j
+        below = [d & irreducible for d in down]
+        join_of = {row: j for j, row in enumerate(up)}
+        for x, (d_x, u_x, b_x) in enumerate(zip(down, up, below)):
+            # the y > x that are incomparable with x
+            for y in bits(full >> (x + 1) << (x + 1) & ~(d_x | u_x)):
+                if below[join_of[u_x & up[y]]] != b_x | below[y]:
+                    return False
+        return True
+
+    def _lu_distributive(self) -> bool:
         """The first binary LU-identity holds at every triple.
 
-        Both sides are symmetric in x and y, and on a comparable pair,
-        x = y among them, the identity only restates a closed cone (see
-        the module docstring), so only the incomparable pairs with x < y
-        are scanned.
+        It is symmetric in x and y, and on a comparable pair, x = y among
+        them, only restates a closed cone (see the module docstring), so
+        only the incomparable pairs with x < y are scanned.
         """
         lu, ul = self.pair_cones
         L, down, n = self._lower, self.down, self.n
@@ -456,28 +510,25 @@ class FinitePoset:
                         return False
         return True
 
-    def _bound_complete(self, cone, reach, rows) -> bool:
-        """Every element of the ``cone`` of each small subset lies in the
+    def _bound_complete(self, cones, reach, rows) -> bool:
+        """Every element of the cone of each small subset lies in the
         ``reach`` of the ``rows``-extremal elements of that cone (see
-        :func:`extremal`). Finiteness makes
-        the unrestricted condition automatic; the check runs over the
-        subsets of up to ``SMALL_SUBSET`` elements, and each distinct
-        cone among theirs is tested once, as one mask.
+        :func:`extremal`); ``cones`` are those of the single elements.
+        Finiteness makes the unrestricted condition automatic; each
+        distinct cone of the subsets of up to ``SMALL_SUBSET`` elements
+        is tested once, as one mask.
         """
-        singles = [1 << i for i in range(self.n)]
-        cones = {cone(sum(m)) for size in range(1, SMALL_SUBSET + 1)
-                 for m in combinations(singles, size)}
-        return all(not c & ~reach(extremal(rows, c)) for c in cones)
+        return all(not c & ~reach(extremal(rows, c)) for c in subset_cones(cones))
 
     @cached_property
     def is_mub_complete(self) -> bool:
         """Below every upper bound of a small subset sits a minimal upper bound."""
-        return self._bound_complete(self._upper, self._upset, self.down)
+        return self._bound_complete(self.up, self._upset, self.down)
 
     @cached_property
     def is_mlb_complete(self) -> bool:
         """Above every lower bound of a small subset sits a maximal lower bound."""
-        return self._bound_complete(self._lower, self._downset, self.up)
+        return self._bound_complete(self.down, self._downset, self.up)
 
     def has_maximality(self) -> bool:
         """Every two-element lower cone has a maximal element."""

@@ -13,6 +13,8 @@ The statements on a family read it one row at a time:
 - every ``th2`` clause at (x, y) reads column y of I3 and row y: the
   union extensions in its clauses (iv) and (v) are unions of cells of
   column y;
+- the antitonicity of I4 in its first argument reads each column of I4
+  on its own, so column y reads row y alone;
 - the implication law of ``para-via-i3`` at y reads column y and the
   image g[y] of y under row 0, and its direct verdict is relative
   paraorthomodularity on the filter of 0 alone.
@@ -23,10 +25,11 @@ once per poset for each (filter, row) it reads and kept on the poset,
 in one ``poset.LazyDict`` per builder (``_per_row``), and a family's
 result combines its n entries. The ``th2`` and ``para-via-i3`` entries
 read their I3 column from the column entries of the same poset, so no
-family assembles an I3 table for them; the I3 and I4 tables are built
-from the same columns, for the statements that read whole tables. The
-``th2`` violations of the columns are merged in (x, y, clause) order,
-the order of a cell-by-cell scan.
+family assembles an I3 table for them; nor does ``i4-antitone``, whose
+verdict is read off the I4 columns, one per (filter, row). The I3 and I4
+tables are built from the same columns, for the statements that read
+whole tables. The ``th2`` violations of the columns are merged in
+(x, y, clause) order, the order of a cell-by-cell scan.
 
 A family that satisfies the compatibility condition C is the family
 z^y = z' v y induced by its own row 0 (``sections_from_involution``),
@@ -197,19 +200,51 @@ def _i4_column(p: FinitePoset, y: int, row) -> Tuple[int, ...]:
     return tuple([1 << row[j] for j in p.joins[y]])
 
 
+def _require_joins(p: FinitePoset) -> None:
+    """Raise NotJoinSemilattice, naming the first pair without a join; a
+    finite bounded poset with every join is a lattice."""
+    if p.is_lattice:
+        return
+    for x, joins_x in enumerate(p.joins):
+        if None in joins_x:
+            y = joins_x.index(None)
+            raise NotJoinSemilattice(f"join of {p.labels[x]} and {p.labels[y]} missing")
+
+
 def impl_I4(s: SectionedPoset) -> SetValuedTable:
     """x -> y as (x v y)^y on join-semilattices; cells are singletons.
 
     Column y reads row y alone, and is built once per poset and row.
     """
     p = s.poset
-    for x, joins_x in enumerate(p.joins):
-        if None in joins_x:
-            y = joins_x.index(None)
-            raise NotJoinSemilattice(f"join of {p.labels[x]} and {p.labels[y]} missing")
+    _require_joins(p)
     memo = _per_row(p, _i4_column)
     cols = [memo[y, row] for y, row in enumerate(s.sections)]
     return SetValuedTable(p, tuple(zip(*cols)))
+
+
+def _i4_antitone_column(p: FinitePoset, y: int, row) -> bool:
+    """Whether column y of I4, where ``row`` is the section on [y,1], is
+    antitone: the union of the cells of the w >= x lies below cell x.
+    A non-singleton cell raises before any two cells are compared."""
+    col = _per_row(p, _i4_column)[y, row]
+    if not all(c and c & (c - 1) == 0 for c in col):
+        raise PosetError("cell is not a singleton")
+    down = p.down
+    return all(not union(col, u_x) & ~down[c.bit_length() - 1]
+               for u_x, c in zip(p.up, col))
+
+
+def i4_antitone(s: SectionedPoset) -> bool:
+    """Whether I4 is antitone in its first argument, as
+    ``implication.antitone_first_arg`` reads its table, from one verdict
+    per poset and (filter, row) and with no I4 table."""
+    p = s.poset
+    _require_joins(p)
+    memo = _per_row(p, _i4_antitone_column)
+    # a list, not a generator: every column is read, so a non-singleton
+    # cell raises even after a column that is not antitone
+    return all([memo[y, row] for y, row in enumerate(s.sections)])
 
 
 def _th2_column(p: FinitePoset, y: int, row) -> Optional[tuple]:

@@ -33,20 +33,32 @@ def ortho(name: str):
     return obj.ortho if isinstance(obj, SectionedPoset) else obj
 
 
-def with_i3_columns(s, cols):
-    """``s`` on a fresh copy of its poset whose I3 column y, for the row y
-    of ``s``, is ``cols[y]``.
+def with_columns(s, build, cols):
+    """``s`` on a fresh copy of its poset whose column y of the table
+    ``build`` makes (``relative._i3_column`` or ``relative._i4_column``),
+    for the row y of ``s``, is ``cols[y]``.
 
     The columns are planted in the per-row entries of the copy, which
-    the I3 table and every section statement read, so they stand in for
-    the built ones on every family of the copy and on no other poset.
+    the table and every section statement that reads it read, so they
+    stand in for the built ones on every family of the copy and on no
+    other poset.
     """
     p = s.poset
     q = FinitePoset(p.labels, p.up, p.name)
-    memo = relative._per_row(q, relative._i3_column)
+    memo = relative._per_row(q, build)
     for y, (row, col) in enumerate(zip(s.sections, cols)):
         memo[y, row] = tuple(col)
     return SectionedPoset(q, s.sections)
+
+
+def with_i3_columns(s, cols):
+    """``s`` with its I3 columns planted (see :func:`with_columns`)."""
+    return with_columns(s, relative._i3_column, cols)
+
+
+def with_i4_columns(s, cols):
+    """``s`` with its I4 columns planted (see :func:`with_columns`)."""
+    return with_columns(s, relative._i4_column, cols)
 
 
 def ortho_posets(n: int):

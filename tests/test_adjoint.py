@@ -794,6 +794,34 @@ def test_section_kernels_match_per_triple_references():
     assert reports > 100 and verdicts[True] and verdicts[False]
 
 
+def test_i4_antitone_matches_reference_on_planted_columns():
+    # every section family with n <= 7 and the sectioned figures, with its
+    # I4 table and four perturbed copies, planted on a fresh poset as the
+    # columns the per-row verdicts read
+    rng = random.Random(4)
+    verdicts, families = Counter(), 0
+    for s in _sectioned_structures():
+        if not s.poset.is_lattice:
+            with pytest.raises(R.NotJoinSemilattice):
+                R.i4_antitone(s)
+            continue
+        families += 1
+        table = R.impl_I4(s)
+        assert R.i4_antitone(s) == _antitone_reference(table), s
+        for t in [table] + [_perturbed(table, rng, singleton=True) for _ in range(4)]:
+            got = R.i4_antitone(gallery.with_i4_columns(s, t.cols))
+            assert got == _antitone_reference(t), s
+            verdicts[got] += 1
+        # a cell of two elements raises, whatever the other columns read
+        x, y = rng.randrange(s.n), rng.randrange(s.n)
+        cols = [list(col) for col in _perturbed(table, rng, singleton=True).cols]
+        cols[y][x] |= 1 << next(e for e in range(s.n) if not cols[y][x] >> e & 1)
+        with pytest.raises(PosetError, match="cell is not a singleton"):
+            R.i4_antitone(gallery.with_i4_columns(s, cols))
+    # the 69 lattice families with n <= 7, fig7s, fig8 and the cube
+    assert families == 72 and verdicts[True] and verdicts[False]
+
+
 def test_empty_cell_is_not_a_singleton():
     # a table of empty cells on the cube
     cube = figures.boolean_cube()

@@ -8,7 +8,7 @@ import pytest
 from paraposet import figures, fileformat, universe
 from paraposet import amalgam as am
 from paraposet import ortho as O
-from paraposet.poset import FinitePoset, bits
+from paraposet.poset import BadIndex, FinitePoset, bits
 
 import gallery
 from gallery import FIXTURES
@@ -475,3 +475,65 @@ def test_loops_match_the_pairwise_reference():
     # reason rejects some sequence on its own
     assert reasons == {(False, False): 91, (True, False): 10,
                        (False, True): 35, (True, True): 44}
+
+
+def _pasting_outcome(A, B, glue):
+    """'ok', or the pasting rule a two-block family breaks, by its message."""
+    try:
+        am.validate_family([A, B], glue, names=("A", "B"))
+    except am.FamilyError as exc:
+        text = str(exc)
+        return next(rule for rule in ("two elements of one block identified",
+                                      "share a 3-element subalgebra",
+                                      "is neither atom nor coatom",
+                                      "is glued to",
+                                      "not closed under the involutions",
+                                      "orders disagree on the shared set")
+                    if rule in text)
+    return "ok"
+
+
+def test_pasting_rules_report_the_first_broken_rule():
+    # every gluing of an element of one Kleene block with n <= 8 to one of
+    # another (or of a copy): alone, with the involutes, with the involute
+    # of the first onto the second again, and with the top of the second
+    # as well; a gluing that breaks several rules reports the first, in
+    # the order validate_family checks them, as before the rules were read
+    # off the order rows
+    blocks = _kleene_blocks()
+    outcomes = Counter()
+    for A in blocks:
+        for B in blocks:
+            for a in range(A.n):
+                for b in range(B.n):
+                    for glue in ([[(0, a), (1, b)], [(0, A.inv[a]), (1, B.inv[b])]],
+                                 [[(0, a), (1, b)]],
+                                 [[(0, a), (1, b)], [(0, A.inv[a]), (1, b)]],
+                                 [[(0, a), (1, b)], [(0, A.inv[a]), (1, B.inv[b])],
+                                  [(0, a), (1, B.poset.top)]]):
+                        outcomes[_pasting_outcome(A, B, glue)] += 1
+    assert outcomes == {
+        "two elements of one block identified": 25922,
+        "share a 3-element subalgebra": 4977,
+        "is neither atom nor coatom": 2592,
+        "is glued to": 882,
+        "orders disagree on the shared set": 320,
+        "ok": 1407,
+    }
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((0, 7), "no element with index 7 in block K1"),
+    ((0, -1), "no element with index -1 in block K1"),
+    ((2, 1), "no block with index 2 in the family"),
+    ((-1, 1), "no block with index -1 in the family"),
+    ((0, "z"), "no element labelled 'z'"),
+])
+def test_glue_index_out_of_range_is_rejected(entry, message):
+    # the union-find keys (block, element) as block * stride + element, so
+    # an index past a block's end would name an element of the next block
+    fam = gallery.load("fig5/family")
+    assert [blk.n for blk in fam.blocks] == [6, 6]
+    with pytest.raises(BadIndex) as err:
+        am.validate_family(fam.blocks, [[entry, (1, 1)]], names=fam.names)
+    assert str(err.value) == message

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from paraposet import amalgam, figures, fileformat, harness
 from paraposet.poset import (SMALL_SUBSET, BadIndex, FinitePoset, NotAntisymmetric,
-                             NotBounded, PosetError, bits, intersection, union)
+                             NotBounded, PosetError, bits, intersection, subset_cones,
+                             union)
 from paraposet.universe import bounded_posets
 
 import gallery
@@ -490,37 +491,43 @@ def test_lu_identities_match_cones_on_random_posets(p, data):
     _assert_identities_match_cones(p, nary_args)
 
 
-def _count_pair_cone_builds(monkeypatch):
+def _count_builds(monkeypatch, name):
+    """The posets whose cached property ``name`` is built, in build order."""
     builds = []
-    build = FinitePoset.pair_cones.func
+    build = getattr(FinitePoset, name).func
 
     def counted(p):
         builds.append(p)
         return build(p)
 
     prop = cached_property(counted)
-    prop.__set_name__(FinitePoset, "pair_cones")
-    monkeypatch.setattr(FinitePoset, "pair_cones", prop)
+    prop.__set_name__(FinitePoset, name)
+    monkeypatch.setattr(FinitePoset, name, prop)
     return builds
 
 
-def test_family_load_builds_pair_cones_once_per_distinct_block(monkeypatch):
-    builds = _count_pair_cone_builds(monkeypatch)
+def test_family_load_reads_distributivity_once_per_distinct_block(monkeypatch):
+    reads = _count_builds(monkeypatch, "is_distributive")
+    pair_cones = _count_builds(monkeypatch, "pair_cones")
     # the four blocks of the square are copies of one order and involution
     fam = gallery.load("square/family")
     assert len(fam.blocks) == 4
-    assert list(map(id, builds)) == [id(fam.blocks[0].poset)]
-    # the two blocks of fig5 differ, so each is built
-    builds.clear()
+    assert list(map(id, reads)) == [id(fam.blocks[0].poset)]
+    # the two blocks of fig5 differ, so each is read
+    reads.clear()
     fam = gallery.load("fig5/family")
     assert fam.blocks[0].poset.up != fam.blocks[1].poset.up
-    assert list(map(id, builds)) == [id(blk.poset) for blk in fam.blocks]
+    assert list(map(id, reads)) == [id(blk.poset) for blk in fam.blocks]
+    # the blocks are lattices, read off the order rows with no pair cones
+    assert pair_cones == []
 
 
 def test_distributivity_predicates_share_one_pair_cone_build(monkeypatch):
-    builds = _count_pair_cone_builds(monkeypatch)
+    builds = _count_builds(monkeypatch, "pair_cones")
     p = figures.boolean_cube().poset
     assert p.is_distributive
+    # the cube is a lattice, whose distributivity reads no pair cones
+    assert builds == []
     assert p.distributive_variant_failure is None
     assert p.nary_distributive_failure is None
     assert builds == [p]
@@ -547,9 +554,16 @@ def test_bound_completeness_runs_once_per_poset(monkeypatch):
 
 # -- the poset kernels against the per-triple bodies they replaced ------
 
+def _subset_cones_reference(p, cone):
+    return {cone(mask_of(m)) for size in range(1, SMALL_SUBSET + 1)
+            for m in combinations(range(p.n), size)}
+
+
 def _assert_poset_kernels_match(p):
     assert p.distributive_variant_failure == _pair_cone_variant_failure(p)
     assert p.nary_distributive_failure == _pair_cone_nary_failure(p)
+    assert subset_cones(p.up) == _subset_cones_reference(p, p.upper_cone)
+    assert subset_cones(p.down) == _subset_cones_reference(p, p.lower_cone)
     assert p.is_mub_complete == _bound_complete_reference(p, p.upper_cone, _min_of, p.down)
     assert p.is_mlb_complete == _bound_complete_reference(p, p.lower_cone, _max_of, p.up)
 
@@ -570,3 +584,32 @@ def test_poset_kernels_match_the_replaced_bodies_on_every_bounded_poset():
 def test_poset_kernels_match_the_replaced_bodies_on_fixture_carriers(path):
     carrier = amalgam.build_amalgam(fileformat.load(str(path)))
     _assert_poset_kernels_match(carrier.poset)
+
+
+# -- distributivity on a lattice against the LU scan ---------------------
+
+def _assert_distributivity_readings_agree(p):
+    # the lattice reading, the LU scan it replaced there, and the
+    # per-triple definition the scan was checked against
+    assert p.is_distributive == p._lu_distributive() == _cone_distributive(p)
+
+
+def test_lattice_distributivity_matches_the_lu_scan_on_every_lattice():
+    lattices = [p for n in range(2, 10) for p in bounded_posets(n) if p.is_lattice]
+    verdicts = [p.is_distributive for p in lattices]
+    assert verdicts == [p._lu_distributive() for p in lattices]
+    assert (len(lattices), sum(verdicts)) == (1377, 61)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("**/*.poset")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_distributivity_readings_agree_on_fixtures(path):
+    # every fixture file: each block of a family and its carrier, and
+    # each figure
+    obj = fileformat.load(str(path))
+    if isinstance(obj, amalgam.PastedFamily):
+        posets = [blk.poset for blk in obj.blocks] + [amalgam.build_amalgam(obj).poset]
+    else:
+        posets = [obj if isinstance(obj, FinitePoset) else obj.poset]
+    for p in posets:
+        _assert_distributivity_readings_agree(p)

@@ -300,15 +300,30 @@ def _count_builds(monkeypatch, name, modules):
 
 def test_antitone_theorems_build_through_the_module_attribute(monkeypatch):
     # a wrapper put on the module attribute after import, the way a tracer
-    # wraps each builder, is what the antitone theorems run: every I2 and
-    # I4 table they check is built through it, and a lattice structure
-    # whose I2 table two theorems read gets one build
+    # wraps each builder, is what the antitone theorems run: every I2 table
+    # they check is built through it, and a lattice structure whose I2
+    # table two theorems read gets one build; i4-antitone calls
+    # relative.i4_antitone once per family, which reads one column
+    # verdict per (poset, filter, section row)
     i2 = _count_builds(monkeypatch, "impl_I2", (I,))
-    i4 = _count_builds(monkeypatch, "impl_I4", (R,))
+    i4 = _count_builds(monkeypatch, "i4_antitone", (R,))
+    columns = []
+    column = R._i4_antitone_column
+
+    def counted_column(p, y, row):
+        columns.append((p, y, row))
+        return column(p, y, row)
+
+    monkeypatch.setattr(R, "_i4_antitone_column", counted_column)
     res = {r.theorem: r.instances
            for r in H.run_harness(7, ["i2-antitone", "i4-antitone"])}
     assert len(i2) == len({id(o) for o in i2}) == res["i2-antitone"] == 78
     assert len(i4) == len({id(s) for s in i4}) == res["i4-antitone"] == 69
+    # the list keeps each poset alive, so its id names it
+    keys = {(id(p), y, row) for p, y, row in columns}
+    assert len(columns) == len(keys) == len(
+        {(id(s.poset), y, row) for s in i4 for y, row in enumerate(s.sections)})
+    assert len(columns) < sum(s.n for s in i4)
     i2.clear()
     res = {r.theorem: r.instances
            for r in H.run_harness(7, ["i2-antitone", "i1-matches-i2"])}

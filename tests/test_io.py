@@ -164,6 +164,18 @@ def test_load_errors_keep_their_text(tmp_path, capsys, kind, lines, message):
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("**/*.poset")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_loading_builds_no_label_index_on_a_poset(path):
+    # a file resolves its labels through one index of its own, and a
+    # family resolves its identify labels on the block labels, so no
+    # poset it builds makes the index its lookups by label would read
+    obj = ff.load(str(path))
+    posets = ([blk.poset for blk in obj.blocks] if isinstance(obj, am.PastedFamily)
+              else [obj if isinstance(obj, FinitePoset) else obj.poset])
+    assert all("_index" not in vars(p) for p in posets)
+
+
 def test_inv_lines_must_agree_with_the_bottom_section_row(tmp_path, capsys):
     # fig7s's section lines on [0,1] swap a with a' and b with b'
     text = (FIXTURES / "fig7s.poset").read_text()

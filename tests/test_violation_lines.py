@@ -76,6 +76,13 @@ def _i3_altered(s, x, y, cell):
     return gallery.with_i3_columns(s, cols)
 
 
+def _i4_altered(s, x, y, cell):
+    """``s`` on a fresh poset whose I4 column y has ``cell`` at x."""
+    cols = [list(col) for col in R.impl_I4(s).cols]
+    cols[y][x] = cell
+    return gallery.with_i4_columns(s, cols)
+
+
 def _kept(build, s, value):
     """Keep ``value`` on ``s`` as the result of ``build``."""
     s._memo[build] = value
@@ -166,7 +173,7 @@ CASES = {
     # the check induces the family of b2 again, on the altered poset
     "relpara-under-c": (lambda mp: _i3_altered(b2_sections(), 1, 2, 1 << 3).ortho,
                         [f"{B2} verdicts True vs False"]),
-    "i4-antitone": (lambda mp: _altered(R.impl_I4, b2_sections(), 0, 0, 1 << 0),
+    "i4-antitone": (lambda mp: _i4_altered(b2_sections(), 0, 0, 1 << 0),
                     [f"{B2} not antitone"]),
     "lemadj": (lambda mp: _kept(A._sasaki_conditions, b2(),
                                 A.AdjointnessReport(holds_A=False)),
